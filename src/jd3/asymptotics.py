@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import _coverage
-from .multipoly import Poly, VarSet, YVARS
+from .multipoly import Poly, VarSet, YVARS, assemble_q, q_factor
 
 _ZERO = Fraction(0)
 
@@ -282,10 +282,7 @@ class QAsymptoticsCheck:
 @lru_cache(maxsize=None)
 def _regime_factor(regime_id: str, which: str, args: tuple[str, ...]) -> Poly:
     """P2/P3/P4 with the regime substitution applied, as a t-polynomial."""
-    from .multipoly import p2, p3, p4
-
-    builder = {"p2": p2, "p3": p3, "p4": p4}[which]
-    return builder(YVARS, args).substitute(regime_images(regime_id))
+    return q_factor(which, args).substitute(regime_images(regime_id))
 
 
 def substituted_q(n: int, m: int, k: int, regime: Regime) -> PuiseuxPoly:
@@ -296,26 +293,7 @@ def substituted_q(n: int, m: int, k: int, regime: Regime) -> PuiseuxPoly:
     gives the same exact result as expanding Q and substituting, without
     the intermediate blow-up.
     """
-    triples = [
-        ("y1", "y2", "y3"),
-        ("y4", "y3", "y2"),
-        ("y3", "y4", "y1"),
-        ("y2", "y1", "y4"),
-    ]
-    first = Poly.zero(TVARS)
-    for t in triples:
-        first = first + (
-            _regime_factor(regime.id, "p2", t) ** n
-        ) * (_regime_factor(regime.id, "p3", t) ** (2 * m + 3))
-    quads = [
-        ("y1", "y2", "y3", "y4"),
-        ("y1", "y3", "y2", "y4"),
-        ("y1", "y4", "y2", "y3"),
-    ]
-    second = Poly.zero(TVARS)
-    for quad in quads:
-        second = second + _regime_factor(regime.id, "p4", quad) ** k
-    return PuiseuxPoly.from_poly(first * second, regime)
+    return PuiseuxPoly.from_poly(assemble_q(n, m, k, partial(_regime_factor, regime.id)), regime)
 
 
 @lru_cache(maxsize=None)

@@ -31,9 +31,6 @@ USAGE_ERROR = 2
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", metavar="PATH", help="write the report as JSON")
     parser.add_argument("--csv", metavar="PATH", help="write the report as CSV")
-    parser.add_argument(
-        "--threads", type=int, default=1, metavar="N", help="worker threads for degree slices"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,21 +143,18 @@ def main(argv: list[str] | None = None) -> int:
                 even_max_legs=args.max_legs_even,
                 lemma_max_d=args.max_d_lemma,
                 asym_max_d=args.max_d_asym,
-                threads=args.threads,
                 corrupt_even_closed_form=args.self_test_fail,
             )
             return _emit(run_all(config), args)
         if args.suite == "odd":
-            return _emit(verify_odd_vanishing(args.max_legs, threads=args.threads), args)
+            return _emit(verify_odd_vanishing(args.max_legs), args)
         if args.suite == "even":
-            return _emit(verify_even_dims(args.max_legs, threads=args.threads), args)
+            return _emit(verify_even_dims(args.max_legs), args)
         if args.suite == "lemma":
-            return _emit(verify_lemma(args.max_d, threads=args.threads), args)
+            return _emit(verify_lemma(args.max_d), args)
         if args.suite == "asymptotics":
             regimes = _parse_regimes(args)
-            return _emit(
-                verify_asymptotics(args.max_d, regimes=regimes, threads=args.threads), args
-            )
+            return _emit(verify_asymptotics(args.max_d, regimes=regimes), args)
         raise ValueError(f"unknown command {args.command!r}")
     except ValueError as exc:
         print(f"jd3: error: {exc}", file=sys.stderr)

@@ -10,7 +10,6 @@ the two computable internal graphs, and the closed-form dimension counts.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -188,25 +187,6 @@ def eliminate_y4(p: Poly) -> Poly:
     return Poly._raw(Y3VARS, acc)
 
 
-@lru_cache(maxsize=None)
-def reduced_s4_substitutions(character: str) -> tuple[tuple[dict[str, Poly], int], ...]:
-    """The 24 S4 actions on Q[y1,y2,y3] after eliminating y4.
-
-    Each element is a substitution map for y1..y3 (the image of y4 being
-    -(y1+y2+y3)) together with its character value.
-    """
-    if character not in ("trivial", "sign"):
-        raise ValueError("character must be 'trivial' or 'sign'")
-    reduced = _y4_elimination_map()
-    out = []
-    names = YVARS.names
-    for perm in itertools.permutations(range(4)):
-        mapping = {names[i]: reduced[names[perm[i]]] for i in range(3)}
-        ch = perm_sign(perm) if character == "sign" else 1
-        out.append((mapping, ch))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Graded slices
 # ---------------------------------------------------------------------------
@@ -222,8 +202,7 @@ def _coords(p: Poly, basis_index: dict[tuple[int, ...], int]) -> list[Fraction]:
 def _sort_parity(exps: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Descending-sorted exponents and the sign of the sorting permutation."""
     order = sorted(range(len(exps)), key=lambda i: (-exps[i], i))
-    inv = sum(1 for i in range(len(order)) for j in range(i + 1, len(order)) if order[i] > order[j])
-    return tuple(exps[i] for i in order), (-1 if inv & 1 else 1)
+    return tuple(exps[i] for i in order), perm_sign(order)
 
 
 class _SkewSliceContext:
@@ -344,21 +323,89 @@ def odd_target_dim(legs: int) -> int:
 _GENERATOR_SHUFFLE_SEED = 0
 
 
-def _span_slice(
-    legs: int,
-    generators,
-    build,
-    stop_at_ambient: bool,
-) -> SliceSpace:
-    """Common skeleton: skew-symmetrize generators, collect coordinates.
+def _ihx_image_generators(legs: int):
+    for a in range(legs, -1, -1):
+        for b in range(min(a, legs - a), -1, -1):
+            for c in range(legs - a - b, -1, -1):
+                yield (a, b, c, legs - a - b - c)
+
+
+def _ihx_image_build(power, gen: tuple[int, int, int, int]) -> Poly:
+    a, b, c, d = gen
+    sym_pair = power("x1", a) * power("x5", b)
+    if a != b:
+        sym_pair = sym_pair + power("x1", b) * power("x5", a)
+    else:
+        sym_pair = sym_pair.scale(2)
+    tail = power("x4", c) * power("x2", d).scale((-1) ** d)
+    return sym_pair * tail
+
+
+def _subring_family_generators(legs: int):
+    for n in range(legs // 2, -1, -1):
+        for a in range(legs - 2 * n, -1, -1):
+            yield (n, a, legs - 2 * n - a)
+
+
+def _subring_family_build(power, gen: tuple[int, int, int]) -> Poly:
+    n, a, b = gen
+    return power("x1*x2", n) * power("x4", a) * power("x5", b)
+
+
+def _middle_family_generators(legs: int):
+    for m in range(legs, -1, -1):
+        for n in range((legs - m) // 2, -1, -1):
+            for a in range(legs - m - 2 * n, -1, -1):
+                yield (m, n, a, legs - m - 2 * n - a)
+
+
+def _middle_family_build(power, gen: tuple[int, int, int, int]) -> Poly:
+    m, n, a, b = gen
+    return (
+        power("x1+x5", m)
+        * power("x1*x5", n)
+        * power("x4", a)
+        * power("x2", b).scale((-1) ** b)
+    )
+
+
+# family name -> (generator enumeration at a leg count, generator -> polynomial)
+_FAMILIES = {
+    "ihx_image": (_ihx_image_generators, _ihx_image_build),
+    "subring_family": (_subring_family_generators, _subring_family_build),
+    "middle_family": (_middle_family_generators, _middle_family_build),
+}
+
+
+@lru_cache(maxsize=None)
+def _family_slice(family: str, legs: int, stop_at_ambient: bool) -> SliceSpace:
+    """Span of one skew-symmetrized generator family at an odd leg count.
 
     All generators lie in the signed-isotypic part of the slice, whose
     dimension is the ambient slice rank, so the construction stops once
     the running span reaches that rank: the remaining generators are
     contained in what is already spanned and cannot enlarge it.
     """
+    if legs % 2 == 0:
+        raise ValueError(f"{family}_slice expects an odd leg count")
+    generators, build = _FAMILIES[family]
+    x = x_from_y_map()
+    bases = {
+        **x,
+        "x1*x2": x["x1"] * x["x2"],
+        "x1+x5": x["x1"] + x["x5"],
+        "x1*x5": x["x1"] * x["x5"],
+    }
+    powers: dict[tuple[str, int], Poly] = {}
+
+    def power(base: str, e: int) -> Poly:
+        hit = powers.get((base, e))
+        if hit is None:
+            hit = powers[(base, e)] = bases[base] ** e
+        return hit
+
     ctx = _skew_context(legs)
-    order = list(generators)
+    order = list(generators(legs))
     random.Random(_GENERATOR_SHUFFLE_SEED).shuffle(order)
     ambient = tet_slice(legs, "odd").dim if stop_at_ambient else None
     span = RowSpan(len(ctx.basis))
@@ -366,27 +413,11 @@ def _span_slice(
     for gen in order:
         if ambient is not None and span.rank == ambient:
             break
-        row = ctx.skew_row(build(gen))
+        row = ctx.skew_row(build(power, gen))
         rows.append(row)
         span.add(row)
     matrix = QMatrix.from_rows(rows, cols=len(ctx.basis))
     return SliceSpace(legs=legs, parity="odd", basis=ctx.basis, span_matrix=matrix, dim=span.rank)
-
-
-class _XPowers:
-    """Cached powers of the x-variable images in y-coordinates."""
-
-    def __init__(self) -> None:
-        self.images = x_from_y_map()
-        self.cache: dict[tuple[str, int], Poly] = {}
-
-    def power(self, var: str, e: int) -> Poly:
-        key = (var, e)
-        hit = self.cache.get(key)
-        if hit is None:
-            hit = self.images[var] ** e
-            self.cache[key] = hit
-        return hit
 
 
 def ihx_image_slice(legs: int, stop_at_ambient: bool = True) -> SliceSpace:
@@ -397,32 +428,7 @@ def ihx_image_slice(legs: int, stop_at_ambient: bool = True) -> SliceSpace:
     in the first two exponents, so the other half repeats rows).
     """
     _coverage.touch("diagram_spaces.ihx_image_slice")
-    if legs % 2 == 0:
-        raise ValueError("ihx_image_slice expects an odd leg count")
-    return _ihx_image_slice_cached(legs, stop_at_ambient)
-
-
-@lru_cache(maxsize=None)
-def _ihx_image_slice_cached(legs: int, stop_at_ambient: bool) -> SliceSpace:
-    xp = _XPowers()
-
-    def generators():
-        for a in range(legs, -1, -1):
-            for b in range(min(a, legs - a), -1, -1):
-                for c in range(legs - a - b, -1, -1):
-                    yield (a, b, c, legs - a - b - c)
-
-    def build(gen: tuple[int, int, int, int]) -> Poly:
-        a, b, c, d = gen
-        sym_pair = xp.power("x1", a) * xp.power("x5", b)
-        if a != b:
-            sym_pair = sym_pair + xp.power("x1", b) * xp.power("x5", a)
-        else:
-            sym_pair = sym_pair.scale(2)
-        tail = xp.power("x4", c) * xp.power("x2", d).scale((-1) ** d)
-        return sym_pair * tail
-
-    return _span_slice(legs, generators(), build, stop_at_ambient)
+    return _family_slice("ihx_image", legs, stop_at_ambient)
 
 
 def subring_family_slice(legs: int, stop_at_ambient: bool = True) -> SliceSpace:
@@ -432,34 +438,7 @@ def subring_family_slice(legs: int, stop_at_ambient: bool = True) -> SliceSpace:
     in y1-y3, y2-y3 and (y1-y4)(y2-y4) (up to scale factors of 4).
     """
     _coverage.touch("diagram_spaces.subring_family_slice")
-    if legs % 2 == 0:
-        raise ValueError("subring_family_slice expects an odd leg count")
-    return _subring_family_slice_cached(legs, stop_at_ambient)
-
-
-@lru_cache(maxsize=None)
-def _subring_family_slice_cached(legs: int, stop_at_ambient: bool) -> SliceSpace:
-    xp = _XPowers()
-    x1x2 = xp.images["x1"] * xp.images["x2"]
-    pair_cache: dict[int, Poly] = {}
-
-    def pair_power(n: int) -> Poly:
-        hit = pair_cache.get(n)
-        if hit is None:
-            hit = x1x2**n
-            pair_cache[n] = hit
-        return hit
-
-    def generators():
-        for n in range(legs // 2, -1, -1):
-            for a in range(legs - 2 * n, -1, -1):
-                yield (n, a, legs - 2 * n - a)
-
-    def build(gen: tuple[int, int, int]) -> Poly:
-        n, a, b = gen
-        return pair_power(n) * xp.power("x4", a) * xp.power("x5", b)
-
-    return _span_slice(legs, generators(), build, stop_at_ambient)
+    return _family_slice("subring_family", legs, stop_at_ambient)
 
 
 def middle_family_slice(legs: int, stop_at_ambient: bool = True) -> SliceSpace:
@@ -469,42 +448,7 @@ def middle_family_slice(legs: int, stop_at_ambient: bool = True) -> SliceSpace:
     generators and the (x1 x2)-power family; all three span the same
     subspace degree by degree.
     """
-    if legs % 2 == 0:
-        raise ValueError("middle_family_slice expects an odd leg count")
-    return _middle_family_slice_cached(legs, stop_at_ambient)
-
-
-@lru_cache(maxsize=None)
-def _middle_family_slice_cached(legs: int, stop_at_ambient: bool) -> SliceSpace:
-    xp = _XPowers()
-    s = xp.images["x1"] + xp.images["x5"]
-    p = xp.images["x1"] * xp.images["x5"]
-    s_cache: dict[int, Poly] = {}
-    p_cache: dict[int, Poly] = {}
-
-    def cached_power(base: Poly, e: int, cache: dict[int, Poly]) -> Poly:
-        hit = cache.get(e)
-        if hit is None:
-            hit = base**e
-            cache[e] = hit
-        return hit
-
-    def generators():
-        for m in range(legs, -1, -1):
-            for n in range((legs - m) // 2, -1, -1):
-                for a in range(legs - m - 2 * n, -1, -1):
-                    yield (m, n, a, legs - m - 2 * n - a)
-
-    def build(gen: tuple[int, int, int, int]) -> Poly:
-        m, n, a, b = gen
-        return (
-            cached_power(s, m, s_cache)
-            * cached_power(p, n, p_cache)
-            * xp.power("x4", a)
-            * xp.power("x2", b).scale((-1) ** b)
-        )
-
-    return _span_slice(legs, generators(), build, stop_at_ambient)
+    return _family_slice("middle_family", legs, stop_at_ambient)
 
 
 def tsq_odd_dim(legs: int) -> int:

@@ -12,8 +12,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-BigRational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -158,9 +156,6 @@ class RowSpan:
             self.pivot_rows.sort(key=lambda t: t[0])
             return True
         return False
-
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self.reduce(vec))
 
 
 def rank(m: QMatrix) -> int:

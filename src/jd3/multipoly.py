@@ -14,8 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, inf
+from operator import add
 
 from . import _coverage
 
@@ -57,7 +58,6 @@ class VarSet:
 XVARS = VarSet(("x1", "x2", "x3", "x4", "x5", "x6"))
 YVARS = VarSet(("y1", "y2", "y3", "y4"))
 Y3VARS = VarSet(("y1", "y2", "y3"))
-ZVARS = VarSet(("z1", "z2", "z3", "z4"))
 Z3VARS = VarSet(("z1", "z2", "z3"))
 
 
@@ -307,20 +307,22 @@ def perm_sign(perm: tuple[int, ...]) -> int:
     return -1 if inversions & 1 else 1
 
 
+def _relabel(exps: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Exponent tuple after variable i is relabeled to variable perm[i]."""
+    new = [0] * len(perm)
+    for i, e in enumerate(exps):
+        new[perm[i]] = e
+    return tuple(new)
+
+
 def act(action: SignedPermAction, p: Poly) -> Poly:
     """Relabel variables by the permutation and multiply by the character."""
     _coverage.touch("multipoly.act")
     if action.vars != p.vars:
         raise ValueError("action and polynomial use different variable sets")
     perm = action.perm
-    n = len(perm)
     sign = action.character
-    out: dict[tuple[int, ...], Fraction] = {}
-    for exps, coeff in p.terms.items():
-        new = [0] * n
-        for i, e in enumerate(exps):
-            new[perm[i]] = e
-        out[tuple(new)] = sign * coeff if sign < 0 else coeff
+    out = {_relabel(exps, perm): -coeff if sign < 0 else coeff for exps, coeff in p.terms.items()}
     return Poly._raw(p.vars, out)
 
 
@@ -352,7 +354,6 @@ def symmetrize(p: Poly, group: list[SignedPermAction]) -> Poly:
         raise ValueError("empty group")
     if not p.is_homogeneous():
         raise ValueError("symmetrize requires a homogeneous polynomial")
-    n = len(p.vars)
     acc: dict[tuple[int, ...], Fraction] = {}
     for action in group:
         if action.vars != p.vars:
@@ -360,10 +361,7 @@ def symmetrize(p: Poly, group: list[SignedPermAction]) -> Poly:
         perm = action.perm
         ch = action.character
         for exps, coeff in p.terms.items():
-            new = [0] * n
-            for i, e in enumerate(exps):
-                new[perm[i]] = e
-            k = tuple(new)
+            k = _relabel(exps, perm)
             s = acc.get(k, _ZERO) + (coeff if ch > 0 else -coeff)
             if s:
                 acc[k] = s
@@ -439,6 +437,27 @@ def p4(vars: VarSet, args: tuple[str, str, str, str]) -> Poly:
     )
 
 
+# Argument tuples of the four P2/P3 terms and the three P4 pairings of Q^{n,m,k}.
+_Q_TRIPLES = (("y1", "y2", "y3"), ("y4", "y3", "y2"), ("y3", "y4", "y1"), ("y2", "y1", "y4"))
+_Q_QUADS = (("y1", "y2", "y3", "y4"), ("y1", "y3", "y2", "y4"), ("y1", "y4", "y2", "y3"))
+
+
+def q_factor(which: str, args: tuple[str, ...]) -> Poly:
+    """P2, P3 or P4 ("p2", "p3", "p4") at the given y-variables."""
+    return {"p2": p2, "p3": p3, "p4": p4}[which](YVARS, args)
+
+
+def assemble_q(n: int, m: int, k: int, factor) -> Poly:
+    """Q^{n,m,k} multiplied out from factor(which, args) for P2/P3/P4.
+
+    Any ring homomorphism applied to the factors first (a substitution)
+    gives the image of Q^{n,m,k} under it.
+    """
+    first = reduce(add, (factor("p2", t) ** n * factor("p3", t) ** (2 * m + 3) for t in _Q_TRIPLES))
+    second = reduce(add, (factor("p4", q) ** k for q in _Q_QUADS))
+    return first * second
+
+
 def q_poly(n: int, m: int, k: int) -> Poly:
     """The degree 2n+6m+4k+9 skew-invariant family in y1..y4.
 
@@ -455,24 +474,7 @@ def q_poly(n: int, m: int, k: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def _q_poly_cached(n: int, m: int, k: int) -> Poly:
-    triples = [
-        ("y1", "y2", "y3"),
-        ("y4", "y3", "y2"),
-        ("y3", "y4", "y1"),
-        ("y2", "y1", "y4"),
-    ]
-    first = Poly.zero(YVARS)
-    for t in triples:
-        first = first + (p2(YVARS, t) ** n) * (p3(YVARS, t) ** (2 * m + 3))
-    quads = [
-        ("y1", "y2", "y3", "y4"),
-        ("y1", "y3", "y2", "y4"),
-        ("y1", "y4", "y2", "y3"),
-    ]
-    second = Poly.zero(YVARS)
-    for q in quads:
-        second = second + p4(YVARS, q) ** k
-    return first * second
+    return assemble_q(n, m, k, q_factor)
 
 
 def divide_exact(p: Poly, d: Poly) -> Poly:
@@ -604,10 +606,8 @@ def p2p3p4_product(n: int, m: int, k: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def _uvrs_factor(which: str) -> Poly:
-    builder = {"p2": p2, "p3": p3}
-    if which == "p4":
-        return p4(YVARS, ("y1", "y2", "y3", "y4")).substitute(_uvrs_images())
-    return builder[which](YVARS, ("y1", "y2", "y3")).substitute(_uvrs_images())
+    args = ("y1", "y2", "y3", "y4") if which == "p4" else ("y1", "y2", "y3")
+    return q_factor(which, args).substitute(_uvrs_images())
 
 
 def express_product_in_uvw(n: int, m: int, k: int) -> Poly:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,8 +36,6 @@ from .diagram_spaces import (
 )
 from .linalg import QMatrix, rank, row_space_equal
 from .multipoly import (
-    NotDivisibleError,
-    NotInSubringError,
     Poly,
     XVARS,
     YVARS,
@@ -140,8 +137,8 @@ def _timed_check(check_id: str, params: dict[str, str], expected: str, compute) 
     t0 = time.perf_counter_ns()
     try:
         actual = compute()
-    except (NotDivisibleError, NotInSubringError, ValueError, ArithmeticError) as exc:
-        actual = f"error: {exc}"
+    except Exception as exc:  # any internal error becomes this check's FAIL record
+        actual = f"error: {type(exc).__name__}: {exc}"
     elapsed = (time.perf_counter_ns() - t0) // 1_000_000
     return CheckRecord(
         id=check_id,
@@ -153,19 +150,12 @@ def _timed_check(check_id: str, params: dict[str, str], expected: str, compute) 
     )
 
 
-def _map_ordered(fn, items, threads: int) -> list:
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
 
 
-def verify_odd_vanishing(max_legs: int, threads: int = 1) -> Report:
+def verify_odd_vanishing(max_legs: int) -> Report:
     """Per odd degree: ambient dimension, image dimension, quotient zero.
 
     Also compares the row spaces of the two spanning families for odd
@@ -173,36 +163,34 @@ def verify_odd_vanishing(max_legs: int, threads: int = 1) -> Report:
     """
     if max_legs < 0:
         raise ValueError("max_legs must be non-negative")
-
-    def run_degree(legs: int) -> list[CheckRecord]:
+    report = Report(suite="odd")
+    for legs in range(1, max_legs + 1, 2):
         params = {"L": str(legs)}
-        records = [
-            _timed_check(
-                f"odd.ambient_dim.L={legs}",
-                params,
-                str(odd_target_dim(legs)),
-                lambda: str(tet_slice(legs, "odd").dim),
-            )
-        ]
-        ambient = tet_slice(legs, "odd")
-        records.append(
+        ambient = _timed_check(
+            f"odd.ambient_dim.L={legs}",
+            params,
+            str(odd_target_dim(legs)),
+            lambda: str(tet_slice(legs, "odd").dim),
+        )
+        report.checks.append(ambient)
+        report.checks.append(
             _timed_check(
                 f"odd.image_dim.L={legs}",
                 params,
-                str(ambient.dim),
+                ambient.actual,
                 lambda: str(ihx_image_slice(legs).dim),
             )
         )
-        records.append(
+        report.checks.append(
             _timed_check(
                 f"odd.quotient_dim.L={legs}",
                 params,
                 "0",
-                lambda: str(ambient.dim - ihx_image_slice(legs).dim),
+                lambda: str(tet_slice(legs, "odd").dim - ihx_image_slice(legs).dim),
             )
         )
         if legs <= 15:
-            records.append(
+            report.checks.append(
                 _timed_check(
                     f"odd.span_eq.L={legs}",
                     params,
@@ -214,17 +202,10 @@ def verify_odd_vanishing(max_legs: int, threads: int = 1) -> Report:
                     else "different",
                 )
             )
-        return records
-
-    degrees = list(range(1, max_legs + 1, 2))
-    batches = _map_ordered(run_degree, degrees, threads)
-    report = Report(suite="odd")
-    for batch in batches:
-        report.checks.extend(batch)
     return report.finalize()
 
 
-def verify_even_dims(max_legs: int, threads: int = 1, corrupt_closed_form: bool = False) -> Report:
+def verify_even_dims(max_legs: int, corrupt_closed_form: bool = False) -> Report:
     """Three-way agreement: symmetrizer rank, closed form, series coefficient.
 
     corrupt_closed_form is a test hook that shifts the closed form by one
@@ -233,8 +214,8 @@ def verify_even_dims(max_legs: int, threads: int = 1, corrupt_closed_form: bool 
     if max_legs < 0:
         raise ValueError("max_legs must be non-negative")
     series = hilbert_coefficients(max_legs)
-
-    def run_degree(n: int) -> CheckRecord:
+    report = Report(suite="even")
+    for n in range(0, max_legs + 1, 2):
         closed = even_closed_form(n) + (1 if corrupt_closed_form else 0)
 
         def compute() -> str:
@@ -244,11 +225,7 @@ def verify_even_dims(max_legs: int, threads: int = 1, corrupt_closed_form: bool 
                 return str(direct)
             return f"rank={direct},closed_form={closed},series={coeff}"
 
-        return _timed_check(f"even.threeway.n={n}", {"n": str(n)}, str(closed), compute)
-
-    degrees = list(range(0, max_legs + 1, 2))
-    report = Report(suite="even")
-    report.checks.extend(_map_ordered(run_degree, degrees, threads))
+        report.checks.append(_timed_check(f"even.threeway.n={n}", {"n": str(n)}, str(closed), compute))
     return report.finalize()
 
 
@@ -261,7 +238,7 @@ def _lemma_triples(d: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def verify_lemma(max_d: int, threads: int = 1) -> Report:
+def verify_lemma(max_d: int) -> Report:
     """Linear independence and span of the Q family, plus membership.
 
     For each d: the #{(n,m,k) : n+2k+3m=d} polynomials Q^{n,m,k} of degree
@@ -271,25 +248,29 @@ def verify_lemma(max_d: int, threads: int = 1) -> Report:
     """
     if max_d < 0:
         raise ValueError("max_d must be non-negative")
-
-    def run_d(d: int) -> list[CheckRecord]:
+    report = Report(suite="lemma")
+    for d in range(max_d + 1):
         legs = 2 * d + 9
         triples = _lemma_triples(d)
-        records = []
-        ctx = _skew_context(legs)
-        rows = [ctx.skew_row(q_poly(n, m, k)) for (n, m, k) in triples]
-        matrix = QMatrix.from_rows(rows, cols=len(ctx.basis))
-        r = rank(matrix)
-        records.append(
-            _timed_check(f"lemma.rank.d={d}", {"d": str(d)}, str(len(triples)), lambda: str(r))
-        )
-        records.append(
+        params = {"d": str(d)}
+
+        def q_rank() -> str:
+            ctx = _skew_context(legs)
+            rows = [ctx.skew_row(q_poly(n, m, k)) for (n, m, k) in triples]
+            return str(rank(QMatrix.from_rows(rows, cols=len(ctx.basis))))
+
+        independence = _timed_check(f"lemma.rank.d={d}", params, str(len(triples)), q_rank)
+        report.checks.append(independence)
+        report.checks.append(
             _timed_check(
-                f"lemma.span.d={d}", {"d": str(d)}, str(odd_target_dim(legs)), lambda: str(r)
+                f"lemma.span.d={d}",
+                params,
+                str(odd_target_dim(legs)),
+                lambda: independence.actual,
             )
         )
         for (n, m, k) in triples:
-            records.append(
+            report.checks.append(
                 _timed_check(
                     f"lemma.membership.d={d}.n={n}.m={m}.k={k}",
                     {"d": str(d), "n": str(n), "m": str(m), "k": str(k)},
@@ -297,46 +278,34 @@ def verify_lemma(max_d: int, threads: int = 1) -> Report:
                     lambda n=n, m=m, k=k: (express_product_in_uvw(n, m, k), "member")[1],
                 )
             )
-        return records
-
-    batches = _map_ordered(run_d, list(range(max_d + 1)), threads)
-    report = Report(suite="lemma")
-    for batch in batches:
-        report.checks.extend(batch)
     return report.finalize()
 
 
-def verify_asymptotics(
-    max_d: int,
-    regimes: tuple[Regime, ...] | None = None,
-    threads: int = 1,
-) -> Report:
+def verify_asymptotics(max_d: int, regimes: tuple[Regime, ...] | None = None) -> Report:
     """Exact leading terms of Q^{n,m,k} against the closed forms."""
     if max_d < 0:
         raise ValueError("max_d must be non-negative")
     if regimes is None:
         regimes = (DEFAULT_REGIMES["one"], DEFAULT_REGIMES["two"])
     triples = [t for d in range(max_d + 1) for t in _lemma_triples(d)]
-
-    def run_triple(item) -> CheckRecord:
-        (n, m, k), regime = item
-        regime_tag = "regime1" if regime.id == "one" else "regime2"
-        params = {"n": str(n), "m": str(m), "k": str(k), "regime": regime.id}
-        coeff, exp = expected_q_leading(n, m, k, regime.id)
-        expected = f"{coeff}*t^({exp})"
-
-        def compute() -> str:
-            result = verify_q_asymptotics(n, m, k, regime)
-            actual = f"{result.actual_coeff}*t^({result.actual_exp})"
-            if actual == expected and not result.passed:
-                return actual + " (merged exponent class)"
-            return actual
-
-        return _timed_check(f"asym.{regime_tag}.n={n}.m={m}.k={k}", params, expected, compute)
-
-    items = [(t, regime) for regime in regimes for t in triples]
     report = Report(suite="asymptotics")
-    report.checks.extend(_map_ordered(run_triple, items, threads))
+    for regime in regimes:
+        regime_tag = "regime1" if regime.id == "one" else "regime2"
+        for (n, m, k) in triples:
+            params = {"n": str(n), "m": str(m), "k": str(k), "regime": regime.id}
+            coeff, exp = expected_q_leading(n, m, k, regime.id)
+            expected = f"{coeff}*t^({exp})"
+
+            def compute() -> str:
+                result = verify_q_asymptotics(n, m, k, regime)
+                actual = f"{result.actual_coeff}*t^({result.actual_exp})"
+                if actual == expected and not result.passed:
+                    return actual + " (merged exponent class)"
+                return actual
+
+            report.checks.append(
+                _timed_check(f"asym.{regime_tag}.n={n}.m={m}.k={k}", params, expected, compute)
+            )
     return report.finalize()
 
 
@@ -556,7 +525,6 @@ class RunConfig:
     even_max_legs: int = 30
     lemma_max_d: int = 8
     asym_max_d: int = 6
-    threads: int = 1
     property_seed: int = DEFAULT_PROPERTY_SEED
     corrupt_even_closed_form: bool = False  # test hook for the failure path
 
@@ -571,14 +539,10 @@ def run_all(config: RunConfig | None = None) -> Report:
     config = config or RunConfig()
     _coverage.reset()
     reports = [
-        verify_odd_vanishing(config.odd_max_legs, threads=config.threads),
-        verify_even_dims(
-            config.even_max_legs,
-            threads=config.threads,
-            corrupt_closed_form=config.corrupt_even_closed_form,
-        ),
-        verify_lemma(config.lemma_max_d, threads=config.threads),
-        verify_asymptotics(config.asym_max_d, threads=config.threads),
+        verify_odd_vanishing(config.odd_max_legs),
+        verify_even_dims(config.even_max_legs, corrupt_closed_form=config.corrupt_even_closed_form),
+        verify_lemma(config.lemma_max_d),
+        verify_asymptotics(config.asym_max_d),
         verify_properties(seed=config.property_seed),
     ]
     merged = Report.merge("all", reports)

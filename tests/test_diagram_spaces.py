@@ -1,7 +1,5 @@
 """Graded slices, changes of variables, spanning families, closed forms."""
 
-import itertools
-import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +15,6 @@ from jd3.diagram_spaces import (
     middle_family_slice,
     odd_target_dim,
     ihx_image_slice,
-    reduced_s4_substitutions,
     tet_slice,
     tsq_odd_dim,
     x_from_y,
@@ -30,8 +27,6 @@ from jd3.multipoly import (
     XVARS,
     YVARS,
     Y3VARS,
-    act,
-    perm_sign,
     signed_s4,
     symmetrize,
 )
@@ -137,27 +132,6 @@ def test_round_trip_y_x_y():
     }
     for name, expr in y_in_x.items():
         assert eliminate_y4(y_from_x(expr)) == eliminate_y4(Y[name])
-
-
-def test_reduced_action_commutes_with_elimination():
-    rng = random.Random(13)
-    perms = list(itertools.permutations(range(4)))
-    for character in ("sign", "trivial"):
-        reduced = reduced_s4_substitutions(character)
-        for _ in range(6):
-            degree = rng.randint(1, 5)
-            cuts = sorted(rng.randint(0, degree) for _ in range(3))
-            exps = (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], degree - cuts[2])
-            p = Poly.monomial(YVARS, exps, rng.randint(1, 5))
-            for perm, (mapping, ch) in zip(perms, reduced):
-                sign = perm_sign(perm) if character == "sign" else 1
-                assert ch == sign
-                from jd3.multipoly import SignedPermAction
-
-                action = SignedPermAction(YVARS, perm, sign)
-                left = eliminate_y4(act(action, p))
-                right = eliminate_y4(p).substitute(mapping).scale(ch)
-                assert left == right
 
 
 # --- tetrahedron slices ------------------------------------------------------
@@ -271,11 +245,12 @@ def test_span_family_chain_equalities(legs):
 
 
 def test_early_stop_spans_match_full_construction():
-    for legs in (9, 11):
-        stopped = ihx_image_slice(legs)
-        full = ihx_image_slice(legs, stop_at_ambient=False)
-        assert stopped.dim == full.dim
-        assert row_space_equal(stopped.span_matrix, full.span_matrix)
+    for family in (ihx_image_slice, subring_family_slice, middle_family_slice):
+        for legs in (9, 11):
+            stopped = family(legs)
+            full = family(legs, stop_at_ambient=False)
+            assert stopped.dim == full.dim
+            assert row_space_equal(stopped.span_matrix, full.span_matrix)
 
 
 def test_image_dim_equals_ambient_through_15():

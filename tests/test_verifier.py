@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from jd3 import _coverage
+from jd3 import _coverage, verifier
 from jd3.verifier import (
     Report,
     RunConfig,
+    _timed_check,
     run_all,
     verify_asymptotics,
     verify_even_dims,
@@ -134,19 +135,28 @@ def test_reports_deterministic_modulo_elapsed():
     assert stripped(verify_properties()) == stripped(verify_properties())
 
 
-def test_threads_do_not_change_results():
-    def stripped(r: Report):
-        data = r.to_json_dict()
-        for check in data["checks"]:
-            check["elapsed_ms"] = 0
-        return json.dumps(data, sort_keys=True)
+def test_internal_error_becomes_failed_record():
+    def compute():
+        raise KeyError((1, 2, 3))
 
-    assert stripped(verify_odd_vanishing(9, threads=1)) == stripped(
-        verify_odd_vanishing(9, threads=4)
-    )
-    assert stripped(verify_even_dims(10, threads=1)) == stripped(
-        verify_even_dims(10, threads=3)
-    )
+    record = _timed_check("internal", {}, "0", compute)
+    assert not record.passed
+    assert record.actual == "error: KeyError: (1, 2, 3)"
+
+
+def test_suite_work_errors_are_charged_to_their_checks(monkeypatch):
+    def broken(*args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(verifier, "q_poly", broken)
+    lemma = verify_lemma(0)
+    failed = {c.id for c in lemma.checks if not c.passed}
+    assert failed == {"lemma.rank.d=0", "lemma.span.d=0"}
+
+    monkeypatch.setattr(verifier, "tet_slice", broken)
+    odd = verify_odd_vanishing(1)
+    failed = {c.id for c in odd.checks if not c.passed}
+    assert failed == {"odd.ambient_dim.L=1", "odd.image_dim.L=1", "odd.quotient_dim.L=1"}
 
 
 def test_run_all_small_config_passes_and_covers_everything():
