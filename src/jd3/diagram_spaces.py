@@ -1,11 +1,29 @@
 """Polynomial presentations of the 3-loop Jacobi diagram spaces.
 
-The tetrahedron space is the S4-invariant part of Q[y1..y4]/(y1+y2+y3+y4),
-with the action plain in even degrees and signed in odd degrees.  y4 is
-eliminated by substitution, so every graded statement becomes plain linear
-algebra over Q in the monomials of y1, y2, y3.  This module builds the
-graded slices, the spanning families coming from the IHX relation between
-the two computable internal graphs, and the closed-form dimension counts.
+The tetrahedron space is the S4-invariant part of Q[y1..y4]/(e1), where
+e1 = y1+y2+y3+y4, with the action plain in even degrees and signed in odd
+degrees.  Every graded slice is computed in an orbit basis of the
+invariants (Macdonald, Symmetric Functions and Hall Polynomials, ch. I),
+with integer coordinates:
+
+- odd degree: one basis vector per strict exponent tuple
+  l1 > l2 > l3 > l4 >= 0, the signed orbit average of y^l (the alternant
+  a_l over 24).  Skew-symmetrizing a monomial sorts its exponents and
+  multiplies by the sign of the sort; a repeated exponent gives zero.
+- even degree: one basis vector per partition l1 >= l2 >= l3 >= l4 >= 0,
+  the plain orbit average of y^l (m_l over its orbit size).
+  Symmetrizing a monomial sorts its exponents.
+
+The quotient by e1 is carried by the e1-rows: the coordinates of e1 times
+each basis vector one degree lower, which span the invariant part of the
+ideal (e1) in the slice's degree.  A family's slice is its rows stacked
+under the e1-rows, and its dimension is the rank of that stack minus the
+rank of the e1-rows.  y4-elimination, the substitution y4 = -(y1+y2+y3)
+into Q[y1, y2, y3], stays as the quotient's reference presentation.
+
+This module builds the graded slices, the spanning families coming from
+the IHX relation between the two computable internal graphs, and the
+closed-form dimension counts.
 """
 
 from __future__ import annotations
@@ -26,12 +44,9 @@ from .multipoly import (
     Z3VARS,
     act,
     degree_slice_monomials,
-    perm_sign,
-    signed_s4,
-    symmetrize,
+    elementary_symmetric,
 )
 
-_ZERO = Fraction(0)
 _QUARTER = Fraction(1, 4)
 
 
@@ -85,7 +100,7 @@ class DegreeInfo:
 
 @dataclass
 class SliceSpace:
-    """A graded slice: monomial basis, spanning-set coordinates, rank."""
+    """A graded slice: orbit basis, e1-rows stacked above the spanning rows, rank."""
 
     legs: int
     parity: str
@@ -107,22 +122,29 @@ def _check_parity(legs: int, parity: str) -> None:
 
 
 @lru_cache(maxsize=None)
+def _edge_differences() -> dict[str, Poly]:
+    """Four times the image of each edge variable: an integer difference y_i - y_j."""
+    y = {n: Poly.variable(YVARS, n) for n in YVARS.names}
+    return {
+        "x1": y["y1"] - y["y4"],
+        "x2": y["y2"] - y["y4"],
+        "x3": y["y3"] - y["y4"],
+        "x4": y["y2"] - y["y3"],
+        "x5": y["y3"] - y["y1"],
+        "x6": y["y1"] - y["y2"],
+    }
+
+
+@lru_cache(maxsize=None)
 def x_from_y_map() -> dict[str, Poly]:
     """Images of the six edge variables as y-polynomials.
 
-    x3 and x6 are forced by the three linear edge relations
-    (x1 - x2 - x6, x1 - x3 + x5, x4 + x5 + x6), which all map to 0
-    identically under these images.
+    Each image is a quarter of a difference y_i - y_j.  x3 and x6 are
+    forced by the three linear edge relations (x1 - x2 - x6,
+    x1 - x3 + x5, x4 + x5 + x6), which all map to 0 identically under
+    these images.
     """
-    y = {n: Poly.variable(YVARS, n) for n in YVARS.names}
-    return {
-        "x1": (y["y1"] - y["y4"]).scale(_QUARTER),
-        "x2": (y["y2"] - y["y4"]).scale(_QUARTER),
-        "x3": (y["y3"] - y["y4"]).scale(_QUARTER),
-        "x4": (y["y2"] - y["y3"]).scale(_QUARTER),
-        "x5": (y["y3"] - y["y1"]).scale(_QUARTER),
-        "x6": (y["y1"] - y["y2"]).scale(_QUARTER),
-    }
+    return {name: d.scale(_QUARTER) for name, d in _edge_differences().items()}
 
 
 def x_from_y(var: str) -> Poly:
@@ -157,21 +179,19 @@ def _y4_elimination_map() -> dict[str, Poly]:
 
 @lru_cache(maxsize=None)
 def _neg_sum_power(e: int) -> Poly:
-    """(-(y1+y2+y3))^e, cached for reuse across all slice computations."""
-    if e == 0:
-        return Poly.constant(Y3VARS, 1)
-    return _neg_sum_power(e - 1) * _y4_elimination_map()["y4"]
+    """(-(y1+y2+y3))^e by iterated squaring, cached per exponent."""
+    return _y4_elimination_map()["y4"] ** e
 
 
 def eliminate_y4(p: Poly) -> Poly:
     """Substitute y4 = -(y1+y2+y3); the quotient by the face relation."""
     if p.vars != YVARS:
         raise ValueError("eliminate_y4 expects a polynomial in y1..y4")
-    acc: dict[tuple[int, int, int], Fraction] = {}
+    acc: dict[tuple[int, int, int], int | Fraction] = {}
     for (e1, e2, e3, e4), coeff in p.terms.items():
         if e4 == 0:
             key = (e1, e2, e3)
-            s = acc.get(key, _ZERO) + coeff
+            s = acc.get(key, 0) + coeff
             if s:
                 acc[key] = s
             elif key in acc:
@@ -179,12 +199,12 @@ def eliminate_y4(p: Poly) -> Poly:
             continue
         for (f1, f2, f3), c in _neg_sum_power(e4).terms.items():
             key = (e1 + f1, e2 + f2, e3 + f3)
-            s = acc.get(key, _ZERO) + coeff * c
+            s = acc.get(key, 0) + coeff * c
             if s:
                 acc[key] = s
             elif key in acc:
                 del acc[key]
-    return Poly._raw(Y3VARS, acc)
+    return Poly(Y3VARS, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -192,63 +212,101 @@ def eliminate_y4(p: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _coords(p: Poly, basis_index: dict[tuple[int, ...], int]) -> list[Fraction]:
-    row = [_ZERO] * len(basis_index)
+def _coords(p: Poly, basis_index: dict[tuple[int, ...], int]) -> list[int | Fraction]:
+    row = [0] * len(basis_index)
     for exps, coeff in p.terms.items():
         row[basis_index[exps]] = coeff
     return row
 
 
-def _sort_parity(exps: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Descending-sorted exponents and the sign of the sorting permutation."""
-    order = sorted(range(len(exps)), key=lambda i: (-exps[i], i))
-    return tuple(exps[i] for i in order), perm_sign(order)
+def _orbit_reps(degree: int, strict: bool) -> list[tuple[int, int, int, int]]:
+    """Exponent tuples l1 >= l2 >= l3 >= l4 >= 0 of a degree, lexicographically descending.
+
+    strict keeps only the tuples with four distinct entries.
+    """
+    reps = []
+    for a in range(degree, -1, -1):
+        for b in range(min(a, degree - a), -1, -1):
+            for c in range(min(b, degree - a - b), -1, -1):
+                d = degree - a - b - c
+                if d > c:
+                    break
+                if not strict or a > b > c > d:
+                    reps.append((a, b, c, d))
+    return reps
 
 
 class _SkewSliceContext:
-    """Shared per-degree data for skew-symmetrized slice computations.
+    """Per-degree orbit basis, projection and e1-rows, shared by every slice.
 
-    The signed symmetrizer is linear and sends a monomial to (a sign
-    times) the image of its sorted representative, so each S4-orbit is
-    symmetrized and y4-eliminated exactly once; the resulting coordinate
-    vectors are reused by the ambient slice and by every spanning-family
-    builder at the same degree.
+    Odd degrees use the signed orbit basis, even degrees the plain one (see
+    the module docstring).  `skew_row` projects a y-polynomial onto the
+    slice in that basis; the e1-rows and their exact rank present the
+    quotient by e1.
     """
 
     def __init__(self, legs: int) -> None:
         self.legs = legs
-        self.basis = degree_slice_monomials(Y3VARS, legs)
-        self.index = {m: i for i, m in enumerate(self.basis)}
-        self.group = signed_s4(YVARS, "sign")
-        self._vectors: dict[tuple[int, ...], list[Fraction]] = {}
+        self.signed = legs % 2 == 1
+        self.basis = _orbit_reps(legs, self.signed)
+        self.index = {rep: i for i, rep in enumerate(self.basis)}
+        self._slots: dict[tuple[int, ...], tuple[int, int]] = {}
+        e1 = elementary_symmetric(1, YVARS)
+        self.e1_rows = [
+            self.skew_row(e1 * Poly.monomial(YVARS, rep))
+            for rep in _orbit_reps(legs - 1, self.signed)
+        ]
+        self.e1_span = RowSpan(len(self.basis))
+        for row in self.e1_rows:
+            self.e1_span.add(row)
 
-    def orbit_vector(self, rep: tuple[int, ...]) -> list[Fraction]:
-        v = self._vectors.get(rep)
-        if v is None:
-            sym = symmetrize(Poly.monomial(YVARS, rep), self.group)
-            v = _coords(eliminate_y4(sym), self.index)
-            self._vectors[rep] = v
-        return v
+    def _slot(self, exps: tuple[int, ...]) -> tuple[int, int]:
+        """Basis index and sign of a monomial's orbit average; sign 0 when it is zero."""
+        rep = tuple(sorted(exps, reverse=True))
+        if not self.signed:
+            return self.index[rep], 1
+        if len(set(exps)) < 4:
+            return 0, 0
+        a, b, c, d = exps
+        inversions = (a < b) + (a < c) + (a < d) + (b < c) + (b < d) + (c < d)
+        return self.index[rep], -1 if inversions & 1 else 1
 
-    def skew_row(self, p: Poly) -> list[Fraction]:
-        """Coordinates of eliminate_y4(skew-symmetrize(p)) in the slice basis."""
-        orbit_coeff: dict[tuple[int, ...], Fraction] = {}
+    def skew_row(self, p: Poly) -> list[int]:
+        """Coordinates of the (signed, in odd degree) orbit average of p."""
+        row = [0] * len(self.basis)
+        slots = self._slots
         for exps, coeff in p.terms.items():
-            if len(set(exps)) < 4:
-                continue  # a repeated exponent dies under the signed average
-            rep, sign = _sort_parity(exps)
-            s = orbit_coeff.get(rep, _ZERO) + (coeff if sign > 0 else -coeff)
-            if s:
-                orbit_coeff[rep] = s
-            elif rep in orbit_coeff:
-                del orbit_coeff[rep]
-        row = [_ZERO] * len(self.basis)
-        for rep, coeff in orbit_coeff.items():
-            vec = self.orbit_vector(rep)
-            for i, x in enumerate(vec):
-                if x:
-                    row[i] += coeff * x
+            slot = slots.get(exps)
+            if slot is None:
+                slot = slots[exps] = self._slot(exps)
+            i, sign = slot
+            if sign > 0:
+                row[i] += coeff
+            elif sign:
+                row[i] -= coeff
         return row
+
+    def span(self, rows, stop_at_ambient: bool = False) -> SliceSpace:
+        """The slice spanned by rows of this degree in the quotient by e1.
+
+        Rows are consumed lazily.  With stop_at_ambient, consumption stops
+        once the rows and the e1-rows span the whole basis: the remaining
+        rows cannot enlarge the span.
+        """
+        span = self.e1_span.copy()
+        kept = []
+        for row in rows:
+            if stop_at_ambient and span.rank == len(self.basis):
+                break
+            kept.append(row)
+            span.add(row)
+        return SliceSpace(
+            legs=self.legs,
+            parity="odd" if self.signed else "even",
+            basis=self.basis,
+            span_matrix=QMatrix.from_rows(self.e1_rows + kept, cols=len(self.basis)),
+            dim=span.rank - self.e1_span.rank,
+        )
 
 
 @lru_cache(maxsize=None)
@@ -259,11 +317,9 @@ def _skew_context(legs: int) -> _SkewSliceContext:
 def tet_slice(legs: int, parity: str) -> SliceSpace:
     """Graded slice of the tetrahedron space at the given leg count.
 
-    Every degree-`legs` monomial in y1, y2, y3 is pushed through the
-    parity-appropriate symmetrizer (plain for even, signed for odd) and
-    the images span the slice; the dimension is the exact rank of their
-    coordinate matrix.  Monomials in one S4-orbit symmetrize to the same
-    polynomial up to sign, so each orbit is expanded once and reused.
+    Its rows are the whole orbit basis (signed for odd, plain for even),
+    stacked under the e1-rows.  That stack has full rank, so the dimension
+    is the basis size minus the exact rank of the e1-rows.
     """
     _coverage.touch("diagram_spaces.tet_slice")
     if legs < 0:
@@ -274,24 +330,16 @@ def tet_slice(legs: int, parity: str) -> SliceSpace:
 
 @lru_cache(maxsize=None)
 def _tet_slice_cached(legs: int, parity: str) -> SliceSpace:
-    basis = degree_slice_monomials(Y3VARS, legs)
-    basis_index = {m: i for i, m in enumerate(basis)}
-    rows: list[list[Fraction]]
-    if parity == "odd":
-        ctx = _skew_context(legs)
-        rows = [ctx.skew_row(Poly.monomial(YVARS, mono + (0,))) for mono in basis]
-    else:
-        group = signed_s4(YVARS, "trivial")
-        orbit_cache: dict[tuple[int, ...], list[Fraction]] = {}
-        rows = []
-        for mono in basis:
-            key, _ = _sort_parity(mono + (0,))
-            if key not in orbit_cache:
-                sym = symmetrize(Poly.monomial(YVARS, key), group)
-                orbit_cache[key] = _coords(eliminate_y4(sym), basis_index)
-            rows.append(orbit_cache[key])
-    matrix = QMatrix.from_rows(rows, cols=len(basis))
-    return SliceSpace(legs=legs, parity=parity, basis=basis, span_matrix=matrix, dim=rank(matrix))
+    ctx = _skew_context(legs)
+    n = len(ctx.basis)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return SliceSpace(
+        legs=legs,
+        parity=parity,
+        basis=ctx.basis,
+        span_matrix=QMatrix.from_rows(ctx.e1_rows + identity, cols=n),
+        dim=n - ctx.e1_span.rank,
+    )
 
 
 def odd_target_dim(legs: int) -> int:
@@ -381,15 +429,16 @@ _FAMILIES = {
 def _family_slice(family: str, legs: int, stop_at_ambient: bool) -> SliceSpace:
     """Span of one skew-symmetrized generator family at an odd leg count.
 
-    All generators lie in the signed-isotypic part of the slice, whose
-    dimension is the ambient slice rank, so the construction stops once
-    the running span reaches that rank: the remaining generators are
-    contained in what is already spanned and cannot enlarge it.
+    All generators lie in the signed-isotypic part of the slice, so the
+    construction stops once the running span is the whole ambient slice.
+    The x-variables enter as the integer differences y_i - y_j, four times
+    their images: every generator is homogeneous of degree `legs` in them,
+    so this scales each row by 4^legs and leaves the span unchanged.
     """
     if legs % 2 == 0:
         raise ValueError(f"{family}_slice expects an odd leg count")
     generators, build = _FAMILIES[family]
-    x = x_from_y_map()
+    x = _edge_differences()
     bases = {
         **x,
         "x1*x2": x["x1"] * x["x2"],
@@ -407,17 +456,7 @@ def _family_slice(family: str, legs: int, stop_at_ambient: bool) -> SliceSpace:
     ctx = _skew_context(legs)
     order = list(generators(legs))
     random.Random(_GENERATOR_SHUFFLE_SEED).shuffle(order)
-    ambient = tet_slice(legs, "odd").dim if stop_at_ambient else None
-    span = RowSpan(len(ctx.basis))
-    rows: list[list[Fraction]] = []
-    for gen in order:
-        if ambient is not None and span.rank == ambient:
-            break
-        row = ctx.skew_row(build(power, gen))
-        rows.append(row)
-        span.add(row)
-    matrix = QMatrix.from_rows(rows, cols=len(ctx.basis))
-    return SliceSpace(legs=legs, parity="odd", basis=ctx.basis, span_matrix=matrix, dim=span.rank)
+    return ctx.span((ctx.skew_row(build(power, gen)) for gen in order), stop_at_ambient)
 
 
 def ihx_image_slice(legs: int, stop_at_ambient: bool = True) -> SliceSpace:

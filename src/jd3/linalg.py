@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Scalars are `fractions.Fraction` (arbitrary-precision, always reduced,
-positive denominator), so ranks, echelon forms and nullspaces are exact.
+Scalars are exact rationals: an integral entry is stored as an `int`, any
+other as a `fractions.Fraction` (always reduced, positive denominator), so
+ranks, echelon forms and nullspaces are exact.
 Matrices are dense; everything in this package is small enough that
 sparse storage would only add complexity.
 """
@@ -12,8 +13,14 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _exact(x):
+    """An entry as an int when integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _primitive_int_row(row: Sequence) -> list[int] | None:
@@ -23,26 +30,13 @@ def _primitive_int_row(row: Sequence) -> list[int] | None:
     each other map to the same primitive row, so this doubles as a
     canonical form for duplicate detection.
     """
-    nums = []
-    dens = []
-    for x in row:
-        if isinstance(x, int):
-            nums.append(x)
-            dens.append(1)
-        else:
-            f = Fraction(x)
-            nums.append(f.numerator)
-            dens.append(f.denominator)
-    common = 1
-    for d in dens:
-        common = lcm(common, d)
-    ints = [n * (common // d) for n, d in zip(nums, dens)]
-    g = 0
-    for v in ints:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                break
+    if all(type(x) is int for x in row):
+        ints = list(row)
+    else:
+        fracs = [Fraction(x) for x in row]
+        common = lcm(*(f.denominator for f in fracs))
+        ints = [f.numerator * (common // f.denominator) for f in fracs]
+    g = gcd(*ints)
     if g == 0:
         return None
     lead_negative = next(v for v in ints if v) < 0
@@ -61,7 +55,7 @@ class QMatrix:
     def __init__(self, rows: int, cols: int, entries: Sequence) -> None:
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        entries = [Fraction(e) for e in entries]
+        entries = [_exact(e) for e in entries]
         if len(entries) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
@@ -86,10 +80,10 @@ class QMatrix:
         flat = [e for r in rows for e in r]
         return cls(len(rows), ncols, flat)
 
-    def row(self, i: int) -> list[Fraction]:
+    def row(self, i: int) -> list[int | Fraction]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def row_lists(self) -> list[list[Fraction]]:
+    def row_lists(self) -> list[list[int | Fraction]]:
         return [self.row(i) for i in range(self.rows)]
 
     def transpose(self) -> "QMatrix":
@@ -130,6 +124,12 @@ class RowSpan:
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
+
+    def copy(self) -> "RowSpan":
+        """An independent span with the same basis; basis rows are never mutated."""
+        twin = RowSpan(self.cols)
+        twin.pivot_rows = list(self.pivot_rows)
+        return twin
 
     def reduce(self, vec: Sequence) -> list[int]:
         """Reduction of the row against the basis, up to a nonzero scalar."""
@@ -194,7 +194,7 @@ def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = _ONE / rows[r][c]
+        inv = Fraction(1) / rows[r][c]
         rows[r] = [a * inv for a in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
@@ -219,7 +219,7 @@ def row_space_equal(a: QMatrix, b: QMatrix) -> bool:
     return rank(a.stack(b)) == ra
 
 
-def nullspace_basis(m: QMatrix) -> list[list[Fraction]]:
+def nullspace_basis(m: QMatrix) -> list[list[int | Fraction]]:
     """Basis of the right nullspace, itself in reduced echelon form.
 
     Basis vectors are ordered by pivot column and have leading entry 1,
@@ -228,10 +228,10 @@ def nullspace_basis(m: QMatrix) -> list[list[Fraction]]:
     reduced, pivots = rref(m)
     pivot_set = set(pivots)
     free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    vectors: list[list[Fraction]] = []
+    vectors: list[list[int | Fraction]] = []
     for f in free_cols:
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
+        v = [0] * m.cols
+        v[f] = 1
         for i, p in enumerate(pivots):
             v[p] = -reduced.entries[i * m.cols + f]
         vectors.append(v)

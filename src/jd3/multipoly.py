@@ -1,10 +1,12 @@
 """Multivariate polynomials over the rationals with signed group actions.
 
-Polynomials are sparse maps from exponent tuples to `Fraction`
-coefficients, over a fixed ordered variable set.  On top of the ring
-operations this module provides the signed permutation actions of S4,
-the (skew) symmetrizer, elementary symmetric polynomials, the
-discriminant, the P2/P3/P4 building blocks and the Q^{n,m,k} family
+Polynomials are sparse maps from exponent tuples to exact rational
+coefficients, over a fixed ordered variable set.  An integral coefficient
+is stored as an `int` and only a non-integral one as a `Fraction`, so
+products of integer polynomials never leave machine-int arithmetic.  On
+top of the ring operations this module provides the signed permutation
+actions of S4, the (skew) symmetrizer, elementary symmetric polynomials,
+the discriminant, the P2/P3/P4 building blocks and the Q^{n,m,k} family
 used by the verification suites, exact division, and graded monomial
 enumeration.
 """
@@ -19,9 +21,7 @@ from math import comb, inf
 from operator import add
 
 from . import _coverage
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .linalg import _exact
 
 NEG_INF = -inf  # total degree of the zero polynomial
 
@@ -61,14 +61,22 @@ Y3VARS = VarSet(("y1", "y2", "y3"))
 Z3VARS = VarSet(("z1", "z2", "z3"))
 
 
+def _exact_terms(terms: dict) -> dict:
+    """Rewrite integral Fraction coefficients of a term map as ints, in place."""
+    for e, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
 class Poly:
-    """Sparse polynomial: map from exponent tuple to nonzero Fraction."""
+    """Sparse polynomial: map from exponent tuple to nonzero int or Fraction."""
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: VarSet, terms: dict | None = None) -> None:
         self.vars = vars
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             n = len(vars)
             for exps, coeff in terms.items():
@@ -77,7 +85,7 @@ class Poly:
                     raise ValueError("exponent tuple length does not match variable count")
                 if any(e < 0 for e in exps):
                     raise ValueError("negative exponent")
-                c = Fraction(coeff)
+                c = _exact(coeff)
                 if c:
                     clean[exps] = c
         self.terms = clean
@@ -96,7 +104,7 @@ class Poly:
 
     @classmethod
     def constant(cls, vars: VarSet, c) -> "Poly":
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return cls.zero(vars)
         return cls._raw(vars, {(0,) * len(vars): c})
@@ -105,7 +113,7 @@ class Poly:
     def variable(cls, vars: VarSet, name: str) -> "Poly":
         i = vars.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls._raw(vars, {exps: _ONE})
+        return cls._raw(vars, {exps: 1})
 
     @classmethod
     def monomial(cls, vars: VarSet, exps, coeff=1) -> "Poly":
@@ -128,8 +136,8 @@ class Poly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def coefficient(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), _ZERO)
+    def coefficient(self, exps) -> int | Fraction:
+        return self.terms.get(tuple(exps), 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
@@ -144,12 +152,12 @@ class Poly:
         self._check_same_vars(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, _ZERO) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             elif e in out:
                 del out[e]
-        return Poly._raw(self.vars, out)
+        return Poly._raw(self.vars, _exact_terms(out))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -159,27 +167,27 @@ class Poly:
         self._check_same_vars(other)
         if not self.terms or not other.terms:
             return Poly.zero(self.vars)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         a_items = list(self.terms.items())
         b_items = list(other.terms.items())
         if len(a_items) > len(b_items):
             a_items, b_items = b_items, a_items
         for e1, c1 in a_items:
             for e2, c2 in b_items:
-                k = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(k, _ZERO) + c1 * c2
+                k = tuple(map(add, e1, e2))
+                s = out.get(k, 0) + c1 * c2
                 if s:
                     out[k] = s
                 elif k in out:
                     del out[k]
-        return Poly._raw(self.vars, out)
+        return Poly._raw(self.vars, _exact_terms(out))
 
     def scale(self, c) -> "Poly":
         _coverage.touch("multipoly.ring_ops")
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return Poly.zero(self.vars)
-        return Poly._raw(self.vars, {e: c * v for e, v in self.terms.items()})
+        return Poly._raw(self.vars, _exact_terms({e: c * v for e, v in self.terms.items()}))
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
@@ -228,7 +236,7 @@ class Poly:
                 cache[e] = hit
             return hit
 
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int | Fraction] = {}
         one = Poly.constant(target, 1)
         for exps, coeff in self.terms.items():
             factor = one
@@ -239,16 +247,16 @@ class Poly:
                     raise ValueError(f"variable {self.vars.names[i]} is not mapped")
                 factor = factor * img_power(i, e)
             for k, c in factor.terms.items():
-                s = acc.get(k, _ZERO) + coeff * c
+                s = acc.get(k, 0) + coeff * c
                 if s:
                     acc[k] = s
                 elif k in acc:
                     del acc[k]
-        return Poly._raw(target, acc)
+        return Poly._raw(target, _exact_terms(acc))
 
     def evaluate(self, point: dict[str, Fraction]) -> Fraction:
         vals = [Fraction(point[name]) for name in self.vars.names]
-        total = _ZERO
+        total = Fraction(0)
         for exps, coeff in self.terms.items():
             v = coeff
             for x, e in zip(vals, exps):
@@ -257,14 +265,14 @@ class Poly:
             total += v
         return total
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], int | Fraction]:
         """Graded-lex leading term (degree first, then lex on exponents)."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=lambda t: (sum(t), t))
         return e, self.terms[e]
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
     def __repr__(self) -> str:
@@ -354,7 +362,7 @@ def symmetrize(p: Poly, group: list[SignedPermAction]) -> Poly:
         raise ValueError("empty group")
     if not p.is_homogeneous():
         raise ValueError("symmetrize requires a homogeneous polynomial")
-    acc: dict[tuple[int, ...], Fraction] = {}
+    acc: dict[tuple[int, ...], int | Fraction] = {}
     for action in group:
         if action.vars != p.vars:
             raise ValueError("group action on a different variable set")
@@ -362,13 +370,13 @@ def symmetrize(p: Poly, group: list[SignedPermAction]) -> Poly:
         ch = action.character
         for exps, coeff in p.terms.items():
             k = _relabel(exps, perm)
-            s = acc.get(k, _ZERO) + (coeff if ch > 0 else -coeff)
+            s = acc.get(k, 0) + (coeff if ch > 0 else -coeff)
             if s:
                 acc[k] = s
             elif k in acc:
                 del acc[k]
     inv = Fraction(1, len(group))
-    return Poly._raw(p.vars, {e: c * inv for e, c in acc.items()})
+    return Poly._raw(p.vars, _exact_terms({e: c * inv for e, c in acc.items()}))
 
 
 def elementary_symmetric(i: int, vars: VarSet) -> Poly:
@@ -377,10 +385,10 @@ def elementary_symmetric(i: int, vars: VarSet) -> Poly:
     n = len(vars)
     if not 1 <= i <= n:
         raise ValueError(f"index {i} out of range for {n} variables")
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int] = {}
     for combo in itertools.combinations(range(n), i):
         exps = tuple(1 if j in combo else 0 for j in range(n))
-        terms[exps] = _ONE
+        terms[exps] = 1
     return Poly._raw(vars, terms)
 
 
@@ -490,7 +498,7 @@ def divide_exact(p: Poly, d: Poly) -> Poly:
         raise ValueError("division by the zero polynomial")
     d_exp, d_coeff = d.leading()
     work = dict(p.terms)
-    quotient: dict[tuple[int, ...], Fraction] = {}
+    quotient: dict[tuple[int, ...], int | Fraction] = {}
     remainder_seen = False
     while work:
         exps = max(work, key=lambda t: (sum(t), t))
@@ -500,12 +508,12 @@ def divide_exact(p: Poly, d: Poly) -> Poly:
             del work[exps]
             remainder_seen = True
             continue
-        q_coeff = work[exps] / d_coeff
-        quotient[q_exp] = quotient.get(q_exp, _ZERO) + q_coeff
+        q_coeff = _exact(Fraction(work[exps], d_coeff))
+        quotient[q_exp] = quotient.get(q_exp, 0) + q_coeff
         # subtract q_coeff * x^q_exp * d; the leading term cancels exactly
         for de, dc in d.terms.items():
             k = tuple(a + b for a, b in zip(q_exp, de))
-            s = work.get(k, _ZERO) - q_coeff * dc
+            s = work.get(k, 0) - q_coeff * dc
             if s:
                 work[k] = s
             elif k in work:
@@ -550,15 +558,15 @@ def _uvw_from_uvrs(q: Poly) -> Poly:
         raise ValueError("expected a polynomial in the change-of-coordinate variables")
     if any(e[3] for e in q.terms):
         raise NotInSubringError("polynomial depends on y3 beyond differences")
-    work: dict[tuple[int, int, int], Fraction] = {
+    work: dict[tuple[int, int, int], int | Fraction] = {
         (e[0], e[1], e[2]): c for e, c in q.terms.items()
     }
-    result: dict[tuple[int, int, int], Fraction] = {}
+    result: dict[tuple[int, int, int], int | Fraction] = {}
     while work:
         top_r = max(e[2] for e in work)
         if top_r == 0:
             for (a, b, _), c in work.items():
-                result[(a, b, 0)] = result.get((a, b, 0), _ZERO) + c
+                result[(a, b, 0)] = result.get((a, b, 0), 0) + c
             break
         if top_r % 2 == 1:
             raise NotInSubringError("odd power of y3-y4 cannot come from w")
@@ -566,12 +574,12 @@ def _uvw_from_uvrs(q: Poly) -> Poly:
         lead = {(a, b): c for (a, b, r_exp), c in work.items() if r_exp == top_r}
         for (a, b), c in lead.items():
             key = (a, b, half)
-            result[key] = result.get(key, _ZERO) + c
+            result[key] = result.get(key, 0) + c
         w_power = _w_in_uvr_power(half)
         for (a, b), c in lead.items():
             for (wa, wb, wr, _), wc in w_power.terms.items():
                 key = (a + wa, b + wb, wr)
-                s = work.get(key, _ZERO) - c * wc
+                s = work.get(key, 0) - c * wc
                 if s:
                     work[key] = s
                 elif key in work:

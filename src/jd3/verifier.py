@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import _coverage
 from .asymptotics import (
@@ -34,7 +33,7 @@ from .diagram_spaces import (
     y_from_x,
     _skew_context,
 )
-from .linalg import QMatrix, rank, row_space_equal
+from .linalg import row_space_equal
 from .multipoly import (
     Poly,
     XVARS,
@@ -256,8 +255,7 @@ def verify_lemma(max_d: int) -> Report:
 
         def q_rank() -> str:
             ctx = _skew_context(legs)
-            rows = [ctx.skew_row(q_poly(n, m, k)) for (n, m, k) in triples]
-            return str(rank(QMatrix.from_rows(rows, cols=len(ctx.basis))))
+            return str(ctx.span(ctx.skew_row(q_poly(n, m, k)) for (n, m, k) in triples).dim)
 
         independence = _timed_check(f"lemma.rank.d={d}", params, str(len(triples)), q_rank)
         report.checks.append(independence)
@@ -491,13 +489,19 @@ def verify_properties(seed: int = DEFAULT_PROPERTY_SEED) -> Report:
     sigma3_reduced = eliminate_y4(elementary_symmetric(3, YVARS))
 
     def slice_structure(legs: int) -> str:
+        # every row of the slice, expanded from the orbit basis into y1..y3
         space = tet_slice(legs, "odd")
+        images = [
+            eliminate_y4(symmetrize(Poly.monomial(YVARS, rep), skew)) for rep in space.basis
+        ]
         for i in range(space.span_matrix.rows):
-            row = space.span_matrix.row(i)
-            terms = {space.basis[j]: c for j, c in enumerate(row) if c}
-            if not terms:
+            reduced = Poly.zero(Y3VARS)
+            for c, image in zip(space.span_matrix.row(i), images):
+                if c:
+                    reduced = reduced + image.scale(c)
+            if reduced.is_zero():
                 continue
-            quotient = divide_exact(Poly(Y3VARS, terms), delta_reduced)
+            quotient = divide_exact(reduced, delta_reduced)
             divide_exact(quotient, sigma3_reduced)
         return "delta*sigma3 structure"
 

@@ -111,6 +111,18 @@ def test_rref_pivots():
     assert pivots == [0, 1]
     assert reduced.row(0)[0] == 1 and reduced.row(1)[1] == 1
 
+    # integral entries are kept as int, whatever type they arrive in; a
+    # mixed int/Fraction matrix reduces exactly like its all-Fraction twin
+    mixed = QMatrix.from_rows([[1, Fraction(1, 2), Fraction(6, 3)], [Fraction(4, 2), 3, 1]])
+    assert [type(e) for e in mixed.entries] == [int, Fraction, int, int, int, int]
+    twin = QMatrix(2, 3, [Fraction(e) for e in mixed.entries])
+    assert twin == mixed and all(type(e) is not Fraction or e.denominator > 1 for e in twin.entries)
+    assert rref(mixed) == rref(twin)
+    assert rref(mixed)[0].entries == [1, 0, Fraction(11, 4), 0, 1, Fraction(-3, 2)]
+    expected_null = [[1, Fraction(-6, 11), Fraction(-4, 11)]]
+    assert nullspace_basis(mixed) == nullspace_basis(twin) == expected_null
+    assert rank(mixed) == rank(twin) == 2
+
 
 small_matrix = st.integers(1, 4).flatmap(
     lambda c: st.lists(

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jd3.multipoly import (
     NotDivisibleError,
@@ -329,6 +331,45 @@ def test_skew_images_divisible_by_discriminant():
         image = symmetrize(Poly.monomial(YVARS, exps), skew_group)
         quotient = divide_exact(image, delta)
         assert quotient * delta == image
+
+
+def test_divide_exact_integer_polys_give_exact_rationals():
+    # integer coefficients divide to an exact Fraction, never a float
+    quotient = divide_exact(Y["y1"].scale(2) * Y["y1"], Y["y1"].scale(3))
+    assert quotient == Y["y1"].scale(Fraction(2, 3))
+    assert type(quotient.coefficient((1, 0, 0, 0))) is Fraction
+
+
+def assert_exact_coefficients(p):
+    # the coefficient rule: an int when integral, a Fraction otherwise
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+coefficients = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=5)
+)
+
+
+@st.composite
+def small_polys(draw):
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * 4), coefficients, min_size=1, max_size=4
+        )
+    )
+    return Poly(YVARS, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys(), small_polys(), coefficients, st.integers(0, 3))
+def test_ring_ops_keep_exact_coefficients(p, q, c, n):
+    for result in (p + q, p - q, p * q, p**n, p.scale(c), -p):
+        assert_exact_coefficients(result)
+    if not q.is_zero():
+        quotient = divide_exact(p * q, q)
+        assert_exact_coefficients(quotient)
+        assert quotient == p
 
 
 def test_divide_exact_specific_skew_image():
