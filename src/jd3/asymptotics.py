@@ -3,6 +3,8 @@
 Polynomials in y1..y4 are pushed through one of two substitutions whose
 images are combinations of t^a, t^b, t^c, giving finite sums of terms
 q * t^(alpha*a + beta*b + gamma*c) with integer (alpha, beta, gamma).
+The images are kept as integer linear forms, four times the paper's, and
+the factor 4^(alpha+beta+gamma) is divided out once per output term.
 A regime fixes exact rational values of (a, b, c); exponents are compared
 by evaluating the linear form at those values, which is the t -> infinity
 ordering.  Terms whose exponents evaluate equal are merged.  Everything is
@@ -19,8 +21,6 @@ from functools import lru_cache, partial
 from . import _coverage
 from .multipoly import Poly, VarSet, YVARS, assemble_q, q_factor
 
-_ZERO = Fraction(0)
-
 TVARS = VarSet(("ta", "tb", "tc"))
 
 
@@ -34,9 +34,6 @@ class ExpVector:
 
     def value_at(self, regime: "Regime") -> Fraction:
         return self.alpha * regime.a + self.beta * regime.b + self.gamma * regime.c
-
-    def __add__(self, other: "ExpVector") -> "ExpVector":
-        return ExpVector(self.alpha + other.alpha, self.beta + other.beta, self.gamma + other.gamma)
 
     def __str__(self) -> str:
         parts = []
@@ -97,64 +94,53 @@ def _t(name: str) -> Poly:
 
 
 def regime_images(regime_id: str) -> dict[str, Poly]:
-    """The y1..y4 images as polynomials in t^a, t^b, t^c."""
+    """Four times the y1..y4 images, as integer linear forms in t^a, t^b, t^c."""
     ta, tb, tc = _t("ta"), _t("tb"), _t("tc")
-    quarter = Fraction(1, 4)
     if regime_id == "one":
         return {
-            "y1": (ta.scale(3) - tb - tc).scale(quarter),
-            "y2": (tb.scale(3) - ta - tc).scale(quarter),
-            "y3": (tc.scale(3) - ta - tb).scale(quarter),
-            "y4": (ta + tb + tc).scale(-quarter),
+            "y1": ta.scale(3) - tb - tc,
+            "y2": tb.scale(3) - ta - tc,
+            "y3": tc.scale(3) - ta - tb,
+            "y4": -(ta + tb + tc),
         }
     if regime_id == "two":
         return {
-            "y1": (ta.scale(2) + tb.scale(2) - tc).scale(quarter),
-            "y2": (ta.scale(2) - tb.scale(2) - tc).scale(quarter),
-            "y3": (tc.scale(3) - ta.scale(2)).scale(quarter),
-            "y4": (ta.scale(2) + tc).scale(-quarter),
+            "y1": ta.scale(2) + tb.scale(2) - tc,
+            "y2": ta.scale(2) - tb.scale(2) - tc,
+            "y3": tc.scale(3) - ta.scale(2),
+            "y4": -(ta.scale(2) + tc),
         }
     raise ValueError("regime id must be 'one' or 'two'")
+
+
+def _unscale(p: Poly) -> Poly:
+    """Undo the factor 4 of the images: a t-monomial of degree D came from y-degree D."""
+    return Poly(TVARS, {e: Fraction(c, 4 ** sum(e)) for e, c in p.terms.items()})
 
 
 class PuiseuxPoly:
     """Finite sum of terms q * t^(alpha*a + beta*b + gamma*c) under a regime.
 
-    Terms are keyed by the exact exponent value; each value class keeps
-    its merged coefficient together with the sorted tuple of symbolic
-    exponent vectors that contributed to it.
+    A view of the exact t-polynomial `poly`: `terms` keys its terms by the
+    exact exponent value; each value class keeps its merged coefficient
+    together with the sorted tuple of symbolic exponent vectors that
+    contributed to it.
     """
 
-    __slots__ = ("regime", "terms")
+    __slots__ = ("regime", "poly", "terms")
 
-    def __init__(
-        self,
-        regime: Regime,
-        terms: dict[Fraction, tuple[Fraction, tuple[ExpVector, ...]]] | None = None,
-    ) -> None:
-        self.regime = regime
-        self.terms = dict(terms) if terms else {}
-
-    @classmethod
-    def from_poly(cls, p: Poly, regime: Regime) -> "PuiseuxPoly":
-        if p.vars != TVARS:
+    def __init__(self, regime: Regime, poly: Poly) -> None:
+        if poly.vars != TVARS:
             raise ValueError("expected a polynomial in the t-exponent variables")
-        acc: dict[Fraction, tuple[Fraction, set[ExpVector]]] = {}
-        for (alpha, beta, gamma), coeff in p.terms.items():
-            vec = ExpVector(alpha, beta, gamma)
-            val = vec.value_at(regime)
-            if val in acc:
-                c, vs = acc[val]
-                vs.add(vec)
-                acc[val] = (c + coeff, vs)
-            else:
-                acc[val] = (coeff, {vec})
-        terms = {
-            val: (c, tuple(sorted(vs)))
-            for val, (c, vs) in acc.items()
-            if c
-        }
-        return cls(regime, terms)
+        self.regime = regime
+        self.poly = poly
+        acc: dict[Fraction, list] = {}  # value -> [merged coefficient, contributing vectors]
+        for exps, coeff in poly.terms.items():
+            vec = ExpVector(*exps)
+            entry = acc.setdefault(vec.value_at(regime), [0, []])
+            entry[0] += coeff
+            entry[1].append(vec)
+        self.terms = {val: (c, tuple(sorted(vs))) for val, (c, vs) in acc.items() if c}
 
     def _check_regime(self, other: "PuiseuxPoly") -> None:
         if self.regime != other.regime:
@@ -164,45 +150,18 @@ class PuiseuxPoly:
         return not self.terms
 
     def __eq__(self, other: object) -> bool:
-        """Equality of merged coefficients; contributor bookkeeping is ignored."""
+        """Equality of the exact t-polynomials, finer than equal merged coefficients."""
         if not isinstance(other, PuiseuxPoly):
             return NotImplemented
-        if self.regime != other.regime:
-            return False
-        mine = {v: c for v, (c, _) in self.terms.items()}
-        theirs = {v: c for v, (c, _) in other.terms.items()}
-        return mine == theirs
+        return self.regime == other.regime and self.poly == other.poly
 
     def __add__(self, other: "PuiseuxPoly") -> "PuiseuxPoly":
         self._check_regime(other)
-        out = dict(self.terms)
-        for val, (c, vecs) in other.terms.items():
-            if val in out:
-                c0, v0 = out[val]
-                s = c0 + c
-                if s:
-                    out[val] = (s, tuple(sorted(set(v0) | set(vecs))))
-                else:
-                    del out[val]
-            else:
-                out[val] = (c, vecs)
-        return PuiseuxPoly(self.regime, out)
+        return PuiseuxPoly(self.regime, self.poly + other.poly)
 
     def __mul__(self, other: "PuiseuxPoly") -> "PuiseuxPoly":
         self._check_regime(other)
-        out: dict[Fraction, tuple[Fraction, set[ExpVector]]] = {}
-        for v1, (c1, vecs1) in self.terms.items():
-            for v2, (c2, vecs2) in other.terms.items():
-                val = v1 + v2
-                prod_vecs = {a + b for a in vecs1 for b in vecs2}
-                if val in out:
-                    c0, vs = out[val]
-                    vs |= prod_vecs
-                    out[val] = (c0 + c1 * c2, vs)
-                else:
-                    out[val] = (c1 * c2, set(prod_vecs))
-        terms = {val: (c, tuple(sorted(vs))) for val, (c, vs) in out.items() if c}
-        return PuiseuxPoly(self.regime, terms)
+        return PuiseuxPoly(self.regime, self.poly * other.poly)
 
     def sorted_terms(self) -> list[tuple[Fraction, Fraction, tuple[ExpVector, ...]]]:
         """(exponent value, coefficient, contributing vectors), descending."""
@@ -221,8 +180,7 @@ def substitute_regime(p: Poly, regime: Regime) -> PuiseuxPoly:
     _coverage.touch("asymptotics.substitute_regime")
     if p.vars != YVARS:
         raise ValueError("substitute_regime expects a polynomial in exactly y1..y4")
-    images = regime_images(regime.id)
-    return PuiseuxPoly.from_poly(p.substitute(images), regime)
+    return PuiseuxPoly(regime, _unscale(p.substitute(regime_images(regime.id))))
 
 
 def leading_term(p: PuiseuxPoly, regime: Regime) -> tuple[Fraction, ExpVector]:
@@ -281,7 +239,7 @@ class QAsymptoticsCheck:
 
 @lru_cache(maxsize=None)
 def _regime_factor(regime_id: str, which: str, args: tuple[str, ...]) -> Poly:
-    """P2/P3/P4 with the regime substitution applied, as a t-polynomial."""
+    """P2/P3/P4 under four times the regime substitution: an integer t-polynomial."""
     return q_factor(which, args).substitute(regime_images(regime_id))
 
 
@@ -289,16 +247,12 @@ def substituted_q(n: int, m: int, k: int, regime: Regime) -> PuiseuxPoly:
     """The regime image of Q^{n,m,k}, assembled factor by factor.
 
     Substitution is a ring homomorphism (property-tested elsewhere), so
-    substituting P2/P3/P4 first and multiplying the small t-polynomials
-    gives the same exact result as expanding Q and substituting, without
-    the intermediate blow-up.
+    substituting P2/P3/P4 first and multiplying the small integer
+    t-polynomials gives the same exact result as expanding Q and
+    substituting, without the intermediate blow-up.
     """
-    return PuiseuxPoly.from_poly(assemble_q(n, m, k, partial(_regime_factor, regime.id)), regime)
-
-
-@lru_cache(maxsize=None)
-def _substituted_q(n: int, m: int, k: int, regime_id: str) -> PuiseuxPoly:
-    return substituted_q(n, m, k, DEFAULT_REGIMES[regime_id])
+    q = assemble_q(n, m, k, partial(_regime_factor, regime.id))
+    return PuiseuxPoly(regime, _unscale(q))
 
 
 def verify_q_asymptotics(n: int, m: int, k: int, regime: Regime) -> QAsymptoticsCheck:
@@ -312,13 +266,9 @@ def verify_q_asymptotics(n: int, m: int, k: int, regime: Regime) -> QAsymptotics
     _coverage.touch("asymptotics.verify_q_asymptotics")
     if n < 0 or m < 0 or k < 0:
         raise ValueError("q parameters must be non-negative")
-    if regime == DEFAULT_REGIMES.get(regime.id):
-        substituted = _substituted_q(n, m, k, regime.id)
-    else:
-        substituted = substituted_q(n, m, k, regime)
+    substituted = substituted_q(n, m, k, regime)
     actual_coeff, actual_exp = leading_term(substituted, regime)
-    top_val = max(substituted.terms)
-    _, top_vecs = substituted.terms[top_val]
+    _, top_vecs = substituted.terms[actual_exp.value_at(regime)]
     expected_coeff, expected_exp = expected_q_leading(n, m, k, regime.id)
     passed = (
         actual_coeff == expected_coeff

@@ -477,11 +477,6 @@ def q_poly(n: int, m: int, k: int) -> Poly:
     _coverage.touch("multipoly.q_poly")
     if n < 0 or m < 0 or k < 0:
         raise ValueError("q_poly parameters must be non-negative")
-    return _q_poly_cached(n, m, k)
-
-
-@lru_cache(maxsize=None)
-def _q_poly_cached(n: int, m: int, k: int) -> Poly:
     return assemble_q(n, m, k, q_factor)
 
 

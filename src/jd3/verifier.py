@@ -532,6 +532,12 @@ class RunConfig:
     property_seed: int = DEFAULT_PROPERTY_SEED
     corrupt_even_closed_form: bool = False  # test hook for the failure path
 
+    def __post_init__(self) -> None:
+        # checked before any suite runs, so a bad cap costs no work
+        for cap in ("odd_max_legs", "even_max_legs", "lemma_max_d", "asym_max_d"):
+            if getattr(self, cap) < 0:
+                raise ValueError(f"{cap} must be non-negative")
+
 
 def run_all(config: RunConfig | None = None) -> Report:
     """Run the four theorem suites plus the property suite, merged.

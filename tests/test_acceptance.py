@@ -100,7 +100,7 @@ def test_criterion_5_property_suite():
     assert ok
 
 
-def test_criterion_6_determinism(tmp_path):
+def test_criterion_6_determinism(tmp_path, child_env):
     paths = [tmp_path / "run1.json", tmp_path / "run2.json"]
     for path in paths:
         proc = subprocess.run(
@@ -108,6 +108,7 @@ def test_criterion_6_determinism(tmp_path):
             capture_output=True,
             text=True,
             timeout=300,
+            env=child_env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
     blobs = [

@@ -4,14 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jd3.asymptotics import (
     DEFAULT_REGIMES,
+    TVARS,
     ExpVector,
     PuiseuxPoly,
     REGIME_ONE,
     REGIME_TWO,
     Regime,
+    _regime_factor,
     expected_q_leading,
     leading_term,
     regime_images,
@@ -19,7 +23,7 @@ from jd3.asymptotics import (
     substituted_q,
     verify_q_asymptotics,
 )
-from jd3.multipoly import Poly, XVARS, YVARS, p2, q_poly
+from jd3.multipoly import _Q_QUADS, _Q_TRIPLES, Poly, XVARS, YVARS, p2, q_poly
 
 Y = {n: Poly.variable(YVARS, n) for n in YVARS.names}
 
@@ -84,10 +88,50 @@ def test_substitute_requires_y_variables():
         substitute_regime(Poly.variable(XVARS, "x1"), REGIME_ONE)
 
 
-def test_regime_images_use_quarters():
+def test_regime_images_sum_to_zero():
     images = regime_images("one")
     total = images["y1"] + images["y2"] + images["y3"] + images["y4"]
     assert total.is_zero()
+
+
+CUSTOM_ONE = Regime("one", Fraction(3), Fraction(12, 5), Fraction(3, 2))
+
+coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+# degrees 0 to 12 in one polynomial; the constant term is drawn on its own
+mixed_degree_y_polys = st.builds(
+    lambda terms, constant: Poly(YVARS, {**terms, (0, 0, 0, 0): constant}),
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * 4), coefficients, min_size=1, max_size=6),
+    coefficients,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_degree_y_polys, st.sampled_from([REGIME_ONE, REGIME_TWO, CUSTOM_ONE]))
+def test_substitute_regime_matches_quarter_images(p, regime):
+    # the integer images with 4^-D per output term against the paper's images
+    quarter = {y: image.scale(Fraction(1, 4)) for y, image in regime_images(regime.id).items()}
+    expected = p.substitute(quarter)
+    image = substitute_regime(p, regime)
+    assert image.poly == expected
+    assert image == PuiseuxPoly(regime, expected)
+
+
+def test_regime_factors_have_int_coefficients():
+    factors = [("p2", t) for t in _Q_TRIPLES] + [("p3", t) for t in _Q_TRIPLES]
+    factors += [("p4", q) for q in _Q_QUADS]
+    for regime_id in ("one", "two"):
+        for which, args in factors:
+            factor = _regime_factor(regime_id, which, args)
+            assert factor.terms and all(type(c) is int for c in factor.terms.values())
+
+
+def test_equality_compares_exact_t_polys():
+    # t^(5b+4c) and t^(3a+6c) share the value 12 under regime one: equal merged
+    # coefficients, different t-polynomials
+    first = PuiseuxPoly(REGIME_ONE, Poly.monomial(TVARS, (0, 5, 4)))
+    second = PuiseuxPoly(REGIME_ONE, Poly.monomial(TVARS, (3, 0, 6)))
+    assert {v: c for v, (c, _) in first.terms.items()} == {v: c for v, (c, _) in second.terms.items()}
+    assert first != second
 
 
 # --- leading terms -----------------------------------------------------------

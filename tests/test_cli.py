@@ -2,12 +2,12 @@
 
 import csv
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-import jd3
+import pytest
+
+from jd3 import verifier
 from jd3.cli import main
 
 
@@ -40,6 +40,22 @@ def test_unknown_flag_exits_2(capsys):
 
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--max-legs-odd", "--max-legs-even", "--max-d-lemma", "--max-d-asym"])
+def test_all_negative_cap_exits_2_before_any_suite(monkeypatch, capsys, flag):
+    called = []
+    for suite in (
+        "verify_odd_vanishing",
+        "verify_even_dims",
+        "verify_lemma",
+        "verify_asymptotics",
+        "verify_properties",
+    ):
+        monkeypatch.setattr(verifier, suite, lambda *a, suite=suite, **kw: called.append(suite))
+    assert main(["all", flag, "-1"]) == 2
+    assert called == []
+    assert "must be non-negative" in capsys.readouterr().err
 
 
 def test_abc_requires_single_regime(capsys):
@@ -163,16 +179,13 @@ def test_all_small_passes(capsys, tmp_path):
     assert "all.op_coverage" in ids
 
 
-def test_module_entry_point_subprocess():
-    # the child interpreter imports the same jd3 as this test, however it was found
-    src = str(Path(jd3.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+def test_module_entry_point_subprocess(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "jd3", "verify", "asymptotics", "--max-d", "0"],
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env,
     )
     assert proc.returncode == 0
     assert "failed=0" in proc.stdout
