@@ -7,9 +7,13 @@ The images are kept as integer linear forms, four times the paper's, and
 the factor 4^(alpha+beta+gamma) is divided out once per output term.
 A regime fixes exact rational values of (a, b, c); exponents are compared
 by evaluating the linear form at those values, which is the t -> infinity
-ordering.  Terms whose exponents evaluate equal are merged.  Everything is
-exact: there is no truncation, so little-o statements become statements
-about which terms exist below the leading exponent.
+ordering.  Terms whose exponents evaluate equal are merged.  The grouping
+key is the integer alpha*A + beta*B + gamma*C, where (A, B, C) = D*(a, b, c)
+for the least common denominator D > 0 of a, b and c: it is D times the
+exact value, so it orders and merges exactly as the value does, with int
+arithmetic only.  Everything is exact: there is no truncation, so little-o
+statements become statements about which terms exist below the leading
+exponent.
 """
 
 from __future__ import annotations
@@ -17,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import lcm
 
 from . import _coverage
+from .linalg import _exact
 from .multipoly import Poly, VarSet, YVARS, assemble_q, q_factor
 
 TVARS = VarSet(("ta", "tb", "tc"))
@@ -59,12 +65,17 @@ class Regime:
 
     Regime "one" requires a > b > c > 0 and a-b < b-c < 2(a-b);
     regime "two" requires a > b > c > 0 and b-c < a-b < 2(b-c).
+    `denominator` is the least common denominator D of a, b and c, and
+    `weights` the integer triple D*(a, b, c); both are derived, so they take
+    no part in equality, hashing or the repr.
     """
 
     id: str
     a: Fraction
     b: Fraction
     c: Fraction
+    denominator: int = field(init=False, repr=False, compare=False)
+    weights: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.id not in ("one", "two"):
@@ -81,6 +92,9 @@ class Regime:
         else:
             if not (b - c < a - b < 2 * (b - c)):
                 raise ValueError("regime two requires b-c < a-b < 2(b-c)")
+        d = lcm(a.denominator, b.denominator, c.denominator)
+        object.__setattr__(self, "denominator", d)
+        object.__setattr__(self, "weights", (int(a * d), int(b * d), int(c * d)))
 
 
 REGIME_ONE = Regime("one", Fraction(2), Fraction(8, 5), Fraction(1))
@@ -115,16 +129,17 @@ def regime_images(regime_id: str) -> dict[str, Poly]:
 
 def _unscale(p: Poly) -> Poly:
     """Undo the factor 4 of the images: a t-monomial of degree D came from y-degree D."""
-    return Poly(TVARS, {e: Fraction(c, 4 ** sum(e)) for e, c in p.terms.items()})
+    return Poly._raw(TVARS, {e: _exact(Fraction(c, 4 ** sum(e))) for e, c in p.terms.items()})
 
 
 class PuiseuxPoly:
     """Finite sum of terms q * t^(alpha*a + beta*b + gamma*c) under a regime.
 
     A view of the exact t-polynomial `poly`: `terms` keys its terms by the
-    exact exponent value; each value class keeps its merged coefficient
-    together with the sorted tuple of symbolic exponent vectors that
-    contributed to it.
+    int alpha*A + beta*B + gamma*C, with (A, B, C) the regime's `weights`,
+    that is, the exact exponent value times the regime's `denominator`.
+    Each class keeps its merged coefficient together with the sorted tuple
+    of symbolic exponent vectors that contributed to it.
     """
 
     __slots__ = ("regime", "poly", "terms")
@@ -134,13 +149,16 @@ class PuiseuxPoly:
             raise ValueError("expected a polynomial in the t-exponent variables")
         self.regime = regime
         self.poly = poly
-        acc: dict[Fraction, list] = {}  # value -> [merged coefficient, contributing vectors]
+        wa, wb, wc = regime.weights
+        acc: dict[int, list] = {}  # key -> [merged coefficient, contributing exponents]
         for exps, coeff in poly.terms.items():
-            vec = ExpVector(*exps)
-            entry = acc.setdefault(vec.value_at(regime), [0, []])
+            alpha, beta, gamma = exps
+            entry = acc.setdefault(alpha * wa + beta * wb + gamma * wc, [0, []])
             entry[0] += coeff
-            entry[1].append(vec)
-        self.terms = {val: (c, tuple(sorted(vs))) for val, (c, vs) in acc.items() if c}
+            entry[1].append(exps)
+        self.terms = {
+            key: (c, tuple(ExpVector(*e) for e in sorted(es))) for key, (c, es) in acc.items() if c
+        }
 
     def _check_regime(self, other: "PuiseuxPoly") -> None:
         if self.regime != other.regime:
@@ -164,10 +182,11 @@ class PuiseuxPoly:
         return PuiseuxPoly(self.regime, self.poly * other.poly)
 
     def sorted_terms(self) -> list[tuple[Fraction, Fraction, tuple[ExpVector, ...]]]:
-        """(exponent value, coefficient, contributing vectors), descending."""
+        """(exact exponent value, coefficient, contributing vectors), descending."""
+        d = self.regime.denominator
         return [
-            (val, c, vecs)
-            for val, (c, vecs) in sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
+            (Fraction(key, d), c, vecs)
+            for key, (c, vecs) in sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
         ]
 
     def __repr__(self) -> str:
@@ -268,7 +287,7 @@ def verify_q_asymptotics(n: int, m: int, k: int, regime: Regime) -> QAsymptotics
         raise ValueError("q parameters must be non-negative")
     substituted = substituted_q(n, m, k, regime)
     actual_coeff, actual_exp = leading_term(substituted, regime)
-    _, top_vecs = substituted.terms[actual_exp.value_at(regime)]
+    _, top_vecs = substituted.terms[max(substituted.terms)]
     expected_coeff, expected_exp = expected_q_leading(n, m, k, regime.id)
     passed = (
         actual_coeff == expected_coeff

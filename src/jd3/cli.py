@@ -1,8 +1,8 @@
 """Command-line interface: jd3 verify {odd,even,lemma,asymptotics} | dims | all.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 on a
-usage error.  Reports print as a plain-text table on stdout; --json and
---csv write machine-readable copies.
+usage error or a report file that cannot be written.  Reports print as a
+plain-text table on stdout; --json and --csv write machine-readable copies.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
             regimes = _parse_regimes(args)
             return _emit(verify_asymptotics(args.max_d, regimes=regimes), args)
         raise ValueError(f"unknown command {args.command!r}")
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a --json/--csv path that cannot be written
         print(f"jd3: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -3,17 +3,21 @@
 Polynomials are sparse maps from exponent tuples to exact rational
 coefficients, over a fixed ordered variable set.  An integral coefficient
 is stored as an `int` and only a non-integral one as a `Fraction`, so
-products of integer polynomials never leave machine-int arithmetic.  On
-top of the ring operations this module provides the signed permutation
-actions of S4, the (skew) symmetrizer, elementary symmetric polynomials,
-the discriminant, the P2/P3/P4 building blocks and the Q^{n,m,k} family
-used by the verification suites, exact division, and graded monomial
-enumeration.
+products of integer polynomials never leave machine-int arithmetic.  A
+product packs each exponent tuple into one int, with enough bits per
+coordinate that adding two packed keys multiplies the monomials (packed
+exponent vectors, as in Monagan and Pearce, CASC 2007); the term maps
+themselves stay keyed by tuples.  On top of the ring operations this
+module provides the signed permutation actions of S4, the (skew)
+symmetrizer, elementary symmetric polynomials, the discriminant, the
+P2/P3/P4 building blocks and the Q^{n,m,k} family used by the
+verification suites, exact division, and graded monomial enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -67,6 +71,19 @@ def _exact_terms(terms: dict) -> dict:
         if type(c) is not int and c.denominator == 1:
             terms[e] = c.numerator
     return terms
+
+
+def _max_exponent(terms: dict) -> int:
+    """Largest single exponent in a term map; 0 when there are no variables."""
+    return max(itertools.chain.from_iterable(terms), default=0)
+
+
+def _pack(exps: tuple[int, ...], shift: int) -> int:
+    """One int holding the exponents, `shift` bits each, the first one highest."""
+    key = 0
+    for e in exps:
+        key = (key << shift) | e
+    return key
 
 
 class Poly:
@@ -163,24 +180,35 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        """Product with each exponent tuple packed into one int.
+
+        Each coordinate gets `shift` bits, enough for the largest exponent
+        sum, so adding two packed keys multiplies the monomials without a
+        carry between coordinates; keys are unpacked once, at the end.
+        """
         _coverage.touch("multipoly.ring_ops")
         self._check_same_vars(other)
         if not self.terms or not other.terms:
             return Poly.zero(self.vars)
-        out: dict[tuple[int, ...], int | Fraction] = {}
-        a_items = list(self.terms.items())
-        b_items = list(other.terms.items())
-        if len(a_items) > len(b_items):
-            a_items, b_items = b_items, a_items
-        for e1, c1 in a_items:
-            for e2, c2 in b_items:
-                k = tuple(map(add, e1, e2))
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-        return Poly._raw(self.vars, _exact_terms(out))
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        shift = (_max_exponent(a) + _max_exponent(b)).bit_length()
+        b_packed = [(_pack(e, shift), c) for e, c in b.items()]
+        out: defaultdict[int, int | Fraction] = defaultdict(int)
+        for e1, c1 in a.items():
+            k1 = _pack(e1, shift)
+            for k2, c2 in b_packed:
+                out[k1 + k2] += c1 * c2
+        mask = (1 << shift) - 1
+        offsets = [shift * i for i in reversed(range(len(self.vars)))]
+        terms: dict[tuple[int, ...], int | Fraction] = {}
+        for k, c in out.items():
+            if c:
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                terms[tuple([(k >> o) & mask for o in offsets])] = c
+        return Poly._raw(self.vars, terms)
 
     def scale(self, c) -> "Poly":
         _coverage.touch("multipoly.ring_ops")
@@ -192,16 +220,15 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Poly.constant(self.vars, 1)
+        result: Poly | None = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base_needed = n > 1
+                result = base if result is None else result * base
             n >>= 1
-            if base_needed and n:
+            if n:
                 base = base * base
-        return result
+        return Poly.constant(self.vars, 1) if result is None else result
 
     def substitute(self, mapping: dict[str, "Poly"]) -> "Poly":
         """Replace every variable by its image polynomial.
@@ -239,14 +266,15 @@ class Poly:
         acc: dict[tuple[int, ...], int | Fraction] = {}
         one = Poly.constant(target, 1)
         for exps, coeff in self.terms.items():
-            factor = one
+            factor: Poly | None = None
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
                 if images[i] is None:
                     raise ValueError(f"variable {self.vars.names[i]} is not mapped")
-                factor = factor * img_power(i, e)
-            for k, c in factor.terms.items():
+                power = img_power(i, e)
+                factor = power if factor is None else factor * power
+            for k, c in (one if factor is None else factor).terms.items():
                 s = acc.get(k, 0) + coeff * c
                 if s:
                     acc[k] = s

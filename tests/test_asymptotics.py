@@ -134,6 +134,92 @@ def test_equality_compares_exact_t_polys():
     assert first != second
 
 
+# --- integer exponent keys ---------------------------------------------------
+
+
+def reference_classes(poly, regime):
+    """Terms grouped by the exact Fraction value_at: value -> (coefficient, vectors)."""
+    acc = {}
+    for exps, coeff in poly.terms.items():
+        vec = ExpVector(*exps)
+        acc.setdefault(vec.value_at(regime), []).append((vec, coeff))
+    classes = {}
+    for value, members in acc.items():
+        total = sum(c for _, c in members)
+        if total:
+            classes[value] = (total, tuple(sorted(v for v, _ in members)))
+    return classes
+
+
+@st.composite
+def drawn_regimes(draw):
+    """(a, b, c) drawn inside a regime's inequalities, as the benchmark draws them.
+
+    With x = a - b and y = b - c, regime one needs x < y < 2x and regime two
+    y < x < 2y; c and the smaller difference have denominators 2 to 7, the
+    ratio of the two differences one of 3 to 9.
+    """
+    small = st.builds(Fraction, st.integers(1, 12), st.integers(2, 7))
+    ratio = st.integers(3, 9).flatmap(
+        lambda q: st.integers(1, q - 1).map(lambda p: 1 + Fraction(p, q))
+    )
+    c, low = draw(small), draw(small)
+    high = low * draw(ratio)
+    if draw(st.booleans()):
+        return Regime("one", c + high + low, c + high, c)
+    return Regime("two", c + high + low, c + low, c)
+
+
+# t^(5b+4c) and t^(3a+6c) collide under regime one (value 12 at a, b, c = 2, 8/5, 1)
+COLLISION = {(0, 5, 4): 1, (3, 0, 6): 2}
+
+t_polys = st.builds(
+    lambda terms, collide: Poly(TVARS, {**terms, **(COLLISION if collide else {})}),
+    st.dictionaries(st.tuples(*[st.integers(0, 7)] * 3), coefficients, max_size=8),
+    st.booleans(),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(t_polys, st.one_of(drawn_regimes(), st.sampled_from([REGIME_ONE, REGIME_TWO])))
+def test_integer_keys_match_value_at_grouping(poly, regime):
+    p = PuiseuxPoly(regime, poly)
+    expected = reference_classes(poly, regime)
+    d = regime.denominator
+    assert all(type(key) is int for key in p.terms)
+    assert {Fraction(key, d): cls for key, cls in p.terms.items()} == expected
+    assert p.sorted_terms() == [
+        (value, *expected[value]) for value in sorted(expected, reverse=True)
+    ]
+    if expected:
+        top = max(expected)
+        coeff, vecs = expected[top]
+        assert leading_term(p, regime) == (coeff, vecs[0])
+
+
+def test_collision_merges_under_integer_keys():
+    p = PuiseuxPoly(REGIME_ONE, Poly(TVARS, COLLISION))
+    assert REGIME_ONE.weights == (10, 8, 5) and REGIME_ONE.denominator == 5
+    assert p.terms == {60: (3, (ExpVector(0, 5, 4), ExpVector(3, 0, 6)))}
+    assert p.sorted_terms()[0][0] == 12
+    cancelled = PuiseuxPoly(REGIME_ONE, Poly(TVARS, {(0, 5, 4): 1, (3, 0, 6): -1}))
+    assert cancelled.is_zero() and not cancelled.poly.is_zero()
+
+
+def test_derived_weights_leave_regime_identity_unchanged():
+    same = Regime("one", Fraction(4, 2), Fraction(16, 10), 1)
+    assert same == REGIME_ONE and hash(same) == hash(REGIME_ONE)
+    assert hash(REGIME_ONE) == hash(("one", Fraction(2), Fraction(8, 5), Fraction(1)))
+    assert repr(REGIME_ONE) == (
+        "Regime(id='one', a=Fraction(2, 1), b=Fraction(8, 5), c=Fraction(1, 1))"
+    )
+    # half of regime one has the same integer weights, over denominator 10, but
+    # is another regime
+    half = Regime("one", Fraction(1), Fraction(4, 5), Fraction(1, 2))
+    assert half.weights == REGIME_ONE.weights and half.denominator == 10
+    assert half != REGIME_ONE
+
+
 # --- leading terms -----------------------------------------------------------
 
 

@@ -137,6 +137,15 @@ def test_json_and_csv_outputs(tmp_path, capsys):
     assert len(rows) == 5
 
 
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+def test_unwritable_report_path_exits_2(tmp_path, capsys, flag):
+    path = tmp_path / "missing-dir" / "report"
+    assert main(["verify", "asymptotics", "--max-d", "0", flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("jd3: error: ") and str(path) in err
+    assert not path.exists()
+
+
 def test_all_with_self_test_fail_exits_1(capsys):
     code = main(
         [

@@ -372,6 +372,73 @@ def test_ring_ops_keep_exact_coefficients(p, q, c, n):
         assert quotient == p
 
 
+def assert_product_matches_sympy(p, q):
+    prod = p * q
+    n = len(p.vars)
+    assert all(type(e) is tuple and len(e) == n for e in prod.terms)
+    assert all(c != 0 for c in prod.terms.values())
+    assert_exact_coefficients(prod)
+    assert sympy.expand(sympy_poly(prod) - sympy_poly(p) * sympy_poly(q)) == 0
+
+
+VARSETS = {n: VarSet(tuple(f"v{i}" for i in range(n))) for n in (0, 1, 3, 4, 6)}
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials in 0, 1, 3, 4 or 6 variables, possibly zero or constant.
+
+    Exponents reach 9, so the largest exponent sum of a product runs through
+    the packing widths 0 to 5 bits, across every power of two up to 16.
+    """
+    vars = VARSETS[draw(st.sampled_from(sorted(VARSETS)))]
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 9)] * len(vars)), coefficients, max_size=5)
+    return Poly(vars, draw(terms)), Poly(vars, draw(terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs())
+def test_packed_product_matches_sympy(pair):
+    assert_product_matches_sympy(*pair)
+
+
+XY = {n: Poly.variable(VarSet(("x", "y")), n) for n in ("x", "y")}
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        # largest exponent sums 3+4 = 7 (3 bits) and 7+1 = 8 (4 bits)
+        (XY["x"] ** 3 + XY["y"], XY["x"] ** 4 * XY["y"] ** 2 - XY["y"]),
+        (XY["x"] ** 7 + XY["y"] ** 7, XY["x"] + XY["y"].scale(Fraction(1, 2))),
+        # a constant and the zero polynomial
+        (Poly.constant(XY["x"].vars, Fraction(3, 2)), XY["x"] - XY["y"]),
+        (Poly.zero(XY["x"].vars), XY["x"] + XY["y"]),
+        # no variables: the only monomial is the empty tuple
+        (Poly(VarSet(()), {(): 4}), Poly(VarSet(()), {(): Fraction(1, 4)})),
+        (Poly(VarSet(()), {(): 4}), Poly.zero(VarSet(()))),
+        # cancellation: the xy terms, and Fraction halves that sum to ints
+        (XY["x"] + XY["y"], XY["x"] - XY["y"]),
+        (
+            XY["x"].scale(Fraction(1, 2)) + XY["y"].scale(Fraction(1, 2)),
+            XY["x"].scale(2) + XY["y"].scale(2),
+        ),
+    ],
+)
+def test_packed_product_edge_cases(p, q):
+    assert_product_matches_sympy(p, q)
+    assert_product_matches_sympy(q, p)
+
+
+def test_packed_product_cancelled_terms_are_dropped():
+    x, y = XY["x"], XY["y"]
+    assert ((x + y) * (x - y)).terms == {(2, 0): 1, (0, 2): -1}
+    one_plus_x3 = (Poly.constant(x.vars, 1) + x) * (Poly.constant(x.vars, 1) - x + x * x)
+    assert one_plus_x3.terms == {(0, 0): 1, (3, 0): 1}
+    half = x.scale(Fraction(1, 2)) * x.scale(2)
+    assert half.terms == {(2, 0): 1} and type(half.terms[(2, 0)]) is int
+
+
 def test_divide_exact_specific_skew_image():
     delta = discriminant(YVARS)
     image = symmetrize(Poly.monomial(YVARS, (5, 3, 1, 0)), signed_s4(YVARS, "sign"))
