@@ -41,10 +41,6 @@ def touch(name: str) -> None:
     _touched.add(name)
 
 
-def touched() -> frozenset[str]:
-    return frozenset(_touched)
-
-
 def reset() -> None:
     _touched.clear()
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -98,6 +99,15 @@ def _parse_regimes(args: argparse.Namespace) -> tuple[Regime, ...]:
     return (DEFAULT_REGIMES[args.regime],)
 
 
+def _check_report_paths(args: argparse.Namespace) -> None:
+    """Fail before any suite runs if a --json/--csv path cannot be opened; leave no new file."""
+    for path in filter(None, (getattr(args, "json", None), getattr(args, "csv", None))):
+        existed = os.path.exists(path)
+        open(path, "a").close()
+        if not existed:
+            os.remove(path)
+
+
 def _emit(report: Report, args: argparse.Namespace) -> int:
     print(report.to_text())
     if getattr(args, "json", None):
@@ -135,6 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
     try:
+        _check_report_paths(args)
         if args.command == "dims":
             return _run_dims(args)
         if args.command == "all":

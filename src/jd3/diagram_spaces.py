@@ -14,12 +14,18 @@ with integer coordinates:
   the plain orbit average of y^l (m_l over its orbit size).
   Symmetrizing a monomial sorts its exponents.
 
-The quotient by e1 is carried by the e1-rows: the coordinates of e1 times
-each basis vector one degree lower, which span the invariant part of the
-ideal (e1) in the slice's degree.  A family's slice is its rows stacked
-under the e1-rows, and its dimension is the rank of that stack minus the
-rank of the e1-rows.  y4-elimination, the substitution y4 = -(y1+y2+y3)
-into Q[y1, y2, y3], stays as the quotient's reference presentation.
+The quotient by e1 is presented by a triangularity certificate, not by
+elimination.  The e1-rows, e1 times each basis vector b_mu one degree
+lower, span the invariant part of the ideal (e1) in the slice's degree.
+The first nonzero entry of e1*b_mu sits at mu+e1; it is 1 in odd degree
+(e1*a_mu = sum_i a_{mu+e_i}, every term +1 or 0) and 1, 2 or 3 in even
+degree.  These pivots are distinct, so the e1-rows are independent and
+the other basis tuples, the *standard* orbits (l1 = l2+1 in odd degree,
+l1 = l2 in even degree), are a basis of the quotient.  In odd degree a
+row's class is its integer reduction against the unitriangular e1-rows,
+read on the standard orbits.  y4-elimination, the substitution
+y4 = -(y1+y2+y3) into Q[y1, y2, y3], stays as the quotient's reference
+presentation.
 
 This module builds the graded slices, the spanning families coming from
 the IHX relation between the two computable internal graphs, and the
@@ -100,7 +106,7 @@ class DegreeInfo:
 
 @dataclass
 class SliceSpace:
-    """A graded slice: orbit basis, e1-rows stacked above the spanning rows, rank."""
+    """A graded slice: orbit basis, the rows it consumed on the standard orbits, rank."""
 
     legs: int
     parity: str
@@ -170,17 +176,10 @@ def y_from_x(p: Poly) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _y4_elimination_map() -> dict[str, Poly]:
-    y1 = Poly.variable(Y3VARS, "y1")
-    y2 = Poly.variable(Y3VARS, "y2")
-    y3 = Poly.variable(Y3VARS, "y3")
-    return {"y1": y1, "y2": y2, "y3": y3, "y4": (y1 + y2 + y3).scale(-1)}
-
-
-@lru_cache(maxsize=None)
 def _neg_sum_power(e: int) -> Poly:
     """(-(y1+y2+y3))^e by iterated squaring, cached per exponent."""
-    return _y4_elimination_map()["y4"] ** e
+    y1, y2, y3 = (Poly.variable(Y3VARS, n) for n in Y3VARS.names)
+    return (y1 + y2 + y3).scale(-1) ** e
 
 
 def eliminate_y4(p: Poly) -> Poly:
@@ -189,14 +188,6 @@ def eliminate_y4(p: Poly) -> Poly:
         raise ValueError("eliminate_y4 expects a polynomial in y1..y4")
     acc: dict[tuple[int, int, int], int | Fraction] = {}
     for (e1, e2, e3, e4), coeff in p.terms.items():
-        if e4 == 0:
-            key = (e1, e2, e3)
-            s = acc.get(key, 0) + coeff
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
-            continue
         for (f1, f2, f3), c in _neg_sum_power(e4).terms.items():
             key = (e1 + f1, e2 + f2, e3 + f3)
             s = acc.get(key, 0) + coeff * c
@@ -237,12 +228,14 @@ def _orbit_reps(degree: int, strict: bool) -> list[tuple[int, int, int, int]]:
 
 
 class _SkewSliceContext:
-    """Per-degree orbit basis, projection and e1-rows, shared by every slice.
+    """Per-degree orbit basis, projection and e1 certificate, shared by every slice.
 
     Odd degrees use the signed orbit basis, even degrees the plain one (see
     the module docstring).  `skew_row` projects a y-polynomial onto the
-    slice in that basis; the e1-rows and their exact rank present the
-    quotient by e1.
+    slice in that basis; `e1_rows` holds the e1-rows as sparse
+    (index, coefficient) lists, `pivots`, in basis order, each one's
+    leading index with the rest of the row, and `standard` the indices
+    that are not pivots.
     """
 
     def __init__(self, legs: int) -> None:
@@ -252,13 +245,21 @@ class _SkewSliceContext:
         self.index = {rep: i for i, rep in enumerate(self.basis)}
         self._slots: dict[tuple[int, ...], tuple[int, int]] = {}
         e1 = elementary_symmetric(1, YVARS)
-        self.e1_rows = [
-            self.skew_row(e1 * Poly.monomial(YVARS, rep))
-            for rep in _orbit_reps(legs - 1, self.signed)
-        ]
-        self.e1_span = RowSpan(len(self.basis))
-        for row in self.e1_rows:
-            self.e1_span.add(row)
+        self.e1_rows: list[list[tuple[int, int]]] = []
+        pivots: dict[int, list[tuple[int, int]]] = {}
+        for rep in _orbit_reps(legs - 1, self.signed):
+            p = e1 * Poly.monomial(YVARS, rep)
+            row = self.skew_row(p)
+            support = sorted({i for i, sign in map(self._slots.get, p.terms) if sign})
+            self.e1_rows.append([(i, row[i]) for i in support if row[i]])
+            (lead, c), *rest = self.e1_rows[-1] or [(None, 0)]
+            if lead in pivots or c == 0 or (self.signed and c != 1):
+                raise ArithmeticError(
+                    f"e1-rows not unitriangular at legs={legs}: leading index {lead}, coefficient {c}"
+                )
+            pivots[lead] = rest
+        self.pivots = sorted(pivots.items())
+        self.standard = [i for i in range(len(self.basis)) if i not in pivots]
 
     def _slot(self, exps: tuple[int, ...]) -> tuple[int, int]:
         """Basis index and sign of a monomial's orbit average; sign 0 when it is zero."""
@@ -286,27 +287,37 @@ class _SkewSliceContext:
                 row[i] -= coeff
         return row
 
+    def quotient_row(self, row: list[int]) -> list[int]:
+        """Coordinates on the standard orbits of an odd-degree row's class modulo e1.
+
+        Subtracting c times each unitriangular pivot row, in basis order,
+        clears every pivot in integers.
+        """
+        if not self.signed:
+            raise ValueError("quotient_row expects an odd leg count")
+        r = list(row)
+        for p, rest in self.pivots:
+            c = r[p]
+            if c:
+                for j, v in rest:
+                    r[j] -= c * v
+        return [r[s] for s in self.standard]
+
     def span(self, rows, stop_at_ambient: bool = False) -> SliceSpace:
-        """The slice spanned by rows of this degree in the quotient by e1.
+        """The slice spanned by odd-degree rows in the quotient by e1.
 
         Rows are consumed lazily.  With stop_at_ambient, consumption stops
-        once the rows and the e1-rows span the whole basis: the remaining
-        rows cannot enlarge the span.
+        once the rows span the whole quotient: no further row is built, since
+        none could enlarge the span.
         """
-        span = self.e1_span.copy()
+        cols = len(self.standard)
+        span = RowSpan(cols)
         kept = []
-        for row in rows:
-            if stop_at_ambient and span.rank == len(self.basis):
-                break
-            kept.append(row)
-            span.add(row)
-        return SliceSpace(
-            legs=self.legs,
-            parity="odd" if self.signed else "even",
-            basis=self.basis,
-            span_matrix=QMatrix.from_rows(self.e1_rows + kept, cols=len(self.basis)),
-            dim=span.rank - self.e1_span.rank,
-        )
+        rows = iter(rows)
+        while not (stop_at_ambient and span.rank == cols) and (row := next(rows, None)) is not None:
+            kept.append(self.quotient_row(row))
+            span.add(kept[-1])
+        return SliceSpace(self.legs, "odd", self.basis, QMatrix.from_rows(kept, cols=cols), span.rank)
 
 
 @lru_cache(maxsize=None)
@@ -317,29 +328,18 @@ def _skew_context(legs: int) -> _SkewSliceContext:
 def tet_slice(legs: int, parity: str) -> SliceSpace:
     """Graded slice of the tetrahedron space at the given leg count.
 
-    Its rows are the whole orbit basis (signed for odd, plain for even),
-    stacked under the e1-rows.  That stack has full rank, so the dimension
-    is the basis size minus the exact rank of the e1-rows.
+    The certified e1-rows are independent, so the standard orbits are a
+    basis of the quotient: the slice is the identity on them and its
+    dimension is their count.
     """
     _coverage.touch("diagram_spaces.tet_slice")
     if legs < 0:
         raise ValueError("legs must be non-negative")
     _check_parity(legs, parity)
-    return _tet_slice_cached(legs, parity)
-
-
-@lru_cache(maxsize=None)
-def _tet_slice_cached(legs: int, parity: str) -> SliceSpace:
     ctx = _skew_context(legs)
-    n = len(ctx.basis)
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    return SliceSpace(
-        legs=legs,
-        parity=parity,
-        basis=ctx.basis,
-        span_matrix=QMatrix.from_rows(ctx.e1_rows + identity, cols=n),
-        dim=n - ctx.e1_span.rank,
-    )
+    n = len(ctx.standard)
+    identity = QMatrix(n, n, [int(i == j) for i in range(n) for j in range(n)])
+    return SliceSpace(legs, parity, ctx.basis, identity, n)
 
 
 def odd_target_dim(legs: int) -> int:

@@ -125,12 +125,6 @@ class RowSpan:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def copy(self) -> "RowSpan":
-        """An independent span with the same basis; basis rows are never mutated."""
-        twin = RowSpan(self.cols)
-        twin.pivot_rows = list(self.pivot_rows)
-        return twin
-
     def reduce(self, vec: Sequence) -> list[int]:
         """Reduction of the row against the basis, up to a nonzero scalar."""
         if len(vec) != self.cols:

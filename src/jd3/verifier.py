@@ -38,7 +38,6 @@ from .multipoly import (
     Poly,
     XVARS,
     YVARS,
-    Y3VARS,
     discriminant,
     divide_exact,
     elementary_symmetric,
@@ -489,16 +488,10 @@ def verify_properties(seed: int = DEFAULT_PROPERTY_SEED) -> Report:
     sigma3_reduced = eliminate_y4(elementary_symmetric(3, YVARS))
 
     def slice_structure(legs: int) -> str:
-        # every row of the slice, expanded from the orbit basis into y1..y3
-        space = tet_slice(legs, "odd")
-        images = [
-            eliminate_y4(symmetrize(Poly.monomial(YVARS, rep), skew)) for rep in space.basis
-        ]
-        for i in range(space.span_matrix.rows):
-            reduced = Poly.zero(Y3VARS)
-            for c, image in zip(space.span_matrix.row(i), images):
-                if c:
-                    reduced = reduced + image.scale(c)
+        # every basis orbit of the slice, expanded into y1..y3; the images
+        # of the e1-rows are zero, so these span the slice
+        for rep in tet_slice(legs, "odd").basis:
+            reduced = eliminate_y4(symmetrize(Poly.monomial(YVARS, rep), skew))
             if reduced.is_zero():
                 continue
             quotient = divide_exact(reduced, delta_reduced)

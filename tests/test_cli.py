@@ -139,11 +139,14 @@ def test_json_and_csv_outputs(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", ["--json", "--csv"])
 def test_unwritable_report_path_exits_2(tmp_path, capsys, flag):
+    # the paths are checked before any suite runs: no report, and no file left behind
     path = tmp_path / "missing-dir" / "report"
-    assert main(["verify", "asymptotics", "--max-d", "0", flag, str(path)]) == 2
-    err = capsys.readouterr().err
+    other_flag, other = ("--csv" if flag == "--json" else "--json"), tmp_path / "other-report"
+    assert main(["verify", "odd", "--max-legs", "29", other_flag, str(other), flag, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("jd3: error: ") and str(path) in err
-    assert not path.exists()
+    assert not path.exists() and not other.exists()
 
 
 def test_all_with_self_test_fail_exits_1(capsys):

@@ -14,6 +14,7 @@ from jd3.diagram_spaces import (
     CATALOG,
     DegreeInfo,
     _FAMILIES,
+    _edge_differences,
     _GENERATOR_SHUFFLE_SEED,
     _neg_sum_power,
     _skew_context,
@@ -30,7 +31,7 @@ from jd3.diagram_spaces import (
     x_from_y_map,
     y_from_x,
 )
-from jd3.linalg import QMatrix, RowSpan, row_space_equal
+from jd3.linalg import QMatrix, RowSpan, rank, row_space_equal
 from jd3.multipoly import (
     Poly,
     XVARS,
@@ -96,13 +97,9 @@ def oracle_tet_dim(legs):
     )
 
 
-def oracle_family_dim(family, legs, ambient):
-    """A spanning family built from the 1/4-scaled x-images, through the Fraction route.
-
-    Generators stop once their rank reaches the oracle's ambient dimension.
-    """
+def family_images(family, legs, x):
+    """A family's generators in the order its slice consumes them, built from edge images x."""
     generators, build = _FAMILIES[family]
-    x = x_from_y_map()
     bases = {
         **x,
         "x1*x2": x["x1"] * x["x2"],
@@ -111,10 +108,31 @@ def oracle_family_dim(family, legs, ambient):
     }
     order = list(generators(legs))
     random.Random(_GENERATOR_SHUFFLE_SEED).shuffle(order)
+    return (build(lambda b, e: bases[b] ** e, gen) for gen in order)
+
+
+def oracle_family_dim(family, legs, ambient):
+    """A spanning family built from the 1/4-scaled x-images, through the Fraction route.
+
+    Generators stop once their rank reaches the oracle's ambient dimension.
+    """
     basis = degree_slice_monomials(Y3VARS, legs)
     index = {m: i for i, m in enumerate(basis)}
-    images = (oracle_image(build(lambda b, e: bases[b] ** e, gen), legs) for gen in order)
+    images = (oracle_image(p, legs) for p in family_images(family, legs, x_from_y_map()))
     return oracle_rank(images, index, stop_at=ambient)
+
+
+def dense(ctx, entries):
+    """A sparse row of (index, coefficient) pairs as a row on the whole orbit basis."""
+    row = [0] * len(ctx.basis)
+    for i, c in entries:
+        row[i] = c
+    return row
+
+
+def lift(ctx, quotient):
+    """A row on the standard orbits as a row on the whole orbit basis, zero at the pivots."""
+    return dense(ctx, zip(ctx.standard, quotient))
 
 
 def count_even_partitions(n):
@@ -229,16 +247,15 @@ def test_tet_slice_degree_nine():
     space = tet_slice(9, "odd")
     assert space.dim == 1
     # strict tuples of 9; e1 times the alternants of (5,2,1,0) and (4,3,1,0)
-    # stacked above one row per basis alternant
+    # lead at (6,2,1,0) and (5,3,1,0), leaving one standard orbit
     assert space.basis == [(6, 2, 1, 0), (5, 3, 1, 0), (4, 3, 2, 0)]
-    assert space.span_matrix.rows == 2 + len(space.basis) == 5
-    assert space.span_matrix.row_lists() == [
-        [1, 1, 0],
-        [0, 1, 1],
-        [1, 0, 0],
-        [0, 1, 0],
-        [0, 0, 1],
-    ]
+    ctx = _skew_context(9)
+    assert ctx.e1_rows == [[(0, 1), (1, 1)], [(1, 1), (2, 1)]]
+    assert ctx.pivots == [(0, [(1, 1)]), (1, [(2, 1)])]
+    assert [space.basis[i] for i in ctx.standard] == [(4, 3, 2, 0)]
+    assert space.span_matrix.row_lists() == [[1]]
+    # modulo e1, a_(6,2,1,0) = -a_(5,3,1,0) = a_(4,3,2,0)
+    assert [ctx.quotient_row(r) for r in ([1, 0, 0], [0, 1, 0], [0, 0, 1])] == [[1], [-1], [1]]
 
 
 def test_tet_slice_parity_enforced():
@@ -261,26 +278,27 @@ def test_tet_slice_odd_dims_match_target_oracle():
 
 
 def test_tet_slice_rows_are_symmetrizer_images():
-    # each row, expanded through the symmetrized basis monomials, is the
-    # symmetrizer image of its source: e1 * y^mu for the e1-rows (mu one
-    # degree lower), then y^lam for each basis tuple lam
+    # each e1-row, expanded through the symmetrized basis monomials, is the
+    # symmetrizer image of e1 * y^mu (mu one degree lower) and vanishes in
+    # the quotient; the slice itself is the identity on the standard orbits
     for legs in (10, 11, 13):
         space = tet_slice(legs, "odd" if legs % 2 else "even")
+        ctx = _skew_context(legs)
         strict = legs % 2 == 1
-        assert space.basis == orbit_reps_oracle(legs, strict)
-        e1_sources = [E1 * Poly.monomial(YVARS, mu) for mu in orbit_reps_oracle(legs - 1, strict)]
-        sources = e1_sources + [Poly.monomial(YVARS, lam) for lam in space.basis]
-        assert space.span_matrix.rows == len(sources)
+        assert space.basis == ctx.basis == orbit_reps_oracle(legs, strict)
+        sources = [E1 * Poly.monomial(YVARS, mu) for mu in orbit_reps_oracle(legs - 1, strict)]
+        assert len(ctx.e1_rows) == len(sources)
         group = group_for(legs)
         basis_images = [symmetrize(Poly.monomial(YVARS, lam), group) for lam in space.basis]
-        for i, source in enumerate(sources):
+        for row, source in zip(ctx.e1_rows, sources):
             expanded = Poly.zero(YVARS)
-            for c, image in zip(space.span_matrix.row(i), basis_images):
-                if c:
-                    expanded = expanded + image.scale(c)
+            for i, c in row:
+                expanded = expanded + basis_images[i].scale(c)
             assert expanded == symmetrize(source, group)
-            if i < len(e1_sources):
-                assert eliminate_y4(expanded).is_zero()
+            assert eliminate_y4(expanded).is_zero()
+        n = space.dim
+        assert n == len(ctx.standard)
+        assert space.span_matrix.row_lists() == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def test_odd_target_dim_values():
@@ -342,8 +360,16 @@ def test_degree9_span_equals_target_basis_sympy_oracle():
         strict_coefficients(e1 * sympy.Matrix(4, 4, lambda i, j: ys[i] ** mu[j]).det())
         for mu in orbit_reps_oracle(8, strict=True)
     ]
+    # the slice's rows live on the standard orbits; each generator's full row
+    # differs from its lifted quotient row by sympy's e1-rows
+    ctx = _skew_context(9)
+    lifted = [lift(ctx, q) for q in target.span_matrix.row_lists()]
+    generators = family_images("subring_family", 9, _edge_differences())
+    for full, lifted_row in zip((ctx.skew_row(p) for p in generators), lifted):
+        difference = [a - b for a, b in zip(full, lifted_row)]
+        assert rank(QMatrix.from_rows(e1_rows + [difference])) == rank(QMatrix.from_rows(e1_rows)) == 2
     oracle_matrix = QMatrix.from_rows(e1_rows + [strict_coefficients(delta * sigma3)])
-    assert row_space_equal(target.span_matrix, oracle_matrix)
+    assert row_space_equal(QMatrix.from_rows(e1_rows + lifted), oracle_matrix)
 
 
 @pytest.mark.parametrize("legs", [9, 11, 13, 15])
@@ -463,6 +489,49 @@ def test_slice_dims_match_fraction_oracle(legs):
             ("subring_family", subring_family_slice),
         ):
             assert slice_of(legs).dim == oracle_family_dim(family, legs, ambient)
+
+
+# --- the e1 certificate and the quotient coordinates ---------------------------
+
+
+@pytest.mark.parametrize("legs", range(22))
+def test_e1_rows_lead_at_mu_plus_e1(legs):
+    ctx = _skew_context(legs)
+    strict = legs % 2 == 1
+    sources = orbit_reps_oracle(legs - 1, strict)
+    leads = [next(i for i, c in enumerate(dense(ctx, row)) if c) for row in ctx.e1_rows]
+    assert [ctx.basis[i] for i in leads] == [(mu[0] + 1,) + mu[1:] for mu in sources]
+    assert [p for p, _ in ctx.pivots] == sorted(leads)
+    assert len(ctx.standard) == len(ctx.basis) - len(sources) == oracle_tet_dim(legs)
+    assert all(ctx.basis[i][0] == ctx.basis[i][1] + strict for i in ctx.standard)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_quotient_row_is_the_class_modulo_e1(data):
+    ctx = _skew_context(data.draw(st.sampled_from(range(9, 22, 2))))
+    n = len(ctx.basis)
+    row = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    e1_rows = [dense(ctx, e1_row) for e1_row in ctx.e1_rows]
+    assert all(not any(ctx.quotient_row(e1_row)) for e1_row in e1_rows)
+    e1_span = RowSpan(n)
+    for e1_row in e1_rows:
+        e1_span.add(e1_row)
+    assert e1_span.rank == len(ctx.e1_rows)
+    assert not e1_span.add([a - b for a, b in zip(row, lift(ctx, ctx.quotient_row(row)))])
+
+
+def test_quotient_row_is_odd_only():
+    ctx = _skew_context(10)
+    with pytest.raises(ValueError):
+        ctx.quotient_row(dense(ctx, ctx.e1_rows[0]))
+
+
+def test_slices_past_the_paper_caps():
+    for legs in range(31, 42, 2):
+        assert tet_slice(legs, "odd").dim == ihx_image_slice(legs).dim == odd_target_dim(legs)
+    for n in range(32, 49, 2):
+        assert tet_slice(n, "even").dim == even_closed_form(n)
 
 
 def _stack_depth():

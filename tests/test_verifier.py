@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from jd3 import _coverage, verifier
+from jd3 import _coverage, diagram_spaces, verifier
 from jd3.verifier import (
     Report,
     RunConfig,
@@ -157,6 +157,25 @@ def test_suite_work_errors_are_charged_to_their_checks(monkeypatch):
     odd = verify_odd_vanishing(1)
     failed = {c.id for c in odd.checks if not c.passed}
     assert failed == {"odd.ambient_dim.L=1", "odd.image_dim.L=1", "odd.quotient_dim.L=1"}
+
+
+def test_broken_e1_certificate_becomes_failed_record(monkeypatch):
+    # e1 times the alternant of (5,2,1,0) twice: two e1-rows share a pivot
+    orbit_reps = diagram_spaces._orbit_reps
+
+    def duplicated(degree, strict):
+        reps = orbit_reps(degree, strict)
+        return reps + reps[:1] if degree == 8 else reps
+
+    monkeypatch.setattr(diagram_spaces, "_orbit_reps", duplicated)
+    diagram_spaces._skew_context.cache_clear()
+    try:
+        odd = verify_odd_vanishing(9)
+    finally:
+        diagram_spaces._skew_context.cache_clear()
+    (record,) = [c for c in odd.checks if c.id == "odd.ambient_dim.L=9"]
+    assert not record.passed
+    assert record.actual.startswith("error: ArithmeticError: ")
 
 
 def test_run_all_small_config_passes_and_covers_everything():
