@@ -3,8 +3,9 @@
 Polynomials in y1..y4 are pushed through one of two substitutions whose
 images are combinations of t^a, t^b, t^c, giving finite sums of terms
 q * t^(alpha*a + beta*b + gamma*c) with integer (alpha, beta, gamma).
-The images are kept as integer linear forms, four times the paper's, and
-the factor 4^(alpha+beta+gamma) is divided out once per output term.
+The images are kept as integer linear forms, four times the paper's, so
+sums, products and equality stay in ints; the factor 4^(alpha+beta+gamma)
+is divided out only where a coefficient is read, once per exponent class.
 A regime fixes exact rational values of (a, b, c); exponents are compared
 by evaluating the linear form at those values, which is the t -> infinity
 ordering.  Terms whose exponents evaluate equal are merged.  The grouping
@@ -24,7 +25,6 @@ from functools import lru_cache, partial
 from math import lcm
 
 from . import _coverage
-from .linalg import _exact
 from .multipoly import Poly, VarSet, YVARS, assemble_q, q_factor
 
 TVARS = VarSet(("ta", "tb", "tc"))
@@ -127,45 +127,78 @@ def regime_images(regime_id: str) -> dict[str, Poly]:
     raise ValueError("regime id must be 'one' or 'two'")
 
 
-def _unscale(p: Poly) -> Poly:
-    """Undo the factor 4 of the images: a t-monomial of degree D came from y-degree D."""
-    return Poly._raw(TVARS, {e: _exact(Fraction(c, 4 ** sum(e))) for e, c in p.terms.items()})
-
-
 class PuiseuxPoly:
     """Finite sum of terms q * t^(alpha*a + beta*b + gamma*c) under a regime.
 
-    A view of the exact t-polynomial `poly`: `terms` keys its terms by the
-    int alpha*A + beta*B + gamma*C, with (A, B, C) the regime's `weights`,
-    that is, the exact exponent value times the regime's `denominator`.
-    Each class keeps its merged coefficient together with the sorted tuple
-    of symbolic exponent vectors that contributed to it.
+    A view of `poly`, the t-polynomial of the four-times images: its term
+    t^e stands for the term of coefficient c/4^|e| in the paper's images.
+    `==`, `+` and `*` act on `poly`.  `terms` keys the nonzero exponent
+    classes by the int alpha*A + beta*B + gamma*C, with (A, B, C) the
+    regime's `weights`, that is, the exact exponent value times the
+    regime's `denominator`; each class holds its merged coefficient and
+    the sorted tuple of the exponent vectors that contributed to it.
     """
 
-    __slots__ = ("regime", "poly", "terms")
+    __slots__ = ("regime", "poly", "_top")
 
     def __init__(self, regime: Regime, poly: Poly) -> None:
         if poly.vars != TVARS:
             raise ValueError("expected a polynomial in the t-exponent variables")
         self.regime = regime
         self.poly = poly
-        wa, wb, wc = regime.weights
-        acc: dict[int, list] = {}  # key -> [merged coefficient, contributing exponents]
-        for exps, coeff in poly.terms.items():
+        self._top: tuple[int, Fraction, tuple[ExpVector, ...]] | None = None
+
+    def _classes(self) -> dict[int, list[tuple[int, int, int]]]:
+        """The exponents of `poly` grouped by integer key."""
+        wa, wb, wc = self.regime.weights
+        classes: dict[int, list[tuple[int, int, int]]] = {}
+        for exps in self.poly.terms:
             alpha, beta, gamma = exps
-            entry = acc.setdefault(alpha * wa + beta * wb + gamma * wc, [0, []])
-            entry[0] += coeff
-            entry[1].append(exps)
-        self.terms = {
-            key: (c, tuple(ExpVector(*e) for e in sorted(es))) for key, (c, es) in acc.items() if c
-        }
+            classes.setdefault(alpha * wa + beta * wb + gamma * wc, []).append(exps)
+        return classes
+
+    def _merged(self, members: list[tuple[int, int, int]]) -> tuple[int | Fraction, int]:
+        """(s, D) with s/4^D the merged coefficient of a class; D is its largest degree."""
+        terms = self.poly.terms
+        if len(members) == 1:
+            return terms[members[0]], sum(members[0])
+        top = max(map(sum, members))
+        return sum(terms[e] * 4 ** (top - sum(e)) for e in members), top
+
+    def _read(self, members) -> tuple[Fraction, tuple[ExpVector, ...]] | None:
+        """Merged coefficient and contributing vectors of a class; None when it cancels."""
+        s, degree = self._merged(members)
+        if not s:
+            return None
+        return Fraction(s, 4**degree), tuple(ExpVector(*e) for e in sorted(members))
+
+    @property
+    def terms(self) -> dict[int, tuple[Fraction, tuple[ExpVector, ...]]]:
+        classes = self._classes().items()
+        return {key: cls for key, members in classes if (cls := self._read(members))}
+
+    def top_class(self) -> tuple[int, Fraction, tuple[ExpVector, ...]]:
+        """Key, merged coefficient and vectors of the largest nonzero class.
+
+        Classes are read from the top down, so only the cancelled classes
+        above it are summed and no class below it is read.
+        """
+        if self._top is None:
+            classes = self._classes()
+            for key in sorted(classes, reverse=True):
+                if cls := self._read(classes[key]):
+                    self._top = (key, *cls)
+                    break
+            else:
+                raise ValueError("zero polynomial has no leading term")
+        return self._top
 
     def _check_regime(self, other: "PuiseuxPoly") -> None:
         if self.regime != other.regime:
             raise ValueError("mixed regimes")
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not any(self._merged(members)[0] for members in self._classes().values())
 
     def __eq__(self, other: object) -> bool:
         """Equality of the exact t-polynomials, finer than equal merged coefficients."""
@@ -184,10 +217,7 @@ class PuiseuxPoly:
     def sorted_terms(self) -> list[tuple[Fraction, Fraction, tuple[ExpVector, ...]]]:
         """(exact exponent value, coefficient, contributing vectors), descending."""
         d = self.regime.denominator
-        return [
-            (Fraction(key, d), c, vecs)
-            for key, (c, vecs) in sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
-        ]
+        return [(Fraction(key, d), *cls) for key, cls in sorted(self.terms.items(), reverse=True)]
 
     def __repr__(self) -> str:
         parts = [f"({c})*t^({'|'.join(map(str, vecs))})" for _, c, vecs in self.sorted_terms()]
@@ -199,7 +229,7 @@ def substitute_regime(p: Poly, regime: Regime) -> PuiseuxPoly:
     _coverage.touch("asymptotics.substitute_regime")
     if p.vars != YVARS:
         raise ValueError("substitute_regime expects a polynomial in exactly y1..y4")
-    return PuiseuxPoly(regime, _unscale(p.substitute(regime_images(regime.id))))
+    return PuiseuxPoly(regime, p.substitute(regime_images(regime.id)))
 
 
 def leading_term(p: PuiseuxPoly, regime: Regime) -> tuple[Fraction, ExpVector]:
@@ -211,10 +241,7 @@ def leading_term(p: PuiseuxPoly, regime: Regime) -> tuple[Fraction, ExpVector]:
     _coverage.touch("asymptotics.leading_term")
     if regime != p.regime:
         raise ValueError("regime does not match the polynomial's regime")
-    if p.is_zero():
-        raise ValueError("zero polynomial has no leading term")
-    top = max(p.terms)
-    coeff, vecs = p.terms[top]
+    _, coeff, vecs = p.top_class()
     return coeff, vecs[0]
 
 
@@ -270,8 +297,7 @@ def substituted_q(n: int, m: int, k: int, regime: Regime) -> PuiseuxPoly:
     t-polynomials gives the same exact result as expanding Q and
     substituting, without the intermediate blow-up.
     """
-    q = assemble_q(n, m, k, partial(_regime_factor, regime.id))
-    return PuiseuxPoly(regime, _unscale(q))
+    return PuiseuxPoly(regime, assemble_q(n, m, k, partial(_regime_factor, regime.id)))
 
 
 def verify_q_asymptotics(n: int, m: int, k: int, regime: Regime) -> QAsymptoticsCheck:
@@ -287,7 +313,7 @@ def verify_q_asymptotics(n: int, m: int, k: int, regime: Regime) -> QAsymptotics
         raise ValueError("q parameters must be non-negative")
     substituted = substituted_q(n, m, k, regime)
     actual_coeff, actual_exp = leading_term(substituted, regime)
-    _, top_vecs = substituted.terms[max(substituted.terms)]
+    _, _, top_vecs = substituted.top_class()
     expected_coeff, expected_exp = expected_q_leading(n, m, k, regime.id)
     passed = (
         actual_coeff == expected_coeff

@@ -203,7 +203,7 @@ def eliminate_y4(p: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _coords(p: Poly, basis_index: dict[tuple[int, ...], int]) -> list[int | Fraction]:
+def _coords(p: Poly, basis_index: dict[tuple[int, ...], int]) -> list[int]:
     row = [0] * len(basis_index)
     for exps, coeff in p.terms.items():
         row[basis_index[exps]] = coeff
@@ -400,28 +400,10 @@ def _subring_family_build(power, gen: tuple[int, int, int]) -> Poly:
     return power("x1*x2", n) * power("x4", a) * power("x5", b)
 
 
-def _middle_family_generators(legs: int):
-    for m in range(legs, -1, -1):
-        for n in range((legs - m) // 2, -1, -1):
-            for a in range(legs - m - 2 * n, -1, -1):
-                yield (m, n, a, legs - m - 2 * n - a)
-
-
-def _middle_family_build(power, gen: tuple[int, int, int, int]) -> Poly:
-    m, n, a, b = gen
-    return (
-        power("x1+x5", m)
-        * power("x1*x5", n)
-        * power("x4", a)
-        * power("x2", b).scale((-1) ** b)
-    )
-
-
 # family name -> (generator enumeration at a leg count, generator -> polynomial)
 _FAMILIES = {
     "ihx_image": (_ihx_image_generators, _ihx_image_build),
     "subring_family": (_subring_family_generators, _subring_family_build),
-    "middle_family": (_middle_family_generators, _middle_family_build),
 }
 
 
@@ -439,12 +421,7 @@ def _family_slice(family: str, legs: int, stop_at_ambient: bool) -> SliceSpace:
         raise ValueError(f"{family}_slice expects an odd leg count")
     generators, build = _FAMILIES[family]
     x = _edge_differences()
-    bases = {
-        **x,
-        "x1*x2": x["x1"] * x["x2"],
-        "x1+x5": x["x1"] + x["x5"],
-        "x1*x5": x["x1"] * x["x5"],
-    }
+    bases = {**x, "x1*x2": x["x1"] * x["x2"]}
     powers: dict[tuple[str, int], Poly] = {}
 
     def power(base: str, e: int) -> Poly:
@@ -480,24 +457,14 @@ def subring_family_slice(legs: int, stop_at_ambient: bool = True) -> SliceSpace:
     return _family_slice("subring_family", legs, stop_at_ambient)
 
 
-def middle_family_slice(legs: int, stop_at_ambient: bool = True) -> SliceSpace:
-    """Span of skew-symmetrized (x1+x5)^m (x1 x5)^n x4^a (-x2)^b.
-
-    The intermediate spanning family sitting between the IHX-image
-    generators and the (x1 x2)-power family; all three span the same
-    subspace degree by degree.
-    """
-    return _family_slice("middle_family", legs, stop_at_ambient)
-
-
 def tsq_odd_dim(legs: int) -> int:
     """Dimension of the odd slice of the four-arc graph's space: always 0.
 
     The reflection automorphism fixes each arc variable and acts as -1 on
-    odd degrees, so the averaging projector (identity + reflection)/2 is
-    applied to every slice monomial and the rank of the image is taken;
-    the projector annihilates everything, giving rank 0 rather than a
-    hard-coded constant.
+    odd degrees, so identity + reflection, twice the averaging projector,
+    is applied to every slice monomial and the rank of the image is taken;
+    it annihilates everything, giving rank 0 rather than a hard-coded
+    constant.
     """
     _coverage.touch("diagram_spaces.tsq_odd_dim")
     if legs % 2 == 0:
@@ -509,7 +476,7 @@ def tsq_odd_dim(legs: int) -> int:
     rows = []
     for mono in basis:
         p = Poly.monomial(Z3VARS, mono)
-        image = (act(identity, p) + act(reflection, p)).scale(Fraction(1, 2))
+        image = act(identity, p) + act(reflection, p)
         rows.append(_coords(image, basis_index))
     return rank(QMatrix.from_rows(rows, cols=len(basis)))
 
@@ -537,6 +504,8 @@ def hilbert_coefficients(max_n: int, shift: int = 0) -> list[int]:
     _coverage.touch("diagram_spaces.hilbert_coefficients")
     if max_n < 0:
         raise ValueError("max_n must be non-negative")
+    if shift < 0:
+        raise ValueError("shift must be non-negative")
     coeffs = [0] * (max_n + 1)
     if shift <= max_n:
         coeffs[shift] = 1

@@ -1,44 +1,38 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers: rank and row-space equality.
 
-Scalars are exact rationals: an integral entry is stored as an `int`, any
-other as a `fractions.Fraction` (always reduced, positive denominator), so
-ranks, echelon forms and nullspaces are exact.
+Entries are `int`s.  Scaling a row by a nonzero rational changes neither
+the rank nor the row space over Q, so both are computed exactly by
+fraction-free elimination (integer-preserving, as in Bareiss, Math.
+Comp. 22, 1968), with each row divided by its content rather than by
+Bareiss's previous pivot.
 Matrices are dense; everything in this package is small enough that
 sparse storage would only add complexity.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 
-def _exact(x):
-    """An entry as an int when integral, else as a Fraction."""
-    if type(x) is int:
-        return x
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
+def _check_ints(entries: Sequence) -> None:
+    for x in entries:
+        if type(x) is not int:
+            raise TypeError(f"entries are int, not {type(x).__name__}")
 
 
-def _primitive_int_row(row: Sequence) -> list[int] | None:
-    """Scale a rational row to coprime integers with positive leading entry.
+def _primitive_int_row(row: Sequence[int]) -> list[int] | None:
+    """Divide an integer row by its content, with positive leading entry.
 
     Returns None for the zero row.  Rows that are rational multiples of
     each other map to the same primitive row, so this doubles as a
     canonical form for duplicate detection.
     """
-    if all(type(x) is int for x in row):
-        ints = list(row)
-    else:
-        fracs = [Fraction(x) for x in row]
-        common = lcm(*(f.denominator for f in fracs))
-        ints = [f.numerator * (common // f.denominator) for f in fracs]
-    g = gcd(*ints)
+    _check_ints(row)
+    g = gcd(*row)
     if g == 0:
         return None
+    ints = list(row)
     lead_negative = next(v for v in ints if v) < 0
     if g > 1 or lead_negative:
         if lead_negative:
@@ -48,14 +42,15 @@ def _primitive_int_row(row: Sequence) -> list[int] | None:
 
 
 class QMatrix:
-    """Dense rational matrix.  0 x n and n x 0 shapes are legal."""
+    """Dense integer matrix, ranked over Q.  0 x n and n x 0 shapes are legal."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence) -> None:
+    def __init__(self, rows: int, cols: int, entries: Sequence[int]) -> None:
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        entries = [_exact(e) for e in entries]
+        entries = list(entries)
+        _check_ints(entries)
         if len(entries) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
@@ -65,7 +60,7 @@ class QMatrix:
         self.entries = entries
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable], cols: int | None = None) -> "QMatrix":
+    def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "QMatrix":
         rows = [list(r) for r in rows]
         if rows:
             ncols = len(rows[0])
@@ -80,15 +75,11 @@ class QMatrix:
         flat = [e for r in rows for e in r]
         return cls(len(rows), ncols, flat)
 
-    def row(self, i: int) -> list[int | Fraction]:
+    def row(self, i: int) -> list[int]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def row_lists(self) -> list[list[int | Fraction]]:
+    def row_lists(self) -> list[list[int]]:
         return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self) -> "QMatrix":
-        flat = [self.entries[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)]
-        return QMatrix(self.cols, self.rows, flat)
 
     def stack(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.cols:
@@ -105,9 +96,9 @@ class QMatrix:
 
 
 class RowSpan:
-    """Incrementally maintained echelon basis of a row space.
+    """Incrementally maintained echelon basis of a row space over Q.
 
-    Rows are scaled to primitive integer form and reduced against the
+    Integer rows are scaled to primitive form and reduced against the
     current basis by exact cross-multiplication; pivots are the first
     nonzero column.  A row's scaling never matters to the span, so the
     rank and the spanned space are identical to plain rational
@@ -125,7 +116,7 @@ class RowSpan:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def reduce(self, vec: Sequence) -> list[int]:
+    def reduce(self, vec: Sequence[int]) -> list[int]:
         """Reduction of the row against the basis, up to a nonzero scalar."""
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
@@ -139,7 +130,7 @@ class RowSpan:
                 v = [p * a - c * b for a, b in zip(v, prow)]
         return v
 
-    def add(self, vec: Sequence) -> bool:
+    def add(self, vec: Sequence[int]) -> bool:
         """Insert a row; returns True when it enlarged the span."""
         v = self.reduce(vec)
         if any(v):
@@ -174,34 +165,6 @@ def rank(m: QMatrix) -> int:
     return span.rank
 
 
-def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    rows = m.row_lists()
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    flat = [e for row in rows for e in row]
-    return QMatrix(m.rows, m.cols, flat), pivots
-
-
 def row_space_equal(a: QMatrix, b: QMatrix) -> bool:
     """True iff a and b span the same row space (requires equal cols)."""
     if a.cols != b.cols:
@@ -211,25 +174,3 @@ def row_space_equal(a: QMatrix, b: QMatrix) -> bool:
     if ra != rb:
         return False
     return rank(a.stack(b)) == ra
-
-
-def nullspace_basis(m: QMatrix) -> list[list[int | Fraction]]:
-    """Basis of the right nullspace, itself in reduced echelon form.
-
-    Basis vectors are ordered by pivot column and have leading entry 1,
-    so the output is deterministic.
-    """
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    vectors: list[list[int | Fraction]] = []
-    for f in free_cols:
-        v = [0] * m.cols
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = -reduced.entries[i * m.cols + f]
-        vectors.append(v)
-    if not vectors:
-        return []
-    normalized, _ = rref(QMatrix.from_rows(vectors, cols=m.cols))
-    return [normalized.row(i) for i in range(len(vectors))]

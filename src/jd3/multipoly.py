@@ -25,7 +25,6 @@ from math import comb, inf
 from operator import add
 
 from . import _coverage
-from .linalg import _exact
 
 NEG_INF = -inf  # total degree of the zero polynomial
 
@@ -63,6 +62,18 @@ XVARS = VarSet(("x1", "x2", "x3", "x4", "x5", "x6"))
 YVARS = VarSet(("y1", "y2", "y3", "y4"))
 Y3VARS = VarSet(("y1", "y2", "y3"))
 Z3VARS = VarSet(("z1", "z2", "z3"))
+
+
+def _exact(x) -> int | Fraction:
+    """An int or Fraction coefficient as an int when integral, else as a Fraction.
+
+    Anything else, a float or a string, raises TypeError: a float is not exact.
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"coefficients are int or Fraction, not {type(x).__name__}")
 
 
 def _exact_terms(terms: dict) -> dict:

@@ -8,7 +8,7 @@ import pytest
 import jd3
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def child_env():
     """Environment for a child interpreter that imports the same jd3 as the tests.
 

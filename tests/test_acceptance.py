@@ -4,6 +4,7 @@ Each test prints one pass/fail line; run with `pytest tests/test_acceptance.py -
 to see them.  All comparisons are exact integer/rational equality.
 """
 
+import hashlib
 import json
 import re
 import subprocess
@@ -100,8 +101,14 @@ def test_criterion_5_property_suite():
     assert ok
 
 
-def test_criterion_6_determinism(tmp_path, child_env):
-    paths = [tmp_path / "run1.json", tmp_path / "run2.json"]
+# SHA-256 of the `jd3 all --json` report with every "elapsed_ms" zeroed
+REPORT_SHA256 = "2ccfd08de1e9f995f398e37efcf7f12843199732ff3af4e8449198c68bc05a0c"
+
+
+@pytest.fixture(scope="module")
+def all_json_runs(tmp_path_factory, child_env):
+    """Two consecutive `jd3 all --json` reports, with elapsed_ms zeroed, and the first summary."""
+    paths = [tmp_path_factory.mktemp("all") / f"run{i}.json" for i in (1, 2)]
     for path in paths:
         proc = subprocess.run(
             [sys.executable, "-m", "jd3", "all", "--json", str(path)],
@@ -114,8 +121,12 @@ def test_criterion_6_determinism(tmp_path, child_env):
     blobs = [
         re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', p.read_text()) for p in paths
     ]
+    return blobs, json.loads(paths[0].read_text())["summary"]
+
+
+def test_criterion_6_determinism(all_json_runs):
+    blobs, summary = all_json_runs
     ok = blobs[0] == blobs[1]
-    summary = json.loads(paths[0].read_text())["summary"]
     _report_line(
         6,
         "two consecutive `jd3 all --json` runs byte-identical modulo elapsed_ms",
@@ -123,3 +134,10 @@ def test_criterion_6_determinism(tmp_path, child_env):
         f"summary={summary}",
     )
     assert ok
+
+
+def test_report_bytes_are_pinned(all_json_runs):
+    blobs, summary = all_json_runs
+    digest = hashlib.sha256(blobs[0].encode()).hexdigest()
+    assert summary["total"] == summary["passed"] == 403
+    assert digest == REPORT_SHA256

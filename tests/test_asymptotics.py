@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jd3 import asymptotics
 from jd3.asymptotics import (
     DEFAULT_REGIMES,
     TVARS,
@@ -26,6 +27,16 @@ from jd3.asymptotics import (
 from jd3.multipoly import _Q_QUADS, _Q_TRIPLES, Poly, XVARS, YVARS, p2, q_poly
 
 Y = {n: Poly.variable(YVARS, n) for n in YVARS.names}
+
+
+def quartered(poly):
+    """The paper's t-polynomial of an integer 4x image: c/4^|e| at each t^e."""
+    return Poly(TVARS, {e: Fraction(c, 4 ** sum(e)) for e, c in poly.terms.items()})
+
+
+def four_times(poly):
+    """The 4x image of one of the paper's t-polynomials: c*4^|e| at each t^e."""
+    return Poly(TVARS, {e: c * 4 ** sum(e) for e, c in poly.terms.items()})
 
 
 def single_term(p: PuiseuxPoly):
@@ -108,12 +119,12 @@ mixed_degree_y_polys = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(mixed_degree_y_polys, st.sampled_from([REGIME_ONE, REGIME_TWO, CUSTOM_ONE]))
 def test_substitute_regime_matches_quarter_images(p, regime):
-    # the integer images with 4^-D per output term against the paper's images
+    # the integer images with 4^-|e| per output term against the paper's images
     quarter = {y: image.scale(Fraction(1, 4)) for y, image in regime_images(regime.id).items()}
     expected = p.substitute(quarter)
     image = substitute_regime(p, regime)
-    assert image.poly == expected
-    assert image == PuiseuxPoly(regime, expected)
+    assert quartered(image.poly) == expected
+    assert image == PuiseuxPoly(regime, four_times(expected))
 
 
 def test_regime_factors_have_int_coefficients():
@@ -183,8 +194,9 @@ t_polys = st.builds(
 @settings(max_examples=120, deadline=None)
 @given(t_polys, st.one_of(drawn_regimes(), st.sampled_from([REGIME_ONE, REGIME_TWO])))
 def test_integer_keys_match_value_at_grouping(poly, regime):
+    # poly is read as a 4x image; the oracle groups its quartered terms by value_at
     p = PuiseuxPoly(regime, poly)
-    expected = reference_classes(poly, regime)
+    expected = reference_classes(quartered(poly), regime)
     d = regime.denominator
     assert all(type(key) is int for key in p.terms)
     assert {Fraction(key, d): cls for key, cls in p.terms.items()} == expected
@@ -198,12 +210,24 @@ def test_integer_keys_match_value_at_grouping(poly, regime):
 
 
 def test_collision_merges_under_integer_keys():
-    p = PuiseuxPoly(REGIME_ONE, Poly(TVARS, COLLISION))
+    p = PuiseuxPoly(REGIME_ONE, four_times(Poly(TVARS, COLLISION)))
     assert REGIME_ONE.weights == (10, 8, 5) and REGIME_ONE.denominator == 5
     assert p.terms == {60: (3, (ExpVector(0, 5, 4), ExpVector(3, 0, 6)))}
     assert p.sorted_terms()[0][0] == 12
-    cancelled = PuiseuxPoly(REGIME_ONE, Poly(TVARS, {(0, 5, 4): 1, (3, 0, 6): -1}))
+    cancelled = PuiseuxPoly(REGIME_ONE, four_times(Poly(TVARS, {(0, 5, 4): 1, (3, 0, 6): -1})))
     assert cancelled.is_zero() and not cancelled.poly.is_zero()
+
+
+def test_class_members_of_different_degrees_unscale_apart():
+    # t^a and t^(2c) share the key 10 under regime one but come from y-degrees 1 and 2
+    def image(c_a, c_2c):
+        return PuiseuxPoly(REGIME_ONE, Poly(TVARS, {(1, 0, 0): c_a, (0, 0, 2): c_2c}))
+
+    assert image(4, 16).terms == {10: (2, (ExpVector(0, 0, 2), ExpVector(1, 0, 0)))}
+    assert image(4, -16).is_zero() and repr(image(4, -16)) == "0"
+    assert image(1, 1).terms == {10: (Fraction(5, 16), (ExpVector(0, 0, 2), ExpVector(1, 0, 0)))}
+    lower = PuiseuxPoly(REGIME_ONE, Poly(TVARS, {(1, 0, 0): 4, (0, 0, 2): -16, (0, 1, 0): 8}))
+    assert leading_term(lower, REGIME_ONE) == (2, ExpVector(0, 1, 0))
 
 
 def test_derived_weights_leave_regime_identity_unchanged():
@@ -324,6 +348,23 @@ def test_factored_substitution_matches_direct():
     for nmk in ((0, 0, 0), (1, 0, 0), (0, 0, 1)):
         direct = substitute_regime(q_poly(*nmk), REGIME_ONE)
         assert substituted_q(*nmk, REGIME_ONE) == direct
+        assert all(type(c) is int for c in direct.poly.terms.values())
+
+
+def test_leading_term_reads_only_the_top_class(monkeypatch):
+    # one Fraction is built for the top class, none for the classes below it
+    made = []
+
+    def counting_fraction(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    p = substituted_q(2, 1, 1, REGIME_TWO)
+    monkeypatch.setattr(asymptotics, "Fraction", counting_fraction)
+    assert leading_term(p, REGIME_TWO) == expected_q_leading(2, 1, 1, "two")
+    assert len(made) == 2  # the class read and the expected coefficient
+    made.clear()
+    assert len(p.terms) == len(made) > 50  # the full view builds one per nonzero class
 
 
 # --- homomorphism property ----------------------------------------------------

@@ -439,6 +439,20 @@ def test_packed_product_cancelled_terms_are_dropped():
     assert half.terms == {(2, 0): 1} and type(half.terms[(2, 0)]) is int
 
 
+def test_coefficients_are_int_or_fraction_only():
+    # 0.1 used to be stored as 3602879701896397/36028797018963968
+    exps = (1, 0, 0, 0)
+    for bad in (0.1, 1.0, "1/2"):
+        with pytest.raises(TypeError):
+            Poly(YVARS, {exps: bad})
+        with pytest.raises(TypeError):
+            Poly.constant(YVARS, bad)
+        with pytest.raises(TypeError):
+            Poly.monomial(YVARS, exps).scale(bad)
+    p = Poly(YVARS, {exps: Fraction(6, 3), (0, 1, 0, 0): Fraction(1, 10)})
+    assert p.terms == {exps: 2, (0, 1, 0, 0): Fraction(1, 10)} and type(p.terms[exps]) is int
+
+
 def test_divide_exact_specific_skew_image():
     delta = discriminant(YVARS)
     image = symmetrize(Poly.monomial(YVARS, (5, 3, 1, 0)), signed_s4(YVARS, "sign"))
