@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jd3.linalg import QMatrix, RowSpan, rank, row_space_equal
@@ -82,6 +82,23 @@ def test_row_space_equal_subspace_not_equal():
     assert row_space_equal(a, QMatrix.from_rows([[1, 1, 0], [1, -1, 0]]))
 
 
+def test_nullspace_zero_matrix():
+    # every vector is a relation: rank 0, and sympy's nullspace is the standard basis
+    zero = QMatrix(2, 2, [0, 0, 0, 0])
+    null = sympy.Matrix(2, 2, [0, 0, 0, 0]).nullspace()
+    assert rank(zero) == 0 == zero.cols - len(null)
+    assert [list(v) for v in null] == [[1, 0], [0, 1]]
+
+
+def test_nullspace_single_relation():
+    # [1, -1] spans the kernel of [1, 1]: rank 1, and adding it to the row raises the rank
+    row = QMatrix.from_rows([[1, 1]])
+    null = sympy.Matrix([[1, 1]]).nullspace()
+    assert [list(v) for v in null] == [[-1, 1]]
+    assert rank(row) == 1 == row.cols - len(null)
+    assert rank(QMatrix.from_rows([[1, 1], [1, -1]])) == 2
+
+
 def test_edge_relations_rank_matches_sympy():
     # x1-x2-x6, x1-x3+x5, x4+x5+x6 in the six edge variables
     rows = [
@@ -125,13 +142,15 @@ def test_rank_transpose_invariant(rows):
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix)
-@example([[0, 0], [0, 0]])
-@example([[1, 1]])
 def test_rank_matches_sympy(rows):
-    oracle = sympy.Matrix(rows)
-    r = rank(QMatrix.from_rows(rows))
-    assert r == oracle.rank()
-    assert r + len(oracle.nullspace()) == len(rows[0])
+    assert rank(QMatrix.from_rows(rows)) == sympy.Matrix(rows).rank()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrix)
+def test_rank_nullity(rows):
+    m = QMatrix.from_rows(rows)
+    assert rank(m) + len(sympy.Matrix(rows).nullspace()) == m.cols
 
 
 @st.composite
