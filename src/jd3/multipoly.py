@@ -111,8 +111,11 @@ class Poly:
                 exps = tuple(exps)
                 if len(exps) != n:
                     raise ValueError("exponent tuple length does not match variable count")
-                if any(e < 0 for e in exps):
-                    raise ValueError("negative exponent")
+                for e in exps:
+                    if type(e) is not int:
+                        raise TypeError(f"exponents are int, not {type(e).__name__}")
+                    if e < 0:
+                        raise ValueError("negative exponent")
                 c = _exact(coeff)
                 if c:
                     clean[exps] = c
@@ -519,6 +522,86 @@ def q_poly(n: int, m: int, k: int) -> Poly:
     return assemble_q(n, m, k, q_factor)
 
 
+# Per term of the first factor: the y-indices its three arguments read, and
+# the index of the variable it omits.
+_Q_TRIPLE_SLOTS = tuple(
+    (tuple(YVARS.index(v) for v in t), next(i for i, v in enumerate(YVARS.names) if v not in t))
+    for t in _Q_TRIPLES
+)
+
+
+class QPowers:
+    """Powers of the factors of Q^{n,m,k}, each built once, for one caller's lifetime.
+
+    `first(n, m)` is G = P2^n * P3^(2m+3) at (y1, y2, y3), in three
+    variables; every term of the first factor of Q is G relabelled, so G is
+    the only first factor expanded.  `second(k)` is the second factor, the
+    sum of P4^k over the three pairings, indexed for `q_alternant_row`.
+    Each new entry costs one product by a small factor.
+    """
+
+    def __init__(self) -> None:
+        base = ("y1", "y2", "y3")
+        self._p2 = p2(Y3VARS, base)
+        self._p3_squared = p3(Y3VARS, base) ** 2
+        self._first: dict[tuple[int, int], Poly] = {(0, 0): p3(Y3VARS, base) ** 3}
+        self._p4 = [q_factor("p4", q) for q in _Q_QUADS]
+        self._p4_powers = [Poly.constant(YVARS, 1)] * len(_Q_QUADS)
+        self._second: list[list[dict[int, list[tuple[tuple[int, ...], int]]]]] = []
+
+    def first(self, n: int, m: int) -> Poly:
+        g = self._first.get((n, m))
+        if g is None:
+            if n:
+                g = self.first(n - 1, m) * self._p2
+            else:
+                g = self.first(0, m - 1) * self._p3_squared
+            self._first[(n, m)] = g
+        return g
+
+    def second(self, k: int) -> list[dict[int, list[tuple[tuple[int, ...], int]]]]:
+        """Terms of the sum of P4^k, indexed per variable i by their exponent of y_i."""
+        while len(self._second) <= k:
+            if self._second:
+                self._p4_powers = [p * f for p, f in zip(self._p4_powers, self._p4)]
+            total = reduce(add, self._p4_powers)
+            index: list[dict[int, list[tuple[tuple[int, ...], int]]]] = [{} for _ in YVARS.names]
+            for nu, c in total.terms.items():
+                for i, e in enumerate(nu):
+                    index[i].setdefault(e, []).append((nu, c))
+            self._second.append(index)
+        return self._second[k]
+
+
+def q_alternant_row(
+    n: int, m: int, k: int, basis: list[tuple[int, ...]], powers: QPowers
+) -> list[int]:
+    """Coordinates of Q^{n,m,k} on the alternants a_l, l in `basis` (strict tuples).
+
+    Q is skew, so its coordinate on a_l/24 is 24 times its coefficient at
+    y^l; this equals `skew_row(q_poly(n, m, k))` of the degree's slice
+    context.  Q = F * S with S = sum of P4^k symmetric, so that coefficient
+    is sum over the terms c_nu y^nu of S of c_nu * F_(l - nu).  Each term of
+    F omits one variable, so F_(l - nu) is a sum of lookups in G over the
+    terms whose omitted variable i has nu_i = l_i; a negative exponent is
+    no key of G and reads 0 (Macdonald, Symmetric Functions and Hall
+    Polynomials, ch. I.3).
+    """
+    _coverage.touch("multipoly.q_poly")
+    if n < 0 or m < 0 or k < 0:
+        raise ValueError("q_poly parameters must be non-negative")
+    g = powers.first(n, m).terms
+    second = powers.second(k)
+    row = []
+    for lam in basis:
+        total = 0
+        for (a, b, c), i in _Q_TRIPLE_SLOTS:
+            for nu, coeff in second[i].get(lam[i], ()):
+                total += coeff * g.get((lam[a] - nu[a], lam[b] - nu[b], lam[c] - nu[c]), 0)
+        row.append(24 * total)
+    return row
+
+
 def divide_exact(p: Poly, d: Poly) -> Poly:
     """Quotient q with p = q*d, or NotDivisibleError if none exists.
 
@@ -635,15 +718,6 @@ def express_in_uvw(p: Poly) -> Poly:
     if p.vars != YVARS:
         raise ValueError("express_in_uvw expects a polynomial in y1..y4")
     return _uvw_from_uvrs(p.substitute(_uvrs_images()))
-
-
-def p2p3p4_product(n: int, m: int, k: int) -> Poly:
-    """12 * P2(y1,y2,y3)^n * P3(y1,y2,y3)^(2m+3) * P4(y1,y2,y3,y4)^k."""
-    return (
-        p2(YVARS, ("y1", "y2", "y3")) ** n
-        * p3(YVARS, ("y1", "y2", "y3")) ** (2 * m + 3)
-        * p4(YVARS, ("y1", "y2", "y3", "y4")) ** k
-    ).scale(12)
 
 
 @lru_cache(maxsize=None)

@@ -8,10 +8,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jd3.diagram_spaces import _skew_context
 from jd3.multipoly import (
     NotDivisibleError,
     NotInSubringError,
     Poly,
+    QPowers,
     SignedPermAction,
     VarSet,
     XVARS,
@@ -25,10 +27,10 @@ from jd3.multipoly import (
     express_in_uvw,
     express_product_in_uvw,
     p2,
-    p2p3p4_product,
     p3,
     p4,
     perm_sign,
+    q_alternant_row,
     q_poly,
     signed_s4,
     symmetrize,
@@ -299,6 +301,32 @@ def test_q_poly_rejects_negative():
         q_poly(-1, 0, 0)
 
 
+def _q_triples(d):
+    return [(d - 3 * m - 2 * k, m, k) for m in range(d // 3 + 1) for k in range((d - 3 * m) // 2 + 1)]
+
+
+def test_alternant_rows_equal_skew_rows_of_q_poly():
+    # every (n, m, k) with n + 2k + 3m <= 9: one table in the lemma's order,
+    # and a fresh table that fills its entries in the reverse order
+    triples = [(d, t) for d in range(10) for t in _q_triples(d)]
+    assert len(triples) == 53
+    in_order, reversed_order = QPowers(), QPowers()
+    expected = {}
+    for d, nmk in triples:
+        ctx = _skew_context(2 * d + 9)
+        expected[nmk] = ctx.skew_row(q_poly(*nmk))
+        assert any(expected[nmk])
+        assert q_alternant_row(*nmk, ctx.basis, in_order) == expected[nmk]
+    for d, nmk in reversed(triples):
+        basis = _skew_context(2 * d + 9).basis
+        assert q_alternant_row(*nmk, basis, reversed_order) == expected[nmk]
+
+
+def test_alternant_row_rejects_negative():
+    with pytest.raises(ValueError):
+        q_alternant_row(0, -1, 0, _skew_context(9).basis, QPowers())
+
+
 # --- exact division ---------------------------------------------------------
 
 
@@ -439,6 +467,15 @@ def test_packed_product_cancelled_terms_are_dropped():
     assert half.terms == {(2, 0): 1} and type(half.terms[(2, 0)]) is int
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1", True])
+def test_exponents_are_int_only(bad):
+    # a float exponent used to be stored, and a product with it then failed in bit_length
+    with pytest.raises(TypeError):
+        Poly(YVARS, {(bad, 0, 0, 0): 1})
+    with pytest.raises(TypeError):
+        Poly.monomial(YVARS, (0, 0, bad, 0))
+
+
 def test_coefficients_are_int_or_fraction_only():
     # 0.1 used to be stored as 3602879701896397/36028797018963968
     exps = (1, 0, 0, 0)
@@ -481,6 +518,15 @@ def test_degree_slice_rejects_negative():
 
 
 # --- u, v, w subring --------------------------------------------------------
+
+
+def p2p3p4_product(n: int, m: int, k: int) -> Poly:
+    """12 * P2(y1,y2,y3)^n * P3(y1,y2,y3)^(2m+3) * P4(y1,y2,y3,y4)^k."""
+    return (
+        p2(YVARS, ("y1", "y2", "y3")) ** n
+        * p3(YVARS, ("y1", "y2", "y3")) ** (2 * m + 3)
+        * p4(YVARS, ("y1", "y2", "y3", "y4")) ** k
+    ).scale(12)
 
 
 def test_express_in_uvw_rejects_outsiders():

@@ -32,6 +32,14 @@ def test_odd_suite_small():
     }
 
 
+def test_lemma_past_the_paper_cap():
+    # the paper checks d <= 8; d = 9..11 run here, never inside `jd3 all`
+    report = verify_lemma(11)
+    assert report.all_passed
+    ranks = {c.params["d"]: c.actual for c in report.checks if c.id.startswith("lemma.rank")}
+    assert ranks == {str(d): str(len(verifier._lemma_triples(d))) for d in range(12)}
+
+
 def test_odd_suite_empty():
     report = verify_odd_vanishing(0)
     assert report.summary == {"total": 0, "passed": 0, "failed": 0}
@@ -148,7 +156,7 @@ def test_suite_work_errors_are_charged_to_their_checks(monkeypatch):
     def broken(*args):
         raise KeyError("boom")
 
-    monkeypatch.setattr(verifier, "q_poly", broken)
+    monkeypatch.setattr(verifier, "q_alternant_row", broken)
     lemma = verify_lemma(0)
     failed = {c.id for c in lemma.checks if not c.passed}
     assert failed == {"lemma.rank.d=0", "lemma.span.d=0"}
