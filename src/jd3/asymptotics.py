@@ -25,7 +25,7 @@ from functools import lru_cache, partial
 from math import lcm
 
 from . import _coverage
-from .multipoly import Poly, VarSet, YVARS, assemble_q, q_factor
+from .multipoly import Poly, VarSet, YVARS, _exact, assemble_q, q_factor
 
 TVARS = VarSet(("ta", "tb", "tc"))
 
@@ -65,6 +65,7 @@ class Regime:
 
     Regime "one" requires a > b > c > 0 and a-b < b-c < 2(a-b);
     regime "two" requires a > b > c > 0 and b-c < a-b < 2(b-c).
+    a, b and c are int or Fraction; a float is not exact and raises TypeError.
     `denominator` is the least common denominator D of a, b and c, and
     `weights` the integer triple D*(a, b, c); both are derived, so they take
     no part in equality, hashing or the repr.
@@ -80,9 +81,8 @@ class Regime:
     def __post_init__(self) -> None:
         if self.id not in ("one", "two"):
             raise ValueError("regime id must be 'one' or 'two'")
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "c", Fraction(self.c))
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, Fraction(_exact(getattr(self, name))))
         a, b, c = self.a, self.b, self.c
         if not (a > b > c > 0):
             raise ValueError("regime requires a > b > c > 0")

@@ -1,8 +1,9 @@
 """Command-line interface: jd3 verify {odd,even,lemma,asymptotics} | dims | all.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 on a
-usage error or a report file that cannot be written.  Reports print as a
-plain-text table on stdout; --json and --csv write machine-readable copies.
+usage error, a report file that cannot be written, or a `dims` slice whose
+e1 certificate fails.  Reports print as a plain-text table on stdout;
+--json and --csv write machine-readable copies.
 """
 
 from __future__ import annotations
@@ -167,7 +168,9 @@ def main(argv: list[str] | None = None) -> int:
             regimes = _parse_regimes(args)
             return _emit(verify_asymptotics(args.max_d, regimes=regimes), args)
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError) as exc:  # OSError: a --json/--csv path that cannot be written
+    # OSError: a --json/--csv path that cannot be written; ArithmeticError: a
+    # slice whose e1 certificate fails under `dims` (the suites record it as a FAIL)
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"jd3: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

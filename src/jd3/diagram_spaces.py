@@ -50,7 +50,6 @@ from .multipoly import (
     Z3VARS,
     act,
     degree_slice_monomials,
-    elementary_symmetric,
 )
 
 _QUARTER = Fraction(1, 4)
@@ -175,27 +174,18 @@ def y_from_x(p: Poly) -> Poly:
     return p.substitute(x_from_y_map())
 
 
-@lru_cache(maxsize=None)
-def _neg_sum_power(e: int) -> Poly:
-    """(-(y1+y2+y3))^e by iterated squaring, cached per exponent."""
-    y1, y2, y3 = (Poly.variable(Y3VARS, n) for n in Y3VARS.names)
-    return (y1 + y2 + y3).scale(-1) ** e
+# y1, y2, y3 fixed and y4 -> -(y1+y2+y3), as images in Q[y1, y2, y3]
+_Y4_ELIMINATION = {
+    **{n: Poly.variable(Y3VARS, n) for n in Y3VARS.names},
+    "y4": Poly(Y3VARS, {(1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1}),
+}
 
 
 def eliminate_y4(p: Poly) -> Poly:
     """Substitute y4 = -(y1+y2+y3); the quotient by the face relation."""
     if p.vars != YVARS:
         raise ValueError("eliminate_y4 expects a polynomial in y1..y4")
-    acc: dict[tuple[int, int, int], int | Fraction] = {}
-    for (e1, e2, e3, e4), coeff in p.terms.items():
-        for (f1, f2, f3), c in _neg_sum_power(e4).terms.items():
-            key = (e1 + f1, e2 + f2, e3 + f3)
-            s = acc.get(key, 0) + coeff * c
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
-    return Poly(Y3VARS, acc)
+    return p.substitute(_Y4_ELIMINATION)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +218,7 @@ def _orbit_reps(degree: int, strict: bool) -> list[tuple[int, int, int, int]]:
 
 
 class _SkewSliceContext:
-    """Per-degree orbit basis, projection and e1 certificate, shared by every slice.
+    """Per-degree orbit basis, projection and e1 certificate of one slice computation.
 
     Odd degrees use the signed orbit basis, even degrees the plain one (see
     the module docstring).  `skew_row` projects a y-polynomial onto the
@@ -244,14 +234,15 @@ class _SkewSliceContext:
         self.basis = _orbit_reps(legs, self.signed)
         self.index = {rep: i for i, rep in enumerate(self.basis)}
         self._slots: dict[tuple[int, ...], tuple[int, int]] = {}
-        e1 = elementary_symmetric(1, YVARS)
         self.e1_rows: list[list[tuple[int, int]]] = []
         pivots: dict[int, list[tuple[int, int]]] = {}
-        for rep in _orbit_reps(legs - 1, self.signed):
-            p = e1 * Poly.monomial(YVARS, rep)
-            row = self.skew_row(p)
-            support = sorted({i for i, sign in map(self._slots.get, p.terms) if sign})
-            self.e1_rows.append([(i, row[i]) for i in support if row[i]])
+        for mu in _orbit_reps(legs - 1, self.signed):
+            # e1 * b_mu = sum over i of b_(mu+e_i): one slot per raised exponent
+            row: dict[int, int] = {}
+            for k in range(4):
+                i, sign = self._slot(mu[:k] + (mu[k] + 1,) + mu[k + 1 :])
+                row[i] = row.get(i, 0) + sign
+            self.e1_rows.append([(i, c) for i, c in sorted(row.items()) if c])
             (lead, c), *rest = self.e1_rows[-1] or [(None, 0)]
             if lead in pivots or c == 0 or (self.signed and c != 1):
                 raise ArithmeticError(
@@ -320,11 +311,6 @@ class _SkewSliceContext:
         return SliceSpace(self.legs, "odd", self.basis, QMatrix.from_rows(kept, cols=cols), span.rank)
 
 
-@lru_cache(maxsize=None)
-def _skew_context(legs: int) -> _SkewSliceContext:
-    return _SkewSliceContext(legs)
-
-
 def tet_slice(legs: int, parity: str) -> SliceSpace:
     """Graded slice of the tetrahedron space at the given leg count.
 
@@ -336,7 +322,7 @@ def tet_slice(legs: int, parity: str) -> SliceSpace:
     if legs < 0:
         raise ValueError("legs must be non-negative")
     _check_parity(legs, parity)
-    ctx = _skew_context(legs)
+    ctx = _SkewSliceContext(legs)
     n = len(ctx.standard)
     identity = QMatrix(n, n, [int(i == j) for i in range(n) for j in range(n)])
     return SliceSpace(legs, parity, ctx.basis, identity, n)
@@ -407,7 +393,6 @@ _FAMILIES = {
 }
 
 
-@lru_cache(maxsize=None)
 def _family_slice(family: str, legs: int, stop_at_ambient: bool) -> SliceSpace:
     """Span of one skew-symmetrized generator family at an odd leg count.
 
@@ -430,7 +415,7 @@ def _family_slice(family: str, legs: int, stop_at_ambient: bool) -> SliceSpace:
             hit = powers[(base, e)] = bases[base] ** e
         return hit
 
-    ctx = _skew_context(legs)
+    ctx = _SkewSliceContext(legs)
     order = list(generators(legs))
     random.Random(_GENERATOR_SHUFFLE_SEED).shuffle(order)
     return ctx.span((ctx.skew_row(build(power, gen)) for gen in order), stop_at_ambient)

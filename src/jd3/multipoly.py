@@ -65,7 +65,7 @@ Z3VARS = VarSet(("z1", "z2", "z3"))
 
 
 def _exact(x) -> int | Fraction:
-    """An int or Fraction coefficient as an int when integral, else as a Fraction.
+    """An int or Fraction as an int when integral, else as a Fraction.
 
     Anything else, a float or a string, raises TypeError: a float is not exact.
     """
@@ -73,7 +73,7 @@ def _exact(x) -> int | Fraction:
         return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
-    raise TypeError(f"coefficients are int or Fraction, not {type(x).__name__}")
+    raise TypeError(f"exact numbers are int or Fraction, not {type(x).__name__}")
 
 
 def _exact_terms(terms: dict) -> dict:
@@ -296,8 +296,9 @@ class Poly:
                     del acc[k]
         return Poly._raw(target, _exact_terms(acc))
 
-    def evaluate(self, point: dict[str, Fraction]) -> Fraction:
-        vals = [Fraction(point[name]) for name in self.vars.names]
+    def evaluate(self, point: dict[str, int | Fraction]) -> Fraction:
+        """Exact value at a point; a float value raises TypeError."""
+        vals = [_exact(point[name]) for name in self.vars.names]
         total = Fraction(0)
         for exps, coeff in self.terms.items():
             v = coeff
@@ -654,15 +655,6 @@ def _uvrs_images() -> dict[str, Poly]:
     return {"y1": u + s, "y2": v + s, "y3": s, "y4": s - r}
 
 
-@lru_cache(maxsize=None)
-def _w_in_uvr_power(k: int) -> Poly:
-    # w = (y1-y4)(y2-y4) = (u+r)(v+r) = uv + (u+v)r + r^2, with s dropped.
-    u = Poly.variable(_UVRS, "u")
-    v = Poly.variable(_UVRS, "v")
-    r = Poly.variable(_UVRS, "r")
-    return ((u + r) * (v + r)) ** k
-
-
 def _uvw_from_uvrs(q: Poly) -> Poly:
     """w-adic division: rewrite a (u, v, r)-polynomial in u, v, w.
 
@@ -675,6 +667,9 @@ def _uvw_from_uvrs(q: Poly) -> Poly:
         raise ValueError("expected a polynomial in the change-of-coordinate variables")
     if any(e[3] for e in q.terms):
         raise NotInSubringError("polynomial depends on y3 beyond differences")
+    # w = (y1-y4)(y2-y4) = (u+r)(v+r) = uv + (u+v)r + r^2, with s dropped
+    u, v, r = (Poly.variable(_UVRS, n) for n in ("u", "v", "r"))
+    w = (u + r) * (v + r)
     work: dict[tuple[int, int, int], int | Fraction] = {
         (e[0], e[1], e[2]): c for e, c in q.terms.items()
     }
@@ -692,7 +687,7 @@ def _uvw_from_uvrs(q: Poly) -> Poly:
         for (a, b), c in lead.items():
             key = (a, b, half)
             result[key] = result.get(key, 0) + c
-        w_power = _w_in_uvr_power(half)
+        w_power = w ** half
         for (a, b), c in lead.items():
             for (wa, wb, wr, _), wc in w_power.terms.items():
                 key = (a + wa, b + wb, wr)
@@ -706,20 +701,6 @@ def _uvw_from_uvrs(q: Poly) -> Poly:
     return Poly(UVWVARS, {e: c for e, c in result.items() if c})
 
 
-def express_in_uvw(p: Poly) -> Poly:
-    """Rewrite p as a polynomial in u = y1-y3, v = y2-y3, w = (y1-y4)(y2-y4).
-
-    The change of coordinates (u, v, r, s) = (y1-y3, y2-y3, y3-y4, y3) is
-    applied first; membership requires no s-dependence and a zero
-    remainder under w-adic division.  Raises NotInSubringError otherwise;
-    the returned polynomial reconstructs p exactly when u, v, w are
-    substituted back.
-    """
-    if p.vars != YVARS:
-        raise ValueError("express_in_uvw expects a polynomial in y1..y4")
-    return _uvw_from_uvrs(p.substitute(_uvrs_images()))
-
-
 @lru_cache(maxsize=None)
 def _uvrs_factor(which: str) -> Poly:
     args = ("y1", "y2", "y3", "y4") if which == "p4" else ("y1", "y2", "y3")
@@ -731,9 +712,9 @@ def express_product_in_uvw(n: int, m: int, k: int) -> Poly:
 
     The change of coordinates is applied to the three small factors and
     the product is assembled in the new coordinates (substitution is a
-    ring homomorphism), which avoids expanding the product twice; the
-    w-adic division then certifies membership exactly as express_in_uvw
-    does.
+    ring homomorphism), which avoids expanding the product twice.  The
+    product is in the subring exactly when it has no s-dependence and a
+    zero remainder under w-adic division; otherwise NotInSubringError.
     """
     if n < 0 or m < 0 or k < 0:
         raise ValueError("parameters must be non-negative")
@@ -743,17 +724,6 @@ def express_product_in_uvw(n: int, m: int, k: int) -> Poly:
         * _uvrs_factor("p4") ** k
     ).scale(12)
     return _uvw_from_uvrs(q)
-
-
-@lru_cache(maxsize=None)
-def uvw_images() -> dict[str, Poly]:
-    """The y-polynomials that u, v, w stand for; inverse of express_in_uvw."""
-    y = {n: Poly.variable(YVARS, n) for n in YVARS.names}
-    return {
-        "u": y["y1"] - y["y3"],
-        "v": y["y2"] - y["y3"],
-        "w": (y["y1"] - y["y4"]) * (y["y2"] - y["y4"]),
-    }
 
 
 def degree_slice_monomials(vars: VarSet, d: int) -> list[tuple[int, ...]]:

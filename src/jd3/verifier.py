@@ -21,6 +21,7 @@ from .asymptotics import (
     verify_q_asymptotics,
 )
 from .diagram_spaces import (
+    SliceSpace,
     eliminate_y4,
     subring_family_slice,
     even_closed_form,
@@ -31,7 +32,7 @@ from .diagram_spaces import (
     tsq_odd_dim,
     x_from_y,
     y_from_x,
-    _skew_context,
+    _SkewSliceContext,
 )
 from .linalg import row_space_equal
 from .multipoly import (
@@ -158,36 +159,46 @@ def verify_odd_vanishing(max_legs: int) -> Report:
     """Per odd degree: ambient dimension, image dimension, quotient zero.
 
     Also compares the row spaces of the two spanning families for odd
-    leg counts up to 15, where the full families stay small.
+    leg counts up to 15, where the full families stay small.  Each slice
+    is built once, by the check that reports its dimension, and kept for
+    the checks that read it until the next leg count; a check that reads
+    a slice whose build failed fails too.
     """
     if max_legs < 0:
         raise ValueError("max_legs must be non-negative")
     report = Report(suite="odd")
     for legs in range(1, max_legs + 1, 2):
         params = {"L": str(legs)}
+        built: dict[str, SliceSpace] = {}
+
+        def keep(name: str, space: SliceSpace) -> str:
+            built[name] = space
+            return str(space.dim)
+
+        def kept(name: str) -> SliceSpace:
+            if name not in built:
+                raise LookupError(f"no {name} slice at L={legs}: its check failed")
+            return built[name]
+
         ambient = _timed_check(
             f"odd.ambient_dim.L={legs}",
             params,
             str(odd_target_dim(legs)),
-            lambda: str(tet_slice(legs, "odd").dim),
+            lambda: keep("ambient", tet_slice(legs, "odd")),
         )
-        report.checks.append(ambient)
-        report.checks.append(
-            _timed_check(
-                f"odd.image_dim.L={legs}",
-                params,
-                ambient.actual,
-                lambda: str(ihx_image_slice(legs).dim),
-            )
+        image = _timed_check(
+            f"odd.image_dim.L={legs}",
+            params,
+            ambient.actual,
+            lambda: keep("image", ihx_image_slice(legs)),
         )
-        report.checks.append(
-            _timed_check(
-                f"odd.quotient_dim.L={legs}",
-                params,
-                "0",
-                lambda: str(tet_slice(legs, "odd").dim - ihx_image_slice(legs).dim),
-            )
+        quotient = _timed_check(
+            f"odd.quotient_dim.L={legs}",
+            params,
+            "0",
+            lambda: str(kept("ambient").dim - kept("image").dim),
         )
+        report.checks += [ambient, image, quotient]
         if legs <= 15:
             report.checks.append(
                 _timed_check(
@@ -195,9 +206,7 @@ def verify_odd_vanishing(max_legs: int) -> Report:
                     params,
                     "equal",
                     lambda: "equal"
-                    if row_space_equal(
-                        subring_family_slice(legs).span_matrix, ihx_image_slice(legs).span_matrix
-                    )
+                    if row_space_equal(subring_family_slice(legs).span_matrix, kept("image").span_matrix)
                     else "different",
                 )
             )
@@ -257,7 +266,7 @@ def verify_lemma(max_d: int) -> Report:
         params = {"d": str(d)}
 
         def q_rank() -> str:
-            ctx = _skew_context(legs)
+            ctx = _SkewSliceContext(legs)
             rows = (q_alternant_row(n, m, k, ctx.basis, powers) for (n, m, k) in triples)
             return str(ctx.span(rows).dim)
 

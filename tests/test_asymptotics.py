@@ -69,6 +69,14 @@ def test_regime_validation():
         Regime("three", 3, 2, 1)
 
 
+def test_regime_exponents_are_exact():
+    # b = 1.6 used to be stored as 3602879701896397/2251799813685248
+    for a, b, c in ((2, 1.6, 1), (2.0, Fraction(8, 5), 1), (2, Fraction(8, 5), 1.0)):
+        with pytest.raises(TypeError):
+            Regime("one", a, b, c)
+    assert Regime("one", 2, Fraction(8, 5), 1) == REGIME_ONE
+
+
 # --- substitution ------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from jd3 import verifier
+from jd3 import diagram_spaces, verifier
 from jd3.cli import main
 
 
@@ -110,6 +110,21 @@ def test_dims_odd(capsys):
 
 def test_dims_parity_mismatch_exits_2(capsys):
     assert main(["dims", "--parity", "odd", "--legs", "8"]) == 2
+
+
+def test_dims_with_a_broken_e1_certificate_exits_2(monkeypatch, capsys):
+    # e1 times the alternant of (5,2,1,0) twice: two e1-rows share a pivot
+    orbit_reps = diagram_spaces._orbit_reps
+
+    def duplicated(degree, strict):
+        reps = orbit_reps(degree, strict)
+        return reps + reps[:1] if degree == 8 else reps
+
+    monkeypatch.setattr(diagram_spaces, "_orbit_reps", duplicated)
+    assert main(["dims", "--parity", "odd", "--legs", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("jd3: error: e1-rows not unitriangular at legs=9")
 
 
 def test_json_and_csv_outputs(tmp_path, capsys):

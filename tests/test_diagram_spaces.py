@@ -17,8 +17,7 @@ from jd3.diagram_spaces import (
     _FAMILIES,
     _edge_differences,
     _GENERATOR_SHUFFLE_SEED,
-    _neg_sum_power,
-    _skew_context,
+    _SkewSliceContext,
     eliminate_y4,
     subring_family_slice,
     even_closed_form,
@@ -249,7 +248,7 @@ def test_tet_slice_degree_nine():
     # strict tuples of 9; e1 times the alternants of (5,2,1,0) and (4,3,1,0)
     # lead at (6,2,1,0) and (5,3,1,0), leaving one standard orbit
     assert space.basis == [(6, 2, 1, 0), (5, 3, 1, 0), (4, 3, 2, 0)]
-    ctx = _skew_context(9)
+    ctx = _SkewSliceContext(9)
     assert ctx.e1_rows == [[(0, 1), (1, 1)], [(1, 1), (2, 1)]]
     assert ctx.pivots == [(0, [(1, 1)]), (1, [(2, 1)])]
     assert [space.basis[i] for i in ctx.standard] == [(4, 3, 2, 0)]
@@ -283,7 +282,7 @@ def test_tet_slice_rows_are_symmetrizer_images():
     # the quotient; the slice itself is the identity on the standard orbits
     for legs in (10, 11, 13):
         space = tet_slice(legs, "odd" if legs % 2 else "even")
-        ctx = _skew_context(legs)
+        ctx = _SkewSliceContext(legs)
         strict = legs % 2 == 1
         assert space.basis == ctx.basis == orbit_reps_oracle(legs, strict)
         sources = [E1 * Poly.monomial(YVARS, mu) for mu in orbit_reps_oracle(legs - 1, strict)]
@@ -361,7 +360,7 @@ def test_degree9_span_equals_target_basis_sympy_oracle():
     ]
     # the slice's rows live on the standard orbits; each generator's full row
     # differs from its lifted quotient row by sympy's e1-rows
-    ctx = _skew_context(9)
+    ctx = _SkewSliceContext(9)
     lifted = [lift(ctx, q) for q in target.span_matrix.row_lists()]
     generators = family_images("subring_family", 9, _edge_differences())
     for full, lifted_row in zip((ctx.skew_row(p) for p in generators), lifted):
@@ -475,7 +474,7 @@ def homogeneous_integer_polys(draw, max_degree):
 @given(homogeneous_integer_polys(max_degree=11))
 def test_skew_row_expands_to_symmetrizer_image(drawn):
     degree, p = drawn
-    ctx = _skew_context(degree)
+    ctx = _SkewSliceContext(degree)
     row = ctx.skew_row(p)
     assert all(type(c) is int for c in row)
     assert expand_row(row, ctx.basis, degree) == oracle_image(p, degree)
@@ -500,7 +499,7 @@ def test_slice_dims_match_fraction_oracle(legs):
 
 @pytest.mark.parametrize("legs", range(22))
 def test_e1_rows_lead_at_mu_plus_e1(legs):
-    ctx = _skew_context(legs)
+    ctx = _SkewSliceContext(legs)
     strict = legs % 2 == 1
     sources = orbit_reps_oracle(legs - 1, strict)
     leads = [next(i for i, c in enumerate(dense(ctx, row)) if c) for row in ctx.e1_rows]
@@ -513,7 +512,7 @@ def test_e1_rows_lead_at_mu_plus_e1(legs):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_quotient_row_is_the_class_modulo_e1(data):
-    ctx = _skew_context(data.draw(st.sampled_from(range(9, 22, 2))))
+    ctx = _SkewSliceContext(data.draw(st.sampled_from(range(9, 22, 2))))
     n = len(ctx.basis)
     row = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
     e1_rows = [dense(ctx, e1_row) for e1_row in ctx.e1_rows]
@@ -526,7 +525,7 @@ def test_quotient_row_is_the_class_modulo_e1(data):
 
 
 def test_quotient_row_is_odd_only():
-    ctx = _skew_context(10)
+    ctx = _SkewSliceContext(10)
     with pytest.raises(ValueError):
         ctx.quotient_row(dense(ctx, ctx.e1_rows[0]))
 
@@ -546,12 +545,11 @@ def _stack_depth():
 
 
 def test_neg_sum_power_needs_no_recursion():
-    # a cold cache must not recurse once per degree
-    _neg_sum_power.cache_clear()
+    # y4^60 -> (-(y1+y2+y3))^60 must not recurse once per degree
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 40)
     try:
-        power = _neg_sum_power(60)
+        power = eliminate_y4(Y["y4"] ** 60)
     finally:
         sys.setrecursionlimit(limit)
     assert power.degree() == 60 and len(power.terms) == 61 * 62 // 2

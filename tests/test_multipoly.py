@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jd3.diagram_spaces import _skew_context
+from jd3.diagram_spaces import _SkewSliceContext
 from jd3.multipoly import (
     NotDivisibleError,
     NotInSubringError,
@@ -24,7 +24,6 @@ from jd3.multipoly import (
     discriminant,
     divide_exact,
     elementary_symmetric,
-    express_in_uvw,
     express_product_in_uvw,
     p2,
     p3,
@@ -34,7 +33,8 @@ from jd3.multipoly import (
     q_poly,
     signed_s4,
     symmetrize,
-    uvw_images,
+    _uvrs_images,
+    _uvw_from_uvrs,
 )
 
 Y = {n: Poly.variable(YVARS, n) for n in YVARS.names}
@@ -313,18 +313,18 @@ def test_alternant_rows_equal_skew_rows_of_q_poly():
     in_order, reversed_order = QPowers(), QPowers()
     expected = {}
     for d, nmk in triples:
-        ctx = _skew_context(2 * d + 9)
+        ctx = _SkewSliceContext(2 * d + 9)
         expected[nmk] = ctx.skew_row(q_poly(*nmk))
         assert any(expected[nmk])
         assert q_alternant_row(*nmk, ctx.basis, in_order) == expected[nmk]
     for d, nmk in reversed(triples):
-        basis = _skew_context(2 * d + 9).basis
+        basis = _SkewSliceContext(2 * d + 9).basis
         assert q_alternant_row(*nmk, basis, reversed_order) == expected[nmk]
 
 
 def test_alternant_row_rejects_negative():
     with pytest.raises(ValueError):
-        q_alternant_row(0, -1, 0, _skew_context(9).basis, QPowers())
+        q_alternant_row(0, -1, 0, _SkewSliceContext(9).basis, QPowers())
 
 
 # --- exact division ---------------------------------------------------------
@@ -490,6 +490,16 @@ def test_coefficients_are_int_or_fraction_only():
     assert p.terms == {exps: 2, (0, 1, 0, 0): Fraction(1, 10)} and type(p.terms[exps]) is int
 
 
+def test_evaluate_takes_exact_values_only():
+    # 0.1 used to evaluate y1 to 3602879701896397/36028797018963968
+    y1 = Y["y1"]
+    for bad in (0.1, 1.0):
+        with pytest.raises(TypeError):
+            y1.evaluate({"y1": bad, "y2": 0, "y3": 0, "y4": 0})
+    assert y1.evaluate({"y1": Fraction(1, 10), "y2": 0, "y3": 0, "y4": 0}) == Fraction(1, 10)
+    assert (y1 * y1).evaluate({"y1": 3, "y2": 0, "y3": 0, "y4": 0}) == 9
+
+
 def test_divide_exact_specific_skew_image():
     delta = discriminant(YVARS)
     image = symmetrize(Poly.monomial(YVARS, (5, 3, 1, 0)), signed_s4(YVARS, "sign"))
@@ -527,6 +537,27 @@ def p2p3p4_product(n: int, m: int, k: int) -> Poly:
         * p3(YVARS, ("y1", "y2", "y3")) ** (2 * m + 3)
         * p4(YVARS, ("y1", "y2", "y3", "y4")) ** k
     ).scale(12)
+
+
+def express_in_uvw(p: Poly) -> Poly:
+    """Rewrite p as a polynomial in u = y1-y3, v = y2-y3, w = (y1-y4)(y2-y4).
+
+    The change of coordinates (u, v, r, s) = (y1-y3, y2-y3, y3-y4, y3) is
+    applied first; membership requires no s-dependence and a zero
+    remainder under w-adic division.  Raises NotInSubringError otherwise;
+    the returned polynomial reconstructs p exactly when u, v, w are
+    substituted back.
+    """
+    return _uvw_from_uvrs(p.substitute(_uvrs_images()))
+
+
+def uvw_images() -> dict[str, Poly]:
+    """The y-polynomials that u, v, w stand for; inverse of express_in_uvw."""
+    return {
+        "u": Y["y1"] - Y["y3"],
+        "v": Y["y2"] - Y["y3"],
+        "w": (Y["y1"] - Y["y4"]) * (Y["y2"] - Y["y4"]),
+    }
 
 
 def test_express_in_uvw_rejects_outsiders():

@@ -37,7 +37,7 @@ def test_every_traced_layer_resolves_to_a_jd3_callable():
 
 
 def test_slice_facts_count_the_generators_each_family_consumed(monkeypatch):
-    from jd3 import diagram_spaces, verifier
+    from jd3 import verifier
 
     spans = _load_spans()
     # install() rebinds every traced callable; monkeypatch puts each binding back afterwards
@@ -52,10 +52,6 @@ def test_slice_facts_count_the_generators_each_family_consumed(monkeypatch):
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, value)
-    for legs in range(1, 16, 2):
-        diagram_spaces._skew_context(legs)  # the e1-rows are built before tracing starts
-    diagram_spaces._family_slice.cache_clear()
-
     tracer = spans.Tracer()
     spans.install(tracer)
     assert verifier.verify_odd_vanishing(15).all_passed

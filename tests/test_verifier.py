@@ -1,6 +1,7 @@
 """Report structure, suite behavior, determinism, coverage."""
 
 import json
+import sys
 
 import pytest
 
@@ -176,14 +177,61 @@ def test_broken_e1_certificate_becomes_failed_record(monkeypatch):
         return reps + reps[:1] if degree == 8 else reps
 
     monkeypatch.setattr(diagram_spaces, "_orbit_reps", duplicated)
-    diagram_spaces._skew_context.cache_clear()
-    try:
-        odd = verify_odd_vanishing(9)
-    finally:
-        diagram_spaces._skew_context.cache_clear()
+    odd = verify_odd_vanishing(9)
     (record,) = [c for c in odd.checks if c.id == "odd.ambient_dim.L=9"]
     assert not record.passed
     assert record.actual.startswith("error: ArithmeticError: ")
+
+
+def test_a_failed_image_slice_fails_every_check_that_reads_it(monkeypatch):
+    def broken(*args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(verifier, "ihx_image_slice", broken)
+    odd = verify_odd_vanishing(9)
+    failed = {c.id for c in odd.checks if not c.passed}
+    readers = ("image_dim", "quotient_dim", "span_eq")
+    assert failed == {f"odd.{check}.L={legs}" for legs in range(1, 10, 2) for check in readers}
+
+
+def test_odd_suite_builds_each_slice_once_per_leg_count(monkeypatch):
+    calls = []
+
+    def counted(name):
+        build = getattr(verifier, name)
+
+        def count(legs, *args):
+            calls.append((name, legs))
+            return build(legs, *args)
+
+        return count
+
+    for name in ("tet_slice", "ihx_image_slice", "subring_family_slice"):
+        monkeypatch.setattr(verifier, name, counted(name))
+    assert verify_odd_vanishing(17).all_passed
+    odd = range(1, 18, 2)
+    assert sorted(calls) == sorted(
+        [("tet_slice", legs) for legs in odd]
+        + [("ihx_image_slice", legs) for legs in odd]
+        + [("subring_family_slice", legs) for legs in odd if legs <= 15]
+    )
+
+
+def _cached_entries() -> int:
+    """Entries held by every lru_cache of the package."""
+    modules = [m for name, m in sys.modules.items() if name == "jd3" or name.startswith("jd3.")]
+    caches = {id(v): v for m in modules for v in vars(m).values() if hasattr(v, "cache_info")}
+    return sum(cache.cache_info().currsize for cache in caches.values())
+
+
+def test_caches_do_not_grow_with_the_caps():
+    # the fixed-size memos are filled by the smallest runs; larger caps add nothing
+    verify_odd_vanishing(1)
+    verify_lemma(0)
+    small = _cached_entries()
+    verify_odd_vanishing(41)
+    verify_lemma(11)
+    assert _cached_entries() == small
 
 
 def test_run_all_small_config_passes_and_covers_everything():
