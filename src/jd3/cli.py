@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     everything.add_argument("--max-legs-even", type=int, default=30, metavar="N")
     everything.add_argument("--max-d-lemma", type=int, default=8, metavar="D")
     everything.add_argument("--max-d-asym", type=int, default=6, metavar="D")
-    everything.add_argument("--self-test-fail", action="store_true", help=argparse.SUPPRESS)
     _add_output_flags(everything)
 
     return parser
@@ -101,11 +100,20 @@ def _parse_regimes(args: argparse.Namespace) -> tuple[Regime, ...]:
 
 
 def _check_report_paths(args: argparse.Namespace) -> None:
-    """Fail before any suite runs if a --json/--csv path cannot be opened; leave no new file."""
-    for path in filter(None, (getattr(args, "json", None), getattr(args, "csv", None))):
-        existed = os.path.exists(path)
-        open(path, "a").close()
-        if not existed:
+    """Fail before any suite runs on a --json/--csv path that cannot be opened, or on
+    both naming one file (the CSV would overwrite the JSON); leave no new file."""
+    paths = [p for p in (getattr(args, "json", None), getattr(args, "csv", None)) if p]
+    created = []
+    try:
+        for path in paths:
+            existed = os.path.exists(path)
+            open(path, "a").close()
+            if not existed:
+                created.append(path)
+        if len(paths) == 2 and os.path.samefile(*paths):
+            raise ValueError(f"--json and --csv name the same file: {paths[1]}")
+    finally:
+        for path in created:
             os.remove(path)
 
 
@@ -122,7 +130,9 @@ def _emit(report: Report, args: argparse.Namespace) -> int:
 
 
 def _run_dims(args: argparse.Namespace) -> int:
-    space = tet_slice(args.legs, args.parity)
+    if (args.legs % 2 == 1) != (args.parity == "odd"):
+        raise ValueError(f"parity {args.parity!r} does not match legs={args.legs}")
+    space = tet_slice(args.legs)
     if args.parity == "even":
         print(
             f"legs={args.legs} parity=even dim={space.dim} "
@@ -155,7 +165,6 @@ def main(argv: list[str] | None = None) -> int:
                 even_max_legs=args.max_legs_even,
                 lemma_max_d=args.max_d_lemma,
                 asym_max_d=args.max_d_asym,
-                corrupt_even_closed_form=args.self_test_fail,
             )
             return _emit(run_all(config), args)
         if args.suite == "odd":

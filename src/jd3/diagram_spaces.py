@@ -107,18 +107,9 @@ class DegreeInfo:
 class SliceSpace:
     """A graded slice: orbit basis, the rows it consumed on the standard orbits, rank."""
 
-    legs: int
-    parity: str
     basis: list[tuple[int, ...]]
     span_matrix: QMatrix
     dim: int
-
-
-def _check_parity(legs: int, parity: str) -> None:
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
-    if (legs % 2 == 1) != (parity == "odd"):
-        raise ValueError(f"parity {parity!r} does not match legs={legs}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +220,6 @@ class _SkewSliceContext:
     """
 
     def __init__(self, legs: int) -> None:
-        self.legs = legs
         self.signed = legs % 2 == 1
         self.basis = _orbit_reps(legs, self.signed)
         self.index = {rep: i for i, rep in enumerate(self.basis)}
@@ -294,38 +284,38 @@ class _SkewSliceContext:
                     r[j] -= c * v
         return [r[s] for s in self.standard]
 
-    def span(self, rows, stop_at_ambient: bool = False) -> SliceSpace:
+    def span(self, rows) -> SliceSpace:
         """The slice spanned by odd-degree rows in the quotient by e1.
 
-        Rows are consumed lazily.  With stop_at_ambient, consumption stops
-        once the rows span the whole quotient: no further row is built, since
-        none could enlarge the span.
+        Rows are consumed lazily, and consumption stops once the rows span
+        the whole quotient: a rank cannot exceed the column count, so no
+        later row is built.
         """
         cols = len(self.standard)
         span = RowSpan(cols)
         kept = []
         rows = iter(rows)
-        while not (stop_at_ambient and span.rank == cols) and (row := next(rows, None)) is not None:
+        while span.rank < cols and (row := next(rows, None)) is not None:
             kept.append(self.quotient_row(row))
             span.add(kept[-1])
-        return SliceSpace(self.legs, "odd", self.basis, QMatrix.from_rows(kept, cols=cols), span.rank)
+        return SliceSpace(self.basis, QMatrix.from_rows(kept, cols=cols), span.rank)
 
 
-def tet_slice(legs: int, parity: str) -> SliceSpace:
+def tet_slice(legs: int) -> SliceSpace:
     """Graded slice of the tetrahedron space at the given leg count.
 
-    The certified e1-rows are independent, so the standard orbits are a
-    basis of the quotient: the slice is the identity on them and its
-    dimension is their count.
+    The leg count's parity picks the action: signed in odd degree, plain
+    in even degree.  The certified e1-rows are independent, so the
+    standard orbits are a basis of the quotient: the slice is the identity
+    on them and its dimension is their count.
     """
     _coverage.touch("diagram_spaces.tet_slice")
     if legs < 0:
         raise ValueError("legs must be non-negative")
-    _check_parity(legs, parity)
     ctx = _SkewSliceContext(legs)
     n = len(ctx.standard)
     identity = QMatrix(n, n, [int(i == j) for i in range(n) for j in range(n)])
-    return SliceSpace(legs, parity, ctx.basis, identity, n)
+    return SliceSpace(ctx.basis, identity, n)
 
 
 def odd_target_dim(legs: int) -> int:
@@ -393,7 +383,7 @@ _FAMILIES = {
 }
 
 
-def _family_slice(family: str, legs: int, stop_at_ambient: bool) -> SliceSpace:
+def _family_slice(family: str, legs: int) -> SliceSpace:
     """Span of one skew-symmetrized generator family at an odd leg count.
 
     All generators lie in the signed-isotypic part of the slice, so the
@@ -418,10 +408,10 @@ def _family_slice(family: str, legs: int, stop_at_ambient: bool) -> SliceSpace:
     ctx = _SkewSliceContext(legs)
     order = list(generators(legs))
     random.Random(_GENERATOR_SHUFFLE_SEED).shuffle(order)
-    return ctx.span((ctx.skew_row(build(power, gen)) for gen in order), stop_at_ambient)
+    return ctx.span(ctx.skew_row(build(power, gen)) for gen in order)
 
 
-def ihx_image_slice(legs: int, stop_at_ambient: bool = True) -> SliceSpace:
+def ihx_image_slice(legs: int) -> SliceSpace:
     """Span of the skew-symmetrized IHX-image generators at odd leg count.
 
     Generators are (x1^a x5^b + x1^b x5^a) x4^c (-x2)^d over all
@@ -429,17 +419,17 @@ def ihx_image_slice(legs: int, stop_at_ambient: bool = True) -> SliceSpace:
     in the first two exponents, so the other half repeats rows).
     """
     _coverage.touch("diagram_spaces.ihx_image_slice")
-    return _family_slice("ihx_image", legs, stop_at_ambient)
+    return _family_slice("ihx_image", legs)
 
 
-def subring_family_slice(legs: int, stop_at_ambient: bool = True) -> SliceSpace:
+def subring_family_slice(legs: int) -> SliceSpace:
     """Span of skew-symmetrized (x1 x2)^n x4^a x5^b with 2n + a + b = legs.
 
     In y-coordinates the generators generate the odd part of the subring
     in y1-y3, y2-y3 and (y1-y4)(y2-y4) (up to scale factors of 4).
     """
     _coverage.touch("diagram_spaces.subring_family_slice")
-    return _family_slice("subring_family", legs, stop_at_ambient)
+    return _family_slice("subring_family", legs)
 
 
 def tsq_odd_dim(legs: int) -> int:

@@ -22,13 +22,12 @@ def _check_ints(entries: Sequence) -> None:
 
 
 def _primitive_int_row(row: Sequence[int]) -> list[int] | None:
-    """Divide an integer row by its content, with positive leading entry.
+    """Divide a row of ints (checked by the caller) by its content, with positive leading entry.
 
     Returns None for the zero row.  Rows that are rational multiples of
     each other map to the same primitive row, so this doubles as a
     canonical form for duplicate detection.
     """
-    _check_ints(row)
     g = gcd(*row)
     if g == 0:
         return None
@@ -120,6 +119,7 @@ class RowSpan:
         """Reduction of the row against the basis, up to a nonzero scalar."""
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
+        _check_ints(vec)
         v = _primitive_int_row(vec)
         if v is None:
             return [0] * self.cols
@@ -146,10 +146,10 @@ class RowSpan:
 def rank(m: QMatrix) -> int:
     """Exact rank over the rationals.
 
-    Rows are brought to primitive integer form first; duplicate rows (up
-    to scaling) are skipped before elimination, since they cannot change
-    the rank and the spanning-set matrices built elsewhere in this
-    package repeat rows heavily.
+    Rows are brought to primitive integer form first; zero rows and repeats
+    (up to scaling) cannot change the rank and are skipped before elimination.
+    Most rows this package ranks are zero (the four-arc graph's odd images),
+    and a repeat would otherwise cost a full reduction against the basis.
     """
     span = RowSpan(m.cols)
     seen: set[tuple[int, ...]] = set()

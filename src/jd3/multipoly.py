@@ -147,8 +147,8 @@ class Poly:
         return cls._raw(vars, {exps: 1})
 
     @classmethod
-    def monomial(cls, vars: VarSet, exps, coeff=1) -> "Poly":
-        return cls(vars, {tuple(exps): coeff})
+    def monomial(cls, vars: VarSet, exps) -> "Poly":
+        return cls(vars, {tuple(exps): 1})
 
     def _check_same_vars(self, other: "Poly") -> None:
         if self.vars != other.vars:

@@ -184,7 +184,7 @@ def verify_odd_vanishing(max_legs: int) -> Report:
             f"odd.ambient_dim.L={legs}",
             params,
             str(odd_target_dim(legs)),
-            lambda: keep("ambient", tet_slice(legs, "odd")),
+            lambda: keep("ambient", tet_slice(legs)),
         )
         image = _timed_check(
             f"odd.image_dim.L={legs}",
@@ -213,21 +213,20 @@ def verify_odd_vanishing(max_legs: int) -> Report:
     return report.finalize()
 
 
-def verify_even_dims(max_legs: int, corrupt_closed_form: bool = False) -> Report:
+def verify_even_dims(max_legs: int) -> Report:
     """Three-way agreement: symmetrizer rank, closed form, series coefficient.
 
-    corrupt_closed_form is a test hook that shifts the closed form by one
-    so the failure path of the harness can be exercised end to end.
+    A check fails, showing all three numbers, unless they agree.
     """
     if max_legs < 0:
         raise ValueError("max_legs must be non-negative")
     series = hilbert_coefficients(max_legs)
     report = Report(suite="even")
     for n in range(0, max_legs + 1, 2):
-        closed = even_closed_form(n) + (1 if corrupt_closed_form else 0)
+        closed = even_closed_form(n)
 
         def compute() -> str:
-            direct = tet_slice(n, "even").dim
+            direct = tet_slice(n).dim
             coeff = series[n]
             if direct == closed == coeff:
                 return str(direct)
@@ -508,7 +507,7 @@ def verify_properties(seed: int = DEFAULT_PROPERTY_SEED) -> Report:
     def slice_structure(legs: int) -> str:
         # every basis orbit of the slice, expanded into y1..y3; the images
         # of the e1-rows are zero, so these span the slice
-        for rep in tet_slice(legs, "odd").basis:
+        for rep in tet_slice(legs).basis:
             reduced = eliminate_y4(symmetrize(Poly.monomial(YVARS, rep), skew))
             if reduced.is_zero():
                 continue
@@ -541,7 +540,6 @@ class RunConfig:
     lemma_max_d: int = 8
     asym_max_d: int = 6
     property_seed: int = DEFAULT_PROPERTY_SEED
-    corrupt_even_closed_form: bool = False  # test hook for the failure path
 
     def __post_init__(self) -> None:
         # checked before any suite runs, so a bad cap costs no work
@@ -561,7 +559,7 @@ def run_all(config: RunConfig | None = None) -> Report:
     _coverage.reset()
     reports = [
         verify_odd_vanishing(config.odd_max_legs),
-        verify_even_dims(config.even_max_legs, corrupt_closed_form=config.corrupt_even_closed_form),
+        verify_even_dims(config.even_max_legs),
         verify_lemma(config.lemma_max_d),
         verify_asymptotics(config.asym_max_d),
         verify_properties(seed=config.property_seed),

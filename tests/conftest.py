@@ -18,3 +18,12 @@ def child_env():
     src = str(Path(jd3.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.fixture
+def wrong_closed_form(monkeypatch):
+    """The verifier's even closed form, one more than the true one: the suites' failure path."""
+    from jd3 import verifier
+
+    closed_form = verifier.even_closed_form
+    monkeypatch.setattr(verifier, "even_closed_form", lambda legs: closed_form(legs) + 1)

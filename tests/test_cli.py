@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, outputs, report files."""
 
 import csv
+import itertools
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +112,9 @@ def test_dims_odd(capsys):
 
 def test_dims_parity_mismatch_exits_2(capsys):
     assert main(["dims", "--parity", "odd", "--legs", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "jd3: error: parity 'odd' does not match legs=8\n"
 
 
 def test_dims_with_a_broken_e1_certificate_exits_2(monkeypatch, capsys):
@@ -164,7 +169,7 @@ def test_unwritable_report_path_exits_2(tmp_path, capsys, flag):
     assert not path.exists() and not other.exists()
 
 
-def test_all_with_self_test_fail_exits_1(capsys):
+def test_all_with_a_wrong_closed_form_exits_1(capsys, wrong_closed_form):
     code = main(
         [
             "all",
@@ -176,10 +181,36 @@ def test_all_with_self_test_fail_exits_1(capsys):
             "0",
             "--max-d-asym",
             "0",
-            "--self-test-fail",
         ]
     )
     assert code == 1
+
+
+def test_all_self_test_fail_is_an_unrecognized_argument(capsys):
+    assert main(["all", "--self-test-fail"]) == 2
+    assert "unrecognized arguments: --self-test-fail" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_json_and_csv_naming_one_file_exits_2(monkeypatch, tmp_path, capsys, existing):
+    # two spellings of one path; the CSV would overwrite the JSON
+    (tmp_path / "sub").mkdir()
+    path = tmp_path / "report"
+    if existing:
+        path.write_text("kept\n")
+    monkeypatch.setattr("jd3.cli.verify_even_dims", lambda *a: pytest.fail("a suite ran"))
+    other_spelling = tmp_path / "sub" / ".." / "report"
+    code = main(
+        ["verify", "even", "--max-legs", "4", "--json", str(path), "--csv", str(other_spelling)]
+    )
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("jd3: error: --json and --csv name the same file")
+    if existing:
+        assert path.read_text() == "kept\n"
+    else:
+        assert not path.exists()
 
 
 def test_all_small_passes(capsys, tmp_path):
@@ -220,3 +251,15 @@ def test_module_entry_point_subprocess(child_env):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+def test_readme_examples_print_what_they_show(capsys):
+    # each `$ jd3 ...` line of the README, followed by the exact output it shows
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    examples = [(i, line) for i, line in enumerate(lines) if line.startswith("$ jd3 ")]
+    assert [line for _, line in examples] == ["$ jd3 dims --parity odd --legs 9"]
+    for i, line in examples:
+        shown = list(itertools.takewhile(lambda out: out != "```", lines[i + 1 :]))
+        assert main(line.split()[2:]) == 0
+        assert capsys.readouterr().out.splitlines() == shown
+    assert shown == ["legs=9 parity=odd dim=1 target=1 image_dim=1 quotient_dim=0"]

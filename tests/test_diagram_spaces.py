@@ -33,14 +33,17 @@ from jd3.diagram_spaces import (
 from jd3.linalg import QMatrix, RowSpan, rank, row_space_equal
 from jd3.multipoly import (
     Poly,
+    QPowers,
     XVARS,
     YVARS,
     Y3VARS,
     degree_slice_monomials,
     elementary_symmetric,
+    q_alternant_row,
     signed_s4,
     symmetrize,
 )
+from jd3.verifier import _lemma_triples
 
 X = {n: Poly.variable(XVARS, n) for n in XVARS.names}
 Y = {n: Poly.variable(YVARS, n) for n in YVARS.names}
@@ -237,13 +240,13 @@ def test_round_trip_y_x_y():
 
 
 def test_tet_slice_trivial_degrees():
-    assert tet_slice(0, "even").dim == 1
-    assert tet_slice(1, "odd").dim == 0
-    assert tet_slice(2, "even").dim == 1
+    assert tet_slice(0).dim == 1
+    assert tet_slice(1).dim == 0
+    assert tet_slice(2).dim == 1
 
 
 def test_tet_slice_degree_nine():
-    space = tet_slice(9, "odd")
+    space = tet_slice(9)
     assert space.dim == 1
     # strict tuples of 9; e1 times the alternants of (5,2,1,0) and (4,3,1,0)
     # lead at (6,2,1,0) and (5,3,1,0), leaving one standard orbit
@@ -258,22 +261,24 @@ def test_tet_slice_degree_nine():
 
 
 def test_tet_slice_parity_enforced():
+    # the leg count alone fixes the parity: signed orbits (strict tuples) in
+    # odd degree, plain orbits in even degree
+    assert tet_slice(9).basis == orbit_reps_oracle(9, strict=True)
+    assert tet_slice(8).basis == orbit_reps_oracle(8, strict=False)
+    with pytest.raises(TypeError):
+        tet_slice(9, "odd")
     with pytest.raises(ValueError):
-        tet_slice(4, "odd")
-    with pytest.raises(ValueError):
-        tet_slice(9, "even")
-    with pytest.raises(ValueError):
-        tet_slice(3, "other")
+        tet_slice(-1)
 
 
 def test_tet_slice_even_dims_match_partition_oracle():
     for n in range(0, 17, 2):
-        assert tet_slice(n, "even").dim == count_even_partitions(n)
+        assert tet_slice(n).dim == count_even_partitions(n)
 
 
 def test_tet_slice_odd_dims_match_target_oracle():
     for legs in range(1, 18, 2):
-        assert tet_slice(legs, "odd").dim == count_odd_targets(legs) == odd_target_dim(legs)
+        assert tet_slice(legs).dim == count_odd_targets(legs) == odd_target_dim(legs)
 
 
 def test_tet_slice_rows_are_symmetrizer_images():
@@ -281,7 +286,7 @@ def test_tet_slice_rows_are_symmetrizer_images():
     # symmetrizer image of e1 * y^mu (mu one degree lower) and vanishes in
     # the quotient; the slice itself is the identity on the standard orbits
     for legs in (10, 11, 13):
-        space = tet_slice(legs, "odd" if legs % 2 else "even")
+        space = tet_slice(legs)
         ctx = _SkewSliceContext(legs)
         strict = legs % 2 == 1
         assert space.basis == ctx.basis == orbit_reps_oracle(legs, strict)
@@ -378,17 +383,42 @@ def test_span_family_chain_equalities(legs):
 
 
 def test_early_stop_spans_match_full_construction():
-    for family in (ihx_image_slice, subring_family_slice):
+    # the full span, built here from every generator of the family, against
+    # the slice, which stops consuming generators at full rank
+    families = (("ihx_image", ihx_image_slice), ("subring_family", subring_family_slice))
+    for family, slice_of in families:
         for legs in (9, 11):
-            stopped = family(legs)
-            full = family(legs, stop_at_ambient=False)
-            assert stopped.dim == full.dim
-            assert row_space_equal(stopped.span_matrix, full.span_matrix)
+            stopped = slice_of(legs)
+            ctx = _SkewSliceContext(legs)
+            images = family_images(family, legs, _edge_differences())
+            rows = [ctx.quotient_row(ctx.skew_row(p)) for p in images]
+            cols = len(ctx.standard)
+            full = RowSpan(cols)
+            for row in rows:
+                full.add(row)
+            assert stopped.dim == full.rank
+            assert row_space_equal(stopped.span_matrix, QMatrix.from_rows(rows, cols=cols))
+
+
+def test_span_builds_no_row_after_full_rank():
+    # the lemma's Q rows of one degree span the slice; a row asked for after them raises
+    d = 5
+    ctx = _SkewSliceContext(2 * d + 9)
+    powers = QPowers()
+
+    def rows():
+        for n, m, k in _lemma_triples(d):
+            yield q_alternant_row(n, m, k, ctx.basis, powers)
+        raise AssertionError("a row was built after full rank")
+
+    space = ctx.span(rows())
+    assert space.dim == len(ctx.standard) == odd_target_dim(2 * d + 9) == len(_lemma_triples(d))
+    assert space.span_matrix.rows == space.dim
 
 
 def test_image_dim_equals_ambient_through_15():
     for legs in range(1, 16, 2):
-        assert ihx_image_slice(legs).dim == tet_slice(legs, "odd").dim
+        assert ihx_image_slice(legs).dim == tet_slice(legs).dim
 
 
 # --- the four-arc graph ------------------------------------------------------
@@ -453,7 +483,7 @@ def test_hilbert_rejects_negative_shift(shift):
 def test_three_way_dimension_agreement_small():
     series = hilbert_coefficients(12)
     for n in range(0, 13, 2):
-        assert tet_slice(n, "even").dim == even_closed_form(n) == series[n]
+        assert tet_slice(n).dim == even_closed_form(n) == series[n]
 
 
 # --- the integer orbit-basis route against the Fraction route -----------------
@@ -483,9 +513,8 @@ def test_skew_row_expands_to_symmetrizer_image(drawn):
 @settings(max_examples=8, deadline=None)
 @given(st.integers(0, 15))
 def test_slice_dims_match_fraction_oracle(legs):
-    parity = "odd" if legs % 2 else "even"
     ambient = oracle_tet_dim(legs)
-    assert tet_slice(legs, parity).dim == ambient
+    assert tet_slice(legs).dim == ambient
     if legs % 2:
         for family, slice_of in (
             ("ihx_image", ihx_image_slice),
@@ -532,9 +561,9 @@ def test_quotient_row_is_odd_only():
 
 def test_slices_past_the_paper_caps():
     for legs in range(31, 42, 2):
-        assert tet_slice(legs, "odd").dim == ihx_image_slice(legs).dim == odd_target_dim(legs)
+        assert tet_slice(legs).dim == ihx_image_slice(legs).dim == odd_target_dim(legs)
     for n in range(32, 49, 2):
-        assert tet_slice(n, "even").dim == even_closed_form(n)
+        assert tet_slice(n).dim == even_closed_form(n)
 
 
 def _stack_depth():

@@ -126,6 +126,30 @@ def test_non_int_entries_raise_type_error():
     assert span.add([2, 4]) and span.pivot_rows == [(0, [1, 2])]
 
 
+def test_rowspan_reduce_checks_its_input_once_and_its_own_rows_never(monkeypatch):
+    from jd3 import linalg
+
+    with pytest.raises(TypeError):
+        RowSpan(2).reduce([0, 0.0])  # a zero row is checked too
+    checked = []
+    check_ints = linalg._check_ints
+
+    def recording(row):
+        checked.append(list(row))
+        check_ints(row)
+
+    monkeypatch.setattr(linalg, "_check_ints", recording)
+    span = RowSpan(3)
+    span.add([2, 4, 0])
+    span.add([1, 1, 1])
+    assert span.reduce([3, 3, 3]) == [0, 0, 0]
+    assert checked == [[2, 4, 0], [1, 1, 1], [3, 3, 3]]
+    checked.clear()
+    assert rank(QMatrix.from_rows([[0, 0], [1, 2], [2, 4], [0, 1]])) == 2
+    # QMatrix checks its entries; rank hands RowSpan only the distinct nonzero rows
+    assert checked == [[0, 0, 1, 2, 2, 4, 0, 1], [1, 2], [0, 1]]
+
+
 small_matrix = st.integers(1, 4).flatmap(
     lambda c: st.lists(
         st.lists(st.integers(-6, 6), min_size=c, max_size=c), min_size=1, max_size=4

@@ -60,8 +60,8 @@ def test_even_suite_single_check_at_zero():
     assert report.checks[0].actual == "1"
 
 
-def test_even_suite_corrupt_hook_fails():
-    report = verify_even_dims(4, corrupt_closed_form=True)
+def test_even_suite_corrupt_hook_fails(wrong_closed_form):
+    report = verify_even_dims(4)
     assert not report.all_passed
     assert report.summary["failed"] == report.summary["total"]
 
@@ -246,14 +246,8 @@ def test_run_all_small_config_passes_and_covers_everything():
     assert coverage_checks[0].actual == "every operation exercised"
 
 
-def test_run_all_corrupt_hook_reports_failures():
-    config = RunConfig(
-        odd_max_legs=1,
-        even_max_legs=2,
-        lemma_max_d=0,
-        asym_max_d=0,
-        corrupt_even_closed_form=True,
-    )
+def test_run_all_corrupt_hook_reports_failures(wrong_closed_form):
+    config = RunConfig(odd_max_legs=1, even_max_legs=2, lemma_max_d=0, asym_max_d=0)
     report = run_all(config)
     assert not report.all_passed
     failing = [c for c in report.checks if not c.passed]
