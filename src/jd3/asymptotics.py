@@ -38,9 +38,6 @@ class ExpVector:
     beta: int
     gamma: int
 
-    def value_at(self, regime: "Regime") -> Fraction:
-        return self.alpha * regime.a + self.beta * regime.b + self.gamma * regime.c
-
     def __str__(self) -> str:
         parts = []
         for coeff, sym in ((self.alpha, "a"), (self.beta, "b"), (self.gamma, "c")):
@@ -157,7 +154,7 @@ class PuiseuxPoly:
             classes.setdefault(alpha * wa + beta * wb + gamma * wc, []).append(exps)
         return classes
 
-    def _merged(self, members: list[tuple[int, int, int]]) -> tuple[int | Fraction, int]:
+    def _merged(self, members: list[tuple[int, int, int]]) -> tuple[int, int]:
         """(s, D) with s/4^D the merged coefficient of a class; D is its largest degree."""
         terms = self.poly.terms
         if len(members) == 1:
@@ -264,25 +261,6 @@ def expected_q_leading(n: int, m: int, k: int, regime_id: str) -> tuple[Fraction
     return coeff, vec
 
 
-@dataclass(frozen=True)
-class QAsymptoticsCheck:
-    """Outcome of one leading-term comparison, with the exact values seen."""
-
-    n: int
-    m: int
-    k: int
-    regime_id: str
-    expected_coeff: Fraction
-    expected_exp: ExpVector
-    actual_coeff: Fraction
-    actual_exp: ExpVector
-    top_class_vectors: tuple[ExpVector, ...]
-    passed: bool = field(default=False)
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
 @lru_cache(maxsize=None)
 def _regime_factor(regime_id: str, which: str, args: tuple[str, ...]) -> Poly:
     """P2/P3/P4 under four times the regime substitution: an integer t-polynomial."""
@@ -300,8 +278,10 @@ def substituted_q(n: int, m: int, k: int, regime: Regime) -> PuiseuxPoly:
     return PuiseuxPoly(regime, assemble_q(n, m, k, partial(_regime_factor, regime.id)))
 
 
-def verify_q_asymptotics(n: int, m: int, k: int, regime: Regime) -> QAsymptoticsCheck:
-    """Exact comparison of the computed leading term against the closed form.
+def verify_q_asymptotics(
+    n: int, m: int, k: int, regime: Regime
+) -> tuple[Fraction, ExpVector, bool]:
+    """The computed leading coefficient and exponent, and whether they match the closed form.
 
     Passes only when the top exponent class consists of the single
     expected vector and the merged coefficient equals the expected one,
@@ -320,15 +300,4 @@ def verify_q_asymptotics(n: int, m: int, k: int, regime: Regime) -> QAsymptotics
         and actual_exp == expected_exp
         and top_vecs == (expected_exp,)
     )
-    return QAsymptoticsCheck(
-        n=n,
-        m=m,
-        k=k,
-        regime_id=regime.id,
-        expected_coeff=expected_coeff,
-        expected_exp=expected_exp,
-        actual_coeff=actual_coeff,
-        actual_exp=actual_exp,
-        top_class_vectors=top_vecs,
-        passed=passed,
-    )
+    return actual_coeff, actual_exp, passed

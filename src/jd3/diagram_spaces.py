@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import _coverage
@@ -51,8 +50,6 @@ from .multipoly import (
     act,
     degree_slice_monomials,
 )
-
-_QUARTER = Fraction(1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -88,21 +85,6 @@ CATALOG: tuple[InternalGraph, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class DegreeInfo:
-    """Leg count with the induced grading data of a 3-loop diagram."""
-
-    legs: int
-    jacobi_degree: int
-    parity: str
-
-    @classmethod
-    def from_legs(cls, legs: int) -> "DegreeInfo":
-        if legs < 0:
-            raise ValueError("leg count must be non-negative")
-        return cls(legs=legs, jacobi_degree=legs + 2, parity="odd" if legs % 2 else "even")
-
-
 @dataclass
 class SliceSpace:
     """A graded slice: orbit basis, the rows it consumed on the standard orbits, rank."""
@@ -118,8 +100,15 @@ class SliceSpace:
 
 
 @lru_cache(maxsize=None)
-def _edge_differences() -> dict[str, Poly]:
-    """Four times the image of each edge variable: an integer difference y_i - y_j."""
+def x_from_y_map() -> dict[str, Poly]:
+    """Images of the six edge variables as integer differences y_i - y_j.
+
+    Each is four times the paper's image, a quarter of that difference, as
+    `regime_images` also keeps four times the paper's.  x3 and x6 are
+    forced by the three linear edge relations (x1 - x2 - x6,
+    x1 - x3 + x5, x4 + x5 + x6), which all map to 0 identically under
+    these images.
+    """
     y = {n: Poly.variable(YVARS, n) for n in YVARS.names}
     return {
         "x1": y["y1"] - y["y4"],
@@ -131,20 +120,8 @@ def _edge_differences() -> dict[str, Poly]:
     }
 
 
-@lru_cache(maxsize=None)
-def x_from_y_map() -> dict[str, Poly]:
-    """Images of the six edge variables as y-polynomials.
-
-    Each image is a quarter of a difference y_i - y_j.  x3 and x6 are
-    forced by the three linear edge relations (x1 - x2 - x6,
-    x1 - x3 + x5, x4 + x5 + x6), which all map to 0 identically under
-    these images.
-    """
-    return {name: d.scale(_QUARTER) for name, d in _edge_differences().items()}
-
-
 def x_from_y(var: str) -> Poly:
-    """Image of one edge variable x1..x6 in the face variables y1..y4."""
+    """Image of one edge variable x1..x6: four times the paper's, a difference y_i - y_j."""
     _coverage.touch("diagram_spaces.x_from_y")
     images = x_from_y_map()
     if var not in images:
@@ -153,11 +130,13 @@ def x_from_y(var: str) -> Poly:
 
 
 def y_from_x(p: Poly) -> Poly:
-    """Rewrite a polynomial in x1..x6 as a polynomial in y1..y4.
+    """Rewrite a polynomial in x1..x6 as a polynomial in y1..y4, through `x_from_y_map`.
 
-    Polynomials congruent modulo the edge relations land on y-polynomials
-    congruent modulo (y1+y2+y3+y4); compare after eliminate_y4 when
-    working in the quotient.
+    This is the paper's change of variables followed by y -> 4y: the part
+    of degree d comes out 4^d times the paper's image.  Polynomials
+    congruent modulo the edge relations land on y-polynomials congruent
+    modulo (y1+y2+y3+y4); compare after eliminate_y4 when working in the
+    quotient.
     """
     _coverage.touch("diagram_spaces.y_from_x")
     if p.vars != XVARS:
@@ -388,14 +367,14 @@ def _family_slice(family: str, legs: int) -> SliceSpace:
 
     All generators lie in the signed-isotypic part of the slice, so the
     construction stops once the running span is the whole ambient slice.
-    The x-variables enter as the integer differences y_i - y_j, four times
-    their images: every generator is homogeneous of degree `legs` in them,
-    so this scales each row by 4^legs and leaves the span unchanged.
+    The x-variables enter through `x_from_y_map`, four times the paper's
+    images: every generator is homogeneous of degree `legs` in them, so
+    each row is 4^legs times the paper's and the span is the same.
     """
     if legs % 2 == 0:
         raise ValueError(f"{family}_slice expects an odd leg count")
     generators, build = _FAMILIES[family]
-    x = _edge_differences()
+    x = x_from_y_map()
     bases = {**x, "x1*x2": x["x1"] * x["x2"]}
     powers: dict[tuple[str, int], Poly] = {}
 

@@ -77,9 +77,6 @@ class QMatrix:
     def row(self, i: int) -> list[int]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def row_lists(self) -> list[list[int]]:
-        return [self.row(i) for i in range(self.rows)]
-
     def stack(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.cols:
             raise ValueError("cannot stack matrices with different column counts")

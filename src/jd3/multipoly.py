@@ -1,15 +1,15 @@
-"""Multivariate polynomials over the rationals with signed group actions.
+"""Multivariate polynomials over the integers with signed group actions.
 
-Polynomials are sparse maps from exponent tuples to exact rational
-coefficients, over a fixed ordered variable set.  An integral coefficient
-is stored as an `int` and only a non-integral one as a `Fraction`, so
-products of integer polynomials never leave machine-int arithmetic.  A
+Polynomials are sparse maps from exponent tuples to nonzero `int`
+coefficients, over a fixed ordered variable set; a coefficient that is
+not an `int` raises `TypeError`, so ring operations never leave integer
+arithmetic.  A rational number appears only in `evaluate`.  A
 product packs each exponent tuple into one int, with enough bits per
 coordinate that adding two packed keys multiplies the monomials (packed
 exponent vectors, as in Monagan and Pearce, CASC 2007); the term maps
 themselves stay keyed by tuples.  On top of the ring operations this
-module provides the signed permutation actions of S4, the (skew)
-symmetrizer, elementary symmetric polynomials, the discriminant, the
+module provides the signed permutation actions of S4 and their group
+sums, elementary symmetric polynomials, the discriminant, the
 P2/P3/P4 building blocks and the Q^{n,m,k} family used by the
 verification suites, exact division, and graded monomial enumeration.
 """
@@ -21,12 +21,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, inf
+from math import comb
 from operator import add
 
 from . import _coverage
-
-NEG_INF = -inf  # total degree of the zero polynomial
 
 
 class NotDivisibleError(ArithmeticError):
@@ -76,12 +74,11 @@ def _exact(x) -> int | Fraction:
     raise TypeError(f"exact numbers are int or Fraction, not {type(x).__name__}")
 
 
-def _exact_terms(terms: dict) -> dict:
-    """Rewrite integral Fraction coefficients of a term map as ints, in place."""
-    for e, c in terms.items():
-        if type(c) is not int and c.denominator == 1:
-            terms[e] = c.numerator
-    return terms
+def _int(c) -> int:
+    """c if it is an int; anything else, an integral rational too, raises TypeError."""
+    if type(c) is not int:
+        raise TypeError(f"coefficients are int, not {type(c).__name__}")
+    return c
 
 
 def _max_exponent(terms: dict) -> int:
@@ -98,13 +95,13 @@ def _pack(exps: tuple[int, ...], shift: int) -> int:
 
 
 class Poly:
-    """Sparse polynomial: map from exponent tuple to nonzero int or Fraction."""
+    """Sparse polynomial: map from exponent tuple to nonzero int."""
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: VarSet, terms: dict | None = None) -> None:
         self.vars = vars
-        clean: dict[tuple[int, ...], int | Fraction] = {}
+        clean: dict[tuple[int, ...], int] = {}
         if terms:
             n = len(vars)
             for exps, coeff in terms.items():
@@ -116,9 +113,8 @@ class Poly:
                         raise TypeError(f"exponents are int, not {type(e).__name__}")
                     if e < 0:
                         raise ValueError("negative exponent")
-                c = _exact(coeff)
-                if c:
-                    clean[exps] = c
+                if _int(coeff):
+                    clean[exps] = coeff
         self.terms = clean
 
     @classmethod
@@ -135,8 +131,7 @@ class Poly:
 
     @classmethod
     def constant(cls, vars: VarSet, c) -> "Poly":
-        c = _exact(c)
-        if not c:
+        if not _int(c):
             return cls.zero(vars)
         return cls._raw(vars, {(0,) * len(vars): c})
 
@@ -157,18 +152,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self):
-        """Total degree; -inf for the zero polynomial."""
-        if not self.terms:
-            return NEG_INF
-        return max(sum(e) for e in self.terms)
-
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def coefficient(self, exps) -> int | Fraction:
-        return self.terms.get(tuple(exps), 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
@@ -188,7 +174,7 @@ class Poly:
                 out[e] = s
             elif e in out:
                 del out[e]
-        return Poly._raw(self.vars, _exact_terms(out))
+        return Poly._raw(self.vars, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -209,27 +195,21 @@ class Poly:
             a, b = b, a
         shift = (_max_exponent(a) + _max_exponent(b)).bit_length()
         b_packed = [(_pack(e, shift), c) for e, c in b.items()]
-        out: defaultdict[int, int | Fraction] = defaultdict(int)
+        out: defaultdict[int, int] = defaultdict(int)
         for e1, c1 in a.items():
             k1 = _pack(e1, shift)
             for k2, c2 in b_packed:
                 out[k1 + k2] += c1 * c2
         mask = (1 << shift) - 1
         offsets = [shift * i for i in reversed(range(len(self.vars)))]
-        terms: dict[tuple[int, ...], int | Fraction] = {}
-        for k, c in out.items():
-            if c:
-                if type(c) is not int and c.denominator == 1:
-                    c = c.numerator
-                terms[tuple([(k >> o) & mask for o in offsets])] = c
+        terms = {tuple([(k >> o) & mask for o in offsets]): c for k, c in out.items() if c}
         return Poly._raw(self.vars, terms)
 
     def scale(self, c) -> "Poly":
         _coverage.touch("multipoly.ring_ops")
-        c = _exact(c)
-        if not c:
+        if not _int(c):
             return Poly.zero(self.vars)
-        return Poly._raw(self.vars, _exact_terms({e: c * v for e, v in self.terms.items()}))
+        return Poly._raw(self.vars, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
@@ -277,7 +257,7 @@ class Poly:
                 cache[e] = hit
             return hit
 
-        acc: dict[tuple[int, ...], int | Fraction] = {}
+        acc: dict[tuple[int, ...], int] = {}
         one = Poly.constant(target, 1)
         for exps, coeff in self.terms.items():
             factor: Poly | None = None
@@ -294,7 +274,7 @@ class Poly:
                     acc[k] = s
                 elif k in acc:
                     del acc[k]
-        return Poly._raw(target, _exact_terms(acc))
+        return Poly._raw(target, acc)
 
     def evaluate(self, point: dict[str, int | Fraction]) -> Fraction:
         """Exact value at a point; a float value raises TypeError."""
@@ -308,14 +288,14 @@ class Poly:
             total += v
         return total
 
-    def leading(self) -> tuple[tuple[int, ...], int | Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], int]:
         """Graded-lex leading term (degree first, then lex on exponents)."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=lambda t: (sum(t), t))
         return e, self.terms[e]
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
     def __repr__(self) -> str:
@@ -395,17 +375,19 @@ def signed_s4(vars: VarSet, character: str) -> list[SignedPermAction]:
 
 
 def symmetrize(p: Poly, group: list[SignedPermAction]) -> Poly:
-    """Group average (1/|G|) sum of the signed actions; a linear projector.
+    """The signed group sum, the sum over g of chi(g) g.p.
 
-    The input must be homogeneous: the character choice is per-degree, so
-    mixing degrees under one character would be meaningless.
+    This is |G| times the projector onto the chi-isotypic part, so it stays
+    integral, and applying it twice multiplies by |G|.  The input must be
+    homogeneous: the character choice is per-degree, so mixing degrees
+    under one character would be meaningless.
     """
     _coverage.touch("multipoly.symmetrize")
     if not group:
         raise ValueError("empty group")
     if not p.is_homogeneous():
         raise ValueError("symmetrize requires a homogeneous polynomial")
-    acc: dict[tuple[int, ...], int | Fraction] = {}
+    acc: dict[tuple[int, ...], int] = {}
     for action in group:
         if action.vars != p.vars:
             raise ValueError("group action on a different variable set")
@@ -418,8 +400,7 @@ def symmetrize(p: Poly, group: list[SignedPermAction]) -> Poly:
                 acc[k] = s
             elif k in acc:
                 del acc[k]
-    inv = Fraction(1, len(group))
-    return Poly._raw(p.vars, _exact_terms({e: c * inv for e, c in acc.items()}))
+    return Poly._raw(p.vars, acc)
 
 
 def elementary_symmetric(i: int, vars: VarSet) -> Poly:
@@ -604,11 +585,13 @@ def q_alternant_row(
 
 
 def divide_exact(p: Poly, d: Poly) -> Poly:
-    """Quotient q with p = q*d, or NotDivisibleError if none exists.
+    """Integer quotient q with p = q*d, or NotDivisibleError if none exists.
 
-    Single-divisor multivariate division in graded-lex order: leading
-    terms that the divisor's leading term does not divide go to the
-    remainder, and a nonzero remainder certifies non-divisibility.
+    Single-divisor multivariate division over Z in graded-lex order: a
+    leading term that the divisor's leading term does not divide, or whose
+    coefficient its coefficient does not divide, certifies that no integer
+    quotient exists.  By Gauss's lemma this agrees with division over Q
+    when d is primitive (the gcd of its coefficients is 1).
     """
     _coverage.touch("multipoly.divide_exact")
     p._check_same_vars(d)
@@ -616,18 +599,14 @@ def divide_exact(p: Poly, d: Poly) -> Poly:
         raise ValueError("division by the zero polynomial")
     d_exp, d_coeff = d.leading()
     work = dict(p.terms)
-    quotient: dict[tuple[int, ...], int | Fraction] = {}
-    remainder_seen = False
+    quotient: dict[tuple[int, ...], int] = {}
     while work:
         exps = max(work, key=lambda t: (sum(t), t))
         q_exp = tuple(a - b for a, b in zip(exps, d_exp))
-        if any(e < 0 for e in q_exp):
-            # leading term not divisible: it belongs to the remainder
-            del work[exps]
-            remainder_seen = True
-            continue
-        q_coeff = _exact(Fraction(work[exps], d_coeff))
-        quotient[q_exp] = quotient.get(q_exp, 0) + q_coeff
+        q_coeff, rest = divmod(work[exps], d_coeff)
+        if rest or any(e < 0 for e in q_exp):
+            raise NotDivisibleError("polynomial is not divisible by the given divisor")
+        quotient[q_exp] = q_coeff
         # subtract q_coeff * x^q_exp * d; the leading term cancels exactly
         for de, dc in d.terms.items():
             k = tuple(a + b for a, b in zip(q_exp, de))
@@ -636,9 +615,7 @@ def divide_exact(p: Poly, d: Poly) -> Poly:
                 work[k] = s
             elif k in work:
                 del work[k]
-    if remainder_seen:
-        raise NotDivisibleError("polynomial is not divisible by the given divisor")
-    return Poly._raw(p.vars, {e: c for e, c in quotient.items() if c})
+    return Poly._raw(p.vars, quotient)
 
 
 UVWVARS = VarSet(("u", "v", "w"))
@@ -670,10 +647,8 @@ def _uvw_from_uvrs(q: Poly) -> Poly:
     # w = (y1-y4)(y2-y4) = (u+r)(v+r) = uv + (u+v)r + r^2, with s dropped
     u, v, r = (Poly.variable(_UVRS, n) for n in ("u", "v", "r"))
     w = (u + r) * (v + r)
-    work: dict[tuple[int, int, int], int | Fraction] = {
-        (e[0], e[1], e[2]): c for e, c in q.terms.items()
-    }
-    result: dict[tuple[int, int, int], int | Fraction] = {}
+    work: dict[tuple[int, int, int], int] = {(e[0], e[1], e[2]): c for e, c in q.terms.items()}
+    result: dict[tuple[int, int, int], int] = {}
     while work:
         top_r = max(e[2] for e in work)
         if top_r == 0:

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jd3.diagram_spaces import _SkewSliceContext
+from jd3.diagram_spaces import _SkewSliceContext, eliminate_y4
 from jd3.multipoly import (
     NotDivisibleError,
     NotInSubringError,
@@ -39,13 +39,20 @@ from jd3.multipoly import (
 
 Y = {n: Poly.variable(YVARS, n) for n in YVARS.names}
 
+NEG_INF = float("-inf")  # total degree of the zero polynomial
+
+
+def degree(p: Poly):
+    """Total degree; -inf for the zero polynomial."""
+    return max((sum(e) for e in p.terms), default=NEG_INF)
+
 
 def sympy_poly(p: Poly):
     """Independent rendering of a Poly as a sympy expression."""
     symbols = sympy.symbols(p.vars.names)
     expr = sympy.Integer(0)
     for exps, coeff in p.terms.items():
-        term = sympy.Rational(coeff.numerator, coeff.denominator)
+        term = sympy.Integer(coeff)
         for s, e in zip(symbols, exps):
             term *= s**e
         expr += term
@@ -76,8 +83,8 @@ def test_varset_mismatch_rejected():
 
 
 def test_zero_degree_sentinel():
-    assert Poly.zero(YVARS).degree() == float("-inf")
-    assert Poly.constant(YVARS, 5).degree() == 0
+    assert degree(Poly.zero(YVARS)) == float("-inf")
+    assert degree(Poly.constant(YVARS, 5)) == 0
 
 
 # --- substitution ----------------------------------------------------------
@@ -104,14 +111,10 @@ def test_substitute_identity_map():
 
 
 def test_substitute_x1_plus_x5():
-    quarter = Fraction(1, 4)
-    x_map = {
-        "x1": (Y["y1"] - Y["y4"]).scale(quarter),
-        "x5": (Y["y3"] - Y["y1"]).scale(quarter),
-    }
+    x_map = {"x1": Y["y1"] - Y["y4"], "x5": Y["y3"] - Y["y1"]}
     x = {n: Poly.variable(XVARS, n) for n in ("x1", "x5")}
     image = (x["x1"] + x["x5"]).substitute(x_map)
-    assert image == (Y["y3"] - Y["y4"]).scale(quarter)
+    assert image == Y["y3"] - Y["y4"]
 
 
 def test_substitute_unmapped_variable_rejected():
@@ -143,14 +146,16 @@ def test_skew_symmetrize_linear_vanishes():
 
 
 def test_symmetrize_linear_average():
+    # the group sum is 24 times the average (y1+y2+y3+y4)/4
     result = symmetrize(Y["y1"], signed_s4(YVARS, "trivial"))
-    expected = (Y["y1"] + Y["y2"] + Y["y3"] + Y["y4"]).scale(Fraction(1, 4))
+    expected = (Y["y1"] + Y["y2"] + Y["y3"] + Y["y4"]).scale(6)
     assert result == expected
 
 
-def test_skew_symmetrize_staircase_is_discriminant_over_24():
+def test_skew_symmetrize_staircase_is_discriminant():
+    # the signed sum of y^(3,2,1,0) is the Vandermonde determinant
     image = symmetrize(Poly.monomial(YVARS, (3, 2, 1, 0)), signed_s4(YVARS, "sign"))
-    assert image == discriminant(YVARS).scale(Fraction(1, 24))
+    assert image == discriminant(YVARS)
 
 
 def test_skew_symmetrize_matches_sympy_oracle():
@@ -164,7 +169,7 @@ def test_skew_symmetrize_matches_sympy_oracle():
         oracle += sign * expr.subs(
             {ys[i]: ys[perm[i]] for i in range(4)}, simultaneous=True
         )
-    oracle = sympy.expand(oracle / 24)
+    oracle = sympy.expand(oracle)
     mine = symmetrize(Poly.monomial(YVARS, (5, 3, 1, 0)), signed_s4(YVARS, "sign"))
     assert sympy.expand(sympy_poly(mine) - oracle) == 0
 
@@ -187,7 +192,7 @@ def test_projector_idempotent_seeded():
         for character in ("sign", "trivial"):
             group = signed_s4(YVARS, character)
             once = symmetrize(p, group)
-            assert symmetrize(once, group) == once
+            assert symmetrize(once, group) == once.scale(24)
 
 
 def test_parity_grading_of_products():
@@ -285,15 +290,15 @@ def test_p_builders_arity():
 
 
 def test_q_poly_degrees():
-    assert q_poly(0, 0, 0).degree() == 9
-    assert q_poly(0, 0, 1).degree() == 13
-    assert q_poly(1, 1, 1).degree() == 21
+    assert degree(q_poly(0, 0, 0)) == 9
+    assert degree(q_poly(0, 0, 1)) == 13
+    assert degree(q_poly(1, 1, 1)) == 21
 
 
 def test_q_poly_fixed_by_skew_symmetrizer():
     for nmk in ((0, 0, 0), (1, 0, 0), (0, 0, 1)):
         q = q_poly(*nmk)
-        assert symmetrize(q, signed_s4(YVARS, "sign")) == q
+        assert symmetrize(q, signed_s4(YVARS, "sign")) == q.scale(24)
 
 
 def test_q_poly_rejects_negative():
@@ -361,22 +366,32 @@ def test_skew_images_divisible_by_discriminant():
         assert quotient * delta == image
 
 
-def test_divide_exact_integer_polys_give_exact_rationals():
-    # integer coefficients divide to an exact Fraction, never a float
-    quotient = divide_exact(Y["y1"].scale(2) * Y["y1"], Y["y1"].scale(3))
-    assert quotient == Y["y1"].scale(Fraction(2, 3))
-    assert type(quotient.coefficient((1, 0, 0, 0))) is Fraction
+def test_divide_exact_rejects_non_integer_quotient():
+    # 2y1^2 = (2/3 y1) * 3y1 over Q, but no integer quotient exists
+    with pytest.raises(NotDivisibleError):
+        divide_exact(Y["y1"].scale(2) * Y["y1"], Y["y1"].scale(3))
+
+
+def test_divide_exact_by_delta_reduced_matches_sympy():
+    # quotients by the primitive divisor the properties suite uses, against sympy's div
+    delta_reduced = eliminate_y4(discriminant(YVARS))
+    divisor = sympy_poly(delta_reduced)
+    symbols = sympy.symbols(Y3VARS.names)
+    skew_group = signed_s4(YVARS, "sign")
+    for exps in ((3, 2, 1, 0), (5, 3, 1, 0), (6, 4, 2, 1), (7, 2, 1, 0)):
+        image = eliminate_y4(symmetrize(Poly.monomial(YVARS, exps), skew_group))
+        quotient, remainder = sympy.div(sympy_poly(image), divisor, *symbols)
+        assert remainder == 0
+        assert sympy.expand(sympy_poly(divide_exact(image, delta_reduced)) - quotient) == 0
 
 
 def assert_exact_coefficients(p):
-    # the coefficient rule: an int when integral, a Fraction otherwise
+    # the coefficient rule: every coefficient is an int
     for c in p.terms.values():
-        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+        assert type(c) is int, c
 
 
-coefficients = st.one_of(
-    st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=5)
-)
+coefficients = st.integers(-6, 6)
 
 
 @st.composite
@@ -438,18 +453,18 @@ XY = {n: Poly.variable(VarSet(("x", "y")), n) for n in ("x", "y")}
     [
         # largest exponent sums 3+4 = 7 (3 bits) and 7+1 = 8 (4 bits)
         (XY["x"] ** 3 + XY["y"], XY["x"] ** 4 * XY["y"] ** 2 - XY["y"]),
-        (XY["x"] ** 7 + XY["y"] ** 7, XY["x"] + XY["y"].scale(Fraction(1, 2))),
+        (XY["x"] ** 7 + XY["y"] ** 7, XY["x"] + XY["y"].scale(-3)),
         # a constant and the zero polynomial
-        (Poly.constant(XY["x"].vars, Fraction(3, 2)), XY["x"] - XY["y"]),
+        (Poly.constant(XY["x"].vars, -5), XY["x"] - XY["y"]),
         (Poly.zero(XY["x"].vars), XY["x"] + XY["y"]),
         # no variables: the only monomial is the empty tuple
-        (Poly(VarSet(()), {(): 4}), Poly(VarSet(()), {(): Fraction(1, 4)})),
+        (Poly(VarSet(()), {(): 4}), Poly(VarSet(()), {(): -7})),
         (Poly(VarSet(()), {(): 4}), Poly.zero(VarSet(()))),
-        # cancellation: the xy terms, and Fraction halves that sum to ints
+        # cancellation: the xy terms, with unit and with larger coefficients
         (XY["x"] + XY["y"], XY["x"] - XY["y"]),
         (
-            XY["x"].scale(Fraction(1, 2)) + XY["y"].scale(Fraction(1, 2)),
-            XY["x"].scale(2) + XY["y"].scale(2),
+            XY["x"].scale(2) + XY["y"].scale(3),
+            XY["x"].scale(2) - XY["y"].scale(3),
         ),
     ],
 )
@@ -463,8 +478,8 @@ def test_packed_product_cancelled_terms_are_dropped():
     assert ((x + y) * (x - y)).terms == {(2, 0): 1, (0, 2): -1}
     one_plus_x3 = (Poly.constant(x.vars, 1) + x) * (Poly.constant(x.vars, 1) - x + x * x)
     assert one_plus_x3.terms == {(0, 0): 1, (3, 0): 1}
-    half = x.scale(Fraction(1, 2)) * x.scale(2)
-    assert half.terms == {(2, 0): 1} and type(half.terms[(2, 0)]) is int
+    scaled = (x.scale(2) + y.scale(3)) * (x.scale(2) - y.scale(3))
+    assert scaled.terms == {(2, 0): 4, (0, 2): -9}
 
 
 @pytest.mark.parametrize("bad", [1.5, 1.0, "1", True])
@@ -476,18 +491,19 @@ def test_exponents_are_int_only(bad):
         Poly.monomial(YVARS, (0, 0, bad, 0))
 
 
-def test_coefficients_are_int_or_fraction_only():
-    # 0.1 used to be stored as 3602879701896397/36028797018963968
+def test_coefficients_are_int_only():
+    # 0.1 used to be stored as 3602879701896397/36028797018963968; a
+    # Fraction, even an integral one, is not an int either
     exps = (1, 0, 0, 0)
-    for bad in (0.1, 1.0, "1/2"):
+    for bad in (Fraction(1, 2), Fraction(4, 2), 0.1, 1.0, "1/2", True):
         with pytest.raises(TypeError):
             Poly(YVARS, {exps: bad})
         with pytest.raises(TypeError):
             Poly.constant(YVARS, bad)
         with pytest.raises(TypeError):
             Poly.monomial(YVARS, exps).scale(bad)
-    p = Poly(YVARS, {exps: Fraction(6, 3), (0, 1, 0, 0): Fraction(1, 10)})
-    assert p.terms == {exps: 2, (0, 1, 0, 0): Fraction(1, 10)} and type(p.terms[exps]) is int
+    p = Poly(YVARS, {exps: 2, (0, 1, 0, 0): 0})
+    assert p.terms == {exps: 2} and type(p.terms[exps]) is int
 
 
 def test_evaluate_takes_exact_values_only():
@@ -505,7 +521,7 @@ def test_divide_exact_specific_skew_image():
     image = symmetrize(Poly.monomial(YVARS, (5, 3, 1, 0)), signed_s4(YVARS, "sign"))
     quotient = divide_exact(image, delta)
     assert quotient * delta == image
-    assert quotient.degree() == 3
+    assert degree(quotient) == 3
 
 
 # --- monomial enumeration ---------------------------------------------------
@@ -584,4 +600,4 @@ def test_express_in_uvw_reconstructs_products():
 
 def test_express_product_degree_is_odd():
     for nmk in ((0, 0, 0), (2, 1, 1)):
-        assert p2p3p4_product(*nmk).degree() % 2 == 1
+        assert degree(p2p3p4_product(*nmk)) % 2 == 1

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from jd3 import _coverage, diagram_spaces, verifier
+from jd3.multipoly import Poly
 from jd3.verifier import (
     Report,
     RunConfig,
@@ -244,6 +245,24 @@ def test_run_all_small_config_passes_and_covers_everything():
     coverage_checks = [c for c in report.checks if c.id == "all.op_coverage"]
     assert len(coverage_checks) == 1
     assert coverage_checks[0].actual == "every operation exercised"
+
+
+def test_every_poly_a_run_builds_holds_int_coefficients(monkeypatch):
+    # Poly._raw skips the constructor's coefficient check, so every Poly it
+    # builds during a small run is kept and read once the run is over
+    raw = Poly._raw.__func__
+    built = []
+
+    def kept_raw(cls, vars, terms):
+        built.append(raw(cls, vars, terms))
+        return built[-1]
+
+    monkeypatch.setattr(Poly, "_raw", classmethod(kept_raw))
+    config = RunConfig(odd_max_legs=11, even_max_legs=8, lemma_max_d=2, asym_max_d=2)
+    assert run_all(config).all_passed
+    assert len(built) > 10_000
+    bad = [c for p in built for c in p.terms.values() if type(c) is not int]
+    assert bad == []
 
 
 def test_run_all_corrupt_hook_reports_failures(wrong_closed_form):
