@@ -105,7 +105,15 @@ def _t(name: str) -> Poly:
 
 
 def regime_images(regime_id: str) -> dict[str, Poly]:
-    """Four times the y1..y4 images, as integer linear forms in t^a, t^b, t^c."""
+    """Four times the y1..y4 images, as integer linear forms in t^a, t^b, t^c.
+
+    A copy each call: the images substitution reads are built once and shared.
+    """
+    return {y: Poly(TVARS, image.terms) for y, image in _shared_images(regime_id).items()}
+
+
+@lru_cache(maxsize=2)
+def _shared_images(regime_id: str) -> dict[str, Poly]:
     ta, tb, tc = _t("ta"), _t("tb"), _t("tc")
     if regime_id == "one":
         return {
@@ -226,7 +234,7 @@ def substitute_regime(p: Poly, regime: Regime) -> PuiseuxPoly:
     _coverage.touch("asymptotics.substitute_regime")
     if p.vars != YVARS:
         raise ValueError("substitute_regime expects a polynomial in exactly y1..y4")
-    return PuiseuxPoly(regime, p.substitute(regime_images(regime.id)))
+    return PuiseuxPoly(regime, p.substitute(_shared_images(regime.id)))
 
 
 def leading_term(p: PuiseuxPoly, regime: Regime) -> tuple[Fraction, ExpVector]:
@@ -264,7 +272,7 @@ def expected_q_leading(n: int, m: int, k: int, regime_id: str) -> tuple[Fraction
 @lru_cache(maxsize=None)
 def _regime_factor(regime_id: str, which: str, args: tuple[str, ...]) -> Poly:
     """P2/P3/P4 under four times the regime substitution: an integer t-polynomial."""
-    return q_factor(which, args).substitute(regime_images(regime_id))
+    return q_factor(which, args).substitute(_shared_images(regime_id))
 
 
 def substituted_q(n: int, m: int, k: int, regime: Regime) -> PuiseuxPoly:

@@ -3,11 +3,15 @@
 Polynomials are sparse maps from exponent tuples to nonzero `int`
 coefficients, over a fixed ordered variable set; a coefficient that is
 not an `int` raises `TypeError`, so ring operations never leave integer
-arithmetic.  A rational number appears only in `evaluate`.  A
-product packs each exponent tuple into one int, with enough bits per
-coordinate that adding two packed keys multiplies the monomials (packed
-exponent vectors, as in Monagan and Pearce, CASC 2007); the term maps
-themselves stay keyed by tuples.  On top of the ring operations this
+arithmetic.  A rational number appears only in `evaluate`.  Multiply,
+power and substitute pack each exponent tuple into one int, one
+byte-aligned field of 1, 2, 4 or 8 bytes per coordinate, wide enough
+for the largest exponent of the result, so adding two packed keys
+multiplies the monomials (packed exponent vectors, as in Monagan and
+Pearce, CASC 2007).  They pack once on the way in, run every
+intermediate product through the one packed kernel, and unpack once;
+the term maps of a Poly stay keyed by tuples.  A result exponent of
+2^64 or more raises OverflowError.  On top of the ring operations this
 module provides the signed permutation actions of S4 and their group
 sums, elementary symmetric polynomials, the discriminant, the
 P2/P3/P4 building blocks and the Q^{n,m,k} family used by the
@@ -17,12 +21,13 @@ verification suites, exact division, and graded monomial enumeration.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from math import comb
-from operator import add
+from operator import add, itemgetter, methodcaller, mul, neg
+from typing import Callable
 
 from . import _coverage
 
@@ -86,12 +91,39 @@ def _max_exponent(terms: dict) -> int:
     return max(itertools.chain.from_iterable(terms), default=0)
 
 
-def _pack(exps: tuple[int, ...], shift: int) -> int:
-    """One int holding the exponents, `shift` bits each, the first one highest."""
-    key = 0
-    for e in exps:
-        key = (key << shift) | e
-    return key
+def _codec(n: int, top: int):
+    """Pack and unpack for n exponents of at most `top`: byte-aligned fields of one int.
+
+    Each field takes 1, 2, 4 or 8 bytes, the fewest that hold `top`, so
+    adding two keys whose fields sum to at most `top` adds the exponents
+    without a carry.  `pack` maps an iterable of exponent tuples to keys
+    and `unpack` keys back to tuples, lazily and in C through `struct`.
+    A `top` of 2^64 or more raises OverflowError.
+    """
+    width = next((w for w in (1, 2, 4, 8) if top >> (8 * w) == 0), None)
+    if width is None:
+        raise OverflowError(f"exponent {top} does not fit in 64 bits")
+    fields = struct.Struct(f">{n}{'BHIQ'[width.bit_length() - 1]}")
+    from_bytes = partial(int.from_bytes, byteorder="big")
+    to_bytes = methodcaller("to_bytes", fields.size, "big")
+    return (
+        lambda tuples: map(from_bytes, itertools.starmap(fields.pack, tuples)),
+        lambda keys: map(fields.unpack, map(to_bytes, keys)),
+    )
+
+
+def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two term maps keyed by packed exponents, cancelled terms dropped."""
+    if len(a) > len(b):
+        a, b = b, a
+    b_items = list(b.items())
+    out: dict[int, int] = {}
+    get = out.get  # a plain dict read this way beats a defaultdict's +=
+    for k1, c1 in a.items():
+        for k2, c2 in b_items:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
 
 
 class Poly:
@@ -180,30 +212,13 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        """Product with each exponent tuple packed into one int.
-
-        Each coordinate gets `shift` bits, enough for the largest exponent
-        sum, so adding two packed keys multiplies the monomials without a
-        carry between coordinates; keys are unpacked once, at the end.
-        """
+        """Product through `_mul_packed`, packing and unpacking once."""
         _coverage.touch("multipoly.ring_ops")
         self._check_same_vars(other)
-        if not self.terms or not other.terms:
-            return Poly.zero(self.vars)
         a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        shift = (_max_exponent(a) + _max_exponent(b)).bit_length()
-        b_packed = [(_pack(e, shift), c) for e, c in b.items()]
-        out: defaultdict[int, int] = defaultdict(int)
-        for e1, c1 in a.items():
-            k1 = _pack(e1, shift)
-            for k2, c2 in b_packed:
-                out[k1 + k2] += c1 * c2
-        mask = (1 << shift) - 1
-        offsets = [shift * i for i in reversed(range(len(self.vars)))]
-        terms = {tuple([(k >> o) & mask for o in offsets]): c for k, c in out.items() if c}
-        return Poly._raw(self.vars, terms)
+        pack, unpack = _codec(len(self.vars), _max_exponent(a) + _max_exponent(b))
+        out = _mul_packed(dict(zip(pack(a), a.values())), dict(zip(pack(b), b.values())))
+        return Poly._raw(self.vars, dict(zip(unpack(out), out.values())))
 
     def scale(self, c) -> "Poly":
         _coverage.touch("multipoly.ring_ops")
@@ -212,69 +227,67 @@ class Poly:
         return Poly._raw(self.vars, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
-        if not isinstance(n, int) or n < 0:
+        """Power by repeated squaring, every intermediate kept packed."""
+        if type(n) is not int or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result: Poly | None = None
-        base = self
+        if not n:
+            return Poly.constant(self.vars, 1)
+        pack, unpack = _codec(len(self.vars), n * _max_exponent(self.terms))
+        base = dict(zip(pack(self.terms), self.terms.values()))
+        result: dict[int, int] | None = None
         while n:
             if n & 1:
-                result = base if result is None else result * base
+                result = base if result is None else _mul_packed(result, base)
             n >>= 1
             if n:
-                base = base * base
-        return Poly.constant(self.vars, 1) if result is None else result
+                base = _mul_packed(base, base)
+        return Poly._raw(self.vars, dict(zip(unpack(result), result.values())))
 
     def substitute(self, mapping: dict[str, "Poly"]) -> "Poly":
         """Replace every variable by its image polynomial.
 
         All variables that actually occur must be mapped, and every image
-        must live in one common target variable set.
+        must be a Poly in one common target variable set.  The powers of
+        each image are built once, one packed product by the image per
+        step; each term is multiplied out and summed packed.
         """
         _coverage.touch("multipoly.substitute")
-        if not self.terms:
-            if mapping:
-                target = next(iter(mapping.values())).vars
-                return Poly.zero(target)
-            return Poly.zero(self.vars)
         target: VarSet | None = None
         for img in mapping.values():
+            if not isinstance(img, Poly):
+                raise TypeError(f"substitution images are Poly, not {type(img).__name__}")
             if target is None:
                 target = img.vars
             elif img.vars != target:
                 raise ValueError("substitution images use different variable sets")
+        if not self.terms:
+            return Poly.zero(self.vars if target is None else target)
         if target is None:
             raise ValueError("empty substitution map")
-        images: list[Poly | None] = []
-        for name in self.vars.names:
-            images.append(mapping.get(name))
-        power_cache: list[dict[int, Poly]] = [dict() for _ in self.vars.names]
-
-        def img_power(i: int, e: int) -> Poly:
-            cache = power_cache[i]
-            hit = cache.get(e)
-            if hit is None:
-                hit = images[i] ** e  # type: ignore[operator]
-                cache[e] = hit
-            return hit
-
-        acc: dict[tuple[int, ...], int] = {}
-        one = Poly.constant(target, 1)
+        images = [mapping.get(name) for name in self.vars.names]
+        degrees = [max(column) for column in zip(*self.terms)]
+        for name, img, d in zip(self.vars.names, images, degrees):
+            if d and img is None:
+                raise ValueError(f"variable {name} is not mapped")
+        tops = [_max_exponent(img.terms) if d else 0 for img, d in zip(images, degrees)]
+        pack, unpack = _codec(len(target), max(sum(map(mul, e, tops)) for e in self.terms))
+        powers: list[list[dict[int, int]]] = []
+        for img, d in zip(images, degrees):
+            table = [dict(zip(pack(img.terms), img.terms.values()))] if d else []
+            while len(table) < d:
+                table.append(_mul_packed(table[-1], table[0]))
+            powers.append(table)
+        acc: dict[int, int] = {}
+        get = acc.get
         for exps, coeff in self.terms.items():
-            factor: Poly | None = None
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if images[i] is None:
-                    raise ValueError(f"variable {self.vars.names[i]} is not mapped")
-                power = img_power(i, e)
-                factor = power if factor is None else factor * power
-            for k, c in (one if factor is None else factor).terms.items():
-                s = acc.get(k, 0) + coeff * c
-                if s:
-                    acc[k] = s
-                elif k in acc:
-                    del acc[k]
-        return Poly._raw(target, acc)
+            factor = None
+            for table, e in zip(powers, exps):
+                if e:
+                    factor = table[e - 1] if factor is None else _mul_packed(factor, table[e - 1])
+            for k, c in ({0: 1} if factor is None else factor).items():
+                acc[k] = get(k, 0) + coeff * c
+        terms = {k: c for k, c in acc.items() if c}
+        return Poly._raw(target, dict(zip(unpack(terms), terms.values())))
 
     def evaluate(self, point: dict[str, int | Fraction]) -> Fraction:
         """Exact value at a point; a float value raises TypeError."""
@@ -323,12 +336,18 @@ class SignedPermAction:
     vars: VarSet
     perm: tuple[int, ...]
     character: int
+    relabel: Callable[[tuple[int, ...]], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if sorted(self.perm) != list(range(len(self.vars))):
             raise ValueError("perm is not a permutation of the variable indices")
         if self.character not in (1, -1):
             raise ValueError("character must be +1 or -1")
+        # an exponent tuple relabelled reads its new slot j from old slot perm^-1(j)
+        inverse = sorted(range(len(self.perm)), key=self.perm.__getitem__)
+        object.__setattr__(self, "relabel", itemgetter(*inverse) if len(inverse) > 1 else tuple)
 
 
 def perm_sign(perm: tuple[int, ...]) -> int:
@@ -338,23 +357,13 @@ def perm_sign(perm: tuple[int, ...]) -> int:
     return -1 if inversions & 1 else 1
 
 
-def _relabel(exps: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Exponent tuple after variable i is relabeled to variable perm[i]."""
-    new = [0] * len(perm)
-    for i, e in enumerate(exps):
-        new[perm[i]] = e
-    return tuple(new)
-
-
 def act(action: SignedPermAction, p: Poly) -> Poly:
     """Relabel variables by the permutation and multiply by the character."""
     _coverage.touch("multipoly.act")
     if action.vars != p.vars:
         raise ValueError("action and polynomial use different variable sets")
-    perm = action.perm
-    sign = action.character
-    out = {_relabel(exps, perm): -coeff if sign < 0 else coeff for exps, coeff in p.terms.items()}
-    return Poly._raw(p.vars, out)
+    coeffs = p.terms.values() if action.character > 0 else map(neg, p.terms.values())
+    return Poly._raw(p.vars, dict(zip(map(action.relabel, p.terms), coeffs)))
 
 
 def signed_s4(vars: VarSet, character: str) -> list[SignedPermAction]:
@@ -388,19 +397,14 @@ def symmetrize(p: Poly, group: list[SignedPermAction]) -> Poly:
     if not p.is_homogeneous():
         raise ValueError("symmetrize requires a homogeneous polynomial")
     acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
     for action in group:
         if action.vars != p.vars:
             raise ValueError("group action on a different variable set")
-        perm = action.perm
-        ch = action.character
-        for exps, coeff in p.terms.items():
-            k = _relabel(exps, perm)
-            s = acc.get(k, 0) + (coeff if ch > 0 else -coeff)
-            if s:
-                acc[k] = s
-            elif k in acc:
-                del acc[k]
-    return Poly._raw(p.vars, acc)
+        coeffs = p.terms.values() if action.character > 0 else map(neg, p.terms.values())
+        for k, c in zip(map(action.relabel, p.terms), coeffs):
+            acc[k] = get(k, 0) + c
+    return Poly._raw(p.vars, {k: c for k, c in acc.items() if c})
 
 
 def elementary_symmetric(i: int, vars: VarSet) -> Poly:

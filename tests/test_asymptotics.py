@@ -121,6 +121,16 @@ def test_regime_images_sum_to_zero():
     assert total.is_zero()
 
 
+def test_regime_images_are_copies_of_the_shared_images():
+    y1 = Poly.variable(YVARS, "y1")
+    before = substitute_regime(y1, REGIME_ONE)
+    images = regime_images("one")
+    images["y1"].terms.clear()
+    images["y2"] = Poly.zero(TVARS)
+    assert regime_images("one")["y1"] == before.poly
+    assert substitute_regime(y1, REGIME_ONE) == before
+
+
 CUSTOM_ONE = Regime("one", Fraction(3), Fraction(12, 5), Fraction(3, 2))
 
 coefficients = st.integers(-9, 9)

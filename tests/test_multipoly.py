@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jd3.diagram_spaces import _SkewSliceContext, eliminate_y4
@@ -480,6 +481,201 @@ def test_packed_product_cancelled_terms_are_dropped():
     assert one_plus_x3.terms == {(0, 0): 1, (3, 0): 1}
     scaled = (x.scale(2) + y.scale(3)) * (x.scale(2) - y.scale(3))
     assert scaled.terms == {(2, 0): 4, (0, 2): -9}
+
+
+# --- the packed kernel against the tuple-keyed reference ---------------------
+#
+# The reference works on exponent tuples only, with no packing: products add
+# tuples coordinate by coordinate, powers square repeatedly, substitution goes
+# term by term through powers of the images, and the signed group sum runs the
+# relabelling loop that `symmetrize` used before `SignedPermAction.relabel`.
+
+
+def ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            k = tuple(a + b for a, b in zip(e1, e2))
+            out[k] = out.get(k, 0) + c1 * c2
+    return Poly(p.vars, out)
+
+
+def ref_pow(p, n):
+    result, base = Poly.constant(p.vars, 1), p
+    while n:
+        if n & 1:
+            result = ref_mul(result, base)
+        n >>= 1
+        if n:
+            base = ref_mul(base, base)
+    return result
+
+
+def ref_substitute(p, mapping):
+    target = next(iter(mapping.values())).vars
+    acc = Poly.zero(target)
+    for exps, coeff in p.terms.items():
+        factor = Poly.constant(target, coeff)
+        for name, e in zip(p.vars.names, exps):
+            if e:
+                factor = ref_mul(factor, ref_pow(mapping[name], e))
+        acc = acc + factor
+    return acc
+
+
+def ref_symmetrize(p, group):
+    acc = {}
+    for action in group:
+        for exps, coeff in p.terms.items():
+            new = [0] * len(exps)
+            for i, e in enumerate(exps):
+                new[action.perm[i]] = e
+            k = tuple(new)
+            acc[k] = acc.get(k, 0) + action.character * coeff
+    return Poly(p.vars, acc)
+
+
+KERNEL_VARSETS = [VARSETS[n] for n in (3, 4, 6)]
+
+
+def kernel_polys(vars, max_exp=5, max_size=5):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, max_exp)] * len(vars)), coefficients, max_size=max_size
+    ).map(lambda terms: Poly(vars, terms))
+
+
+def at_top(vars, top):
+    """Two polynomials whose product has `top` as its largest exponent, in every slot."""
+    n = len(vars)
+    half = top // 2
+    p = Poly(vars, {(half,) * n: 3, (0,) * (n - 1) + (1,): -1})
+    q = Poly(vars, {(top - half,) * n: 2, (1,) + (0,) * (n - 1): 5, (0,) * n: -7})
+    return p, q
+
+
+@st.composite
+def kernel_pairs(draw):
+    vars = draw(st.sampled_from(KERNEL_VARSETS))
+    return draw(kernel_polys(vars)), draw(kernel_polys(vars))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_pairs())
+@example(at_top(VARSETS[3], 255))
+@example(at_top(VARSETS[4], 256))
+@example(at_top(VARSETS[6], 65535))
+@example(at_top(VARSETS[3], 65536))
+@example(at_top(VARSETS[4], 2**64 - 1))
+def test_packed_product_matches_reference(pair):
+    p, q = pair
+    assert p * q == ref_mul(p, q)
+    assert q * p == ref_mul(p, q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(KERNEL_VARSETS).flatmap(lambda v: kernel_polys(v, max_exp=3, max_size=3)),
+    st.integers(0, 6),
+)
+@example(Poly(VARSETS[3], {(5, 0, 1): 2, (0, 3, 0): -1}), 51)  # largest exponent 255
+@example(Poly(VARSETS[4], {(4, 0, 0, 1): 1, (0, 1, 0, 0): 3}), 64)  # 256
+@example(Poly(VARSETS[6], {(13107, 0, 0, 0, 0, 1): 1, (0,) * 6: -2}), 5)  # 65535
+@example(Poly(VARSETS[3], {(0, 16384, 0): 1, (1, 0, 1): 1}), 4)  # 65536
+def test_packed_power_matches_reference(p, n):
+    assert p**n == ref_pow(p, n)
+
+
+@st.composite
+def substitutions(draw):
+    source = draw(st.sampled_from(KERNEL_VARSETS))
+    target = draw(st.sampled_from(KERNEL_VARSETS))
+    p = draw(kernel_polys(source, max_exp=3, max_size=4))
+    images = {name: draw(kernel_polys(target, max_exp=2, max_size=3)) for name in source.names}
+    return p, images
+
+
+def top_substitution(source, target, e, top):
+    """A degree-e monomial in two variables, every image x^(top / e): largest exponent `top`.
+
+    Both variables feed the one target exponent, so its bound is a sum over them.
+    """
+    image = Poly.monomial(target, (top // e,) + (0,) * (len(target) - 1))
+    images = {name: image for name in source.names}
+    images[source.names[0]] = image + Poly.constant(target, 1)
+    return Poly.monomial(source, (e - e // 2, e // 2) + (0,) * (len(source) - 2)), images
+
+
+@settings(max_examples=80, deadline=None)
+@given(substitutions())
+@example(top_substitution(VARSETS[3], VARSETS[4], 5, 255))
+@example(top_substitution(VARSETS[4], VARSETS[6], 2, 256))
+@example(top_substitution(VARSETS[6], VARSETS[3], 3, 65535))
+@example(top_substitution(VARSETS[3], VARSETS[3], 4, 65536))
+def test_packed_substitute_matches_reference(case):
+    p, images = case
+    assert p.substitute(images) == ref_substitute(p, images)
+
+
+@st.composite
+def symmetrizations(draw):
+    vars = draw(st.sampled_from(KERNEL_VARSETS))
+    n = len(vars)
+    d = draw(st.integers(0, 6))
+    exps = st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1).map(
+        lambda cuts: tuple(b - a for a, b in zip([0] + sorted(cuts), sorted(cuts) + [d]))
+    )
+    p = Poly(vars, draw(st.dictionaries(exps, coefficients, max_size=5)))
+    perms = st.permutations(range(n)).map(tuple)
+    actions = st.builds(partial(SignedPermAction, vars), perms, st.sampled_from([1, -1]))
+    group = draw(st.lists(actions, min_size=1, max_size=6))
+    return p, group
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetrizations())
+def test_relabelling_matches_reference(case):
+    p, group = case
+    assert symmetrize(p, group) == ref_symmetrize(p, group)
+    for action in group:
+        assert act(action, p) == ref_symmetrize(p, [action])
+
+
+def test_exponents_past_64_bits_overflow():
+    x = Poly.monomial(VARSETS[3], (2**63, 0, 0))
+    almost = Poly.monomial(VARSETS[3], (2**63 - 1, 0, 0))
+    assert (x * almost).terms == {(2**64 - 1, 0, 0): 1}
+    with pytest.raises(OverflowError):
+        x * x
+    with pytest.raises(OverflowError):
+        x**2
+    with pytest.raises(OverflowError):
+        Poly.monomial(VARSETS[3], (2, 0, 0)).substitute({"v0": x, "v1": x, "v2": x})
+    # a Poly may hold such an exponent and add it; a product, power or
+    # substitution whose result could hold it overflows
+    big = Poly.monomial(VARSETS[3], (2**70, 0, 0))
+    assert (big + big).terms == {(2**70, 0, 0): 2}
+    with pytest.raises(OverflowError):
+        big**1
+
+
+def test_power_rejects_bool_and_float():
+    for bad in (True, False, 1.0, -1):
+        with pytest.raises(ValueError):
+            Y["y1"] ** bad
+
+
+def test_substitute_rejects_non_poly_images():
+    with pytest.raises(TypeError):
+        Y["y1"].substitute({"y1": 1})
+    with pytest.raises(TypeError):
+        Poly.zero(YVARS).substitute({"y1": "y2"})
+
+
+def test_substitute_checks_image_varsets_before_the_zero_shortcut():
+    mixed = {"y1": Y["y1"], "y2": Poly.variable(XVARS, "x1")}
+    with pytest.raises(ValueError):
+        Poly.zero(YVARS).substitute(mixed)
+    assert Poly.zero(YVARS).substitute({"y1": Poly.variable(XVARS, "x1")}) == Poly.zero(XVARS)
 
 
 @pytest.mark.parametrize("bad", [1.5, 1.0, "1", True])

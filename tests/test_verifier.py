@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from jd3 import _coverage, diagram_spaces, verifier
+from jd3 import _coverage, diagram_spaces, multipoly, verifier
 from jd3.multipoly import Poly
 from jd3.verifier import (
     Report,
@@ -248,20 +248,31 @@ def test_run_all_small_config_passes_and_covers_everything():
 
 
 def test_every_poly_a_run_builds_holds_int_coefficients(monkeypatch):
-    # Poly._raw skips the constructor's coefficient check, so every Poly it
-    # builds during a small run is kept and read once the run is over
+    # Poly._raw skips the constructor's coefficient check, and the packed
+    # products of multiply, power and substitute never pass through it, so
+    # every Poly and every packed product of a small run is kept and read
+    # once the run is over
     raw = Poly._raw.__func__
-    built = []
+    mul_packed = multipoly._mul_packed
+    built, products = [], []
 
     def kept_raw(cls, vars, terms):
         built.append(raw(cls, vars, terms))
         return built[-1]
 
+    def kept_mul_packed(a, b):
+        products.append(mul_packed(a, b))
+        return products[-1]
+
     monkeypatch.setattr(Poly, "_raw", classmethod(kept_raw))
+    monkeypatch.setattr(multipoly, "_mul_packed", kept_mul_packed)
     config = RunConfig(odd_max_legs=11, even_max_legs=8, lemma_max_d=2, asym_max_d=2)
     assert run_all(config).all_passed
-    assert len(built) > 10_000
-    bad = [c for p in built for c in p.terms.values() if type(c) is not int]
+    # floors a little under the counts measured at this config once the
+    # package's fixed-size memos are warm: 3,691 Polys and 5,081 products
+    assert len(built) > 3_500
+    assert len(products) > 5_000
+    bad = [c for t in [p.terms for p in built] + products for c in t.values() if type(c) is not int]
     assert bad == []
 
 
