@@ -5,7 +5,7 @@ images are combinations of t^a, t^b, t^c, giving finite sums of terms
 q * t^(alpha*a + beta*b + gamma*c) with integer (alpha, beta, gamma).
 The images are kept as integer linear forms, four times the paper's, so
 sums, products and equality stay in ints; the factor 4^(alpha+beta+gamma)
-is divided out only where a coefficient is read, once per exponent class.
+is divided out only in the leading exponent class, the one class read.
 A regime fixes exact rational values of (a, b, c); exponents are compared
 by evaluating the linear form at those values, which is the t -> infinity
 ordering.  Terms whose exponents evaluate equal are merged.  The grouping
@@ -63,16 +63,15 @@ class Regime:
     Regime "one" requires a > b > c > 0 and a-b < b-c < 2(a-b);
     regime "two" requires a > b > c > 0 and b-c < a-b < 2(b-c).
     a, b and c are int or Fraction; a float is not exact and raises TypeError.
-    `denominator` is the least common denominator D of a, b and c, and
-    `weights` the integer triple D*(a, b, c); both are derived, so they take
-    no part in equality, hashing or the repr.
+    `weights` is the integer triple D*(a, b, c), where D is the least common
+    denominator of a, b and c; it is derived, so it takes no part in
+    equality, hashing or the repr.
     """
 
     id: str
     a: Fraction
     b: Fraction
     c: Fraction
-    denominator: int = field(init=False, repr=False, compare=False)
     weights: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -90,7 +89,6 @@ class Regime:
             if not (b - c < a - b < 2 * (b - c)):
                 raise ValueError("regime two requires b-c < a-b < 2(b-c)")
         d = lcm(a.denominator, b.denominator, c.denominator)
-        object.__setattr__(self, "denominator", d)
         object.__setattr__(self, "weights", (int(a * d), int(b * d), int(c * d)))
 
 
@@ -100,21 +98,10 @@ REGIME_TWO = Regime("two", Fraction(2), Fraction(7, 5), Fraction(1))
 DEFAULT_REGIMES = {"one": REGIME_ONE, "two": REGIME_TWO}
 
 
-def _t(name: str) -> Poly:
-    return Poly.variable(TVARS, name)
-
-
-def regime_images(regime_id: str) -> dict[str, Poly]:
-    """Four times the y1..y4 images, as integer linear forms in t^a, t^b, t^c.
-
-    A copy each call: the images substitution reads are built once and shared.
-    """
-    return {y: Poly(TVARS, image.terms) for y, image in _shared_images(regime_id).items()}
-
-
 @lru_cache(maxsize=2)
 def _shared_images(regime_id: str) -> dict[str, Poly]:
-    ta, tb, tc = _t("ta"), _t("tb"), _t("tc")
+    """Four times the paper's y1..y4 images, integer linear forms in t^a, t^b, t^c."""
+    ta, tb, tc = (Poly.variable(TVARS, name) for name in TVARS.names)
     if regime_id == "one":
         return {
             "y1": ta.scale(3) - tb - tc,
@@ -137,11 +124,8 @@ class PuiseuxPoly:
 
     A view of `poly`, the t-polynomial of the four-times images: its term
     t^e stands for the term of coefficient c/4^|e| in the paper's images.
-    `==`, `+` and `*` act on `poly`.  `terms` keys the nonzero exponent
-    classes by the int alpha*A + beta*B + gamma*C, with (A, B, C) the
-    regime's `weights`, that is, the exact exponent value times the
-    regime's `denominator`; each class holds its merged coefficient and
-    the sorted tuple of the exponent vectors that contributed to it.
+    `==`, `+` and `*` act on `poly`; `top_class()` reads the leading
+    exponent class.
     """
 
     __slots__ = ("regime", "poly", "_top")
@@ -153,46 +137,27 @@ class PuiseuxPoly:
         self.poly = poly
         self._top: tuple[int, Fraction, tuple[ExpVector, ...]] | None = None
 
-    def _classes(self) -> dict[int, list[tuple[int, int, int]]]:
-        """The exponents of `poly` grouped by integer key."""
-        wa, wb, wc = self.regime.weights
-        classes: dict[int, list[tuple[int, int, int]]] = {}
-        for exps in self.poly.terms:
-            alpha, beta, gamma = exps
-            classes.setdefault(alpha * wa + beta * wb + gamma * wc, []).append(exps)
-        return classes
-
-    def _merged(self, members: list[tuple[int, int, int]]) -> tuple[int, int]:
-        """(s, D) with s/4^D the merged coefficient of a class; D is its largest degree."""
-        terms = self.poly.terms
-        if len(members) == 1:
-            return terms[members[0]], sum(members[0])
-        top = max(map(sum, members))
-        return sum(terms[e] * 4 ** (top - sum(e)) for e in members), top
-
-    def _read(self, members) -> tuple[Fraction, tuple[ExpVector, ...]] | None:
-        """Merged coefficient and contributing vectors of a class; None when it cancels."""
-        s, degree = self._merged(members)
-        if not s:
-            return None
-        return Fraction(s, 4**degree), tuple(ExpVector(*e) for e in sorted(members))
-
-    @property
-    def terms(self) -> dict[int, tuple[Fraction, tuple[ExpVector, ...]]]:
-        classes = self._classes().items()
-        return {key: cls for key, members in classes if (cls := self._read(members))}
-
     def top_class(self) -> tuple[int, Fraction, tuple[ExpVector, ...]]:
-        """Key, merged coefficient and vectors of the largest nonzero class.
+        """Key, merged coefficient and sorted vectors of the largest nonzero class.
 
-        Classes are read from the top down, so only the cancelled classes
-        above it are summed and no class below it is read.
+        A class merges to s/4^D, where D is its largest degree and s sums each
+        member's coefficient times 4^(D - |e|).  Classes are read from the top
+        down, so only the cancelled classes above it are summed.
         """
         if self._top is None:
-            classes = self._classes()
+            wa, wb, wc = self.regime.weights
+            terms = self.poly.terms
+            classes: dict[int, list[tuple[int, int, int]]] = {}
+            for exps in terms:
+                alpha, beta, gamma = exps
+                classes.setdefault(alpha * wa + beta * wb + gamma * wc, []).append(exps)
             for key in sorted(classes, reverse=True):
-                if cls := self._read(classes[key]):
-                    self._top = (key, *cls)
+                members = classes[key]
+                degree = max(map(sum, members))
+                s = sum(terms[e] * 4 ** (degree - sum(e)) for e in members)
+                if s:
+                    vecs = tuple(ExpVector(*e) for e in sorted(members))
+                    self._top = (key, Fraction(s, 4**degree), vecs)
                     break
             else:
                 raise ValueError("zero polynomial has no leading term")
@@ -201,9 +166,6 @@ class PuiseuxPoly:
     def _check_regime(self, other: "PuiseuxPoly") -> None:
         if self.regime != other.regime:
             raise ValueError("mixed regimes")
-
-    def is_zero(self) -> bool:
-        return not any(self._merged(members)[0] for members in self._classes().values())
 
     def __eq__(self, other: object) -> bool:
         """Equality of the exact t-polynomials, finer than equal merged coefficients."""
@@ -219,15 +181,6 @@ class PuiseuxPoly:
         self._check_regime(other)
         return PuiseuxPoly(self.regime, self.poly * other.poly)
 
-    def sorted_terms(self) -> list[tuple[Fraction, Fraction, tuple[ExpVector, ...]]]:
-        """(exact exponent value, coefficient, contributing vectors), descending."""
-        d = self.regime.denominator
-        return [(Fraction(key, d), *cls) for key, cls in sorted(self.terms.items(), reverse=True)]
-
-    def __repr__(self) -> str:
-        parts = [f"({c})*t^({'|'.join(map(str, vecs))})" for _, c, vecs in self.sorted_terms()]
-        return " + ".join(parts) if parts else "0"
-
 
 def substitute_regime(p: Poly, regime: Regime) -> PuiseuxPoly:
     """Exact substitution of y1..y4 by their regime images, fully expanded."""
@@ -237,15 +190,13 @@ def substitute_regime(p: Poly, regime: Regime) -> PuiseuxPoly:
     return PuiseuxPoly(regime, p.substitute(_shared_images(regime.id)))
 
 
-def leading_term(p: PuiseuxPoly, regime: Regime) -> tuple[Fraction, ExpVector]:
+def leading_term(p: PuiseuxPoly) -> tuple[Fraction, ExpVector]:
     """Coefficient and exponent vector of the largest-exponent term.
 
     The exponent vector returned is the smallest contributor of the top
     value class; for the verified families the class is a single vector.
     """
     _coverage.touch("asymptotics.leading_term")
-    if regime != p.regime:
-        raise ValueError("regime does not match the polynomial's regime")
     _, coeff, vecs = p.top_class()
     return coeff, vecs[0]
 
@@ -286,26 +237,19 @@ def substituted_q(n: int, m: int, k: int, regime: Regime) -> PuiseuxPoly:
     return PuiseuxPoly(regime, assemble_q(n, m, k, partial(_regime_factor, regime.id)))
 
 
-def verify_q_asymptotics(
-    n: int, m: int, k: int, regime: Regime
-) -> tuple[Fraction, ExpVector, bool]:
-    """The computed leading coefficient and exponent, and whether they match the closed form.
+def verify_q_asymptotics(n: int, m: int, k: int, regime: Regime) -> str:
+    """The computed leading term of Q^{n,m,k}, rendered as `coeff*t^(vec)`.
 
-    Passes only when the top exponent class consists of the single
-    expected vector and the merged coefficient equals the expected one,
-    so an accidental exponent collision at the top is reported as a
-    failure rather than silently absorbed.
+    When the top exponent class holds more than one vector, the rendering
+    ends in " (merged exponent class)", so an accidental exponent collision
+    at the top never reads as the closed form.
     """
     _coverage.touch("asymptotics.verify_q_asymptotics")
     if n < 0 or m < 0 or k < 0:
         raise ValueError("q parameters must be non-negative")
     substituted = substituted_q(n, m, k, regime)
-    actual_coeff, actual_exp = leading_term(substituted, regime)
-    _, _, top_vecs = substituted.top_class()
-    expected_coeff, expected_exp = expected_q_leading(n, m, k, regime.id)
-    passed = (
-        actual_coeff == expected_coeff
-        and actual_exp == expected_exp
-        and top_vecs == (expected_exp,)
-    )
-    return actual_coeff, actual_exp, passed
+    coeff, exp = leading_term(substituted)
+    rendered = f"{coeff}*t^({exp})"
+    if len(substituted.top_class()[2]) > 1:
+        rendered += " (merged exponent class)"
+    return rendered

@@ -69,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(asym)
 
     dims = sub.add_parser("dims", help="print the dimension of one graded slice")
-    dims.add_argument("--parity", choices=("odd", "even"), required=True)
     dims.add_argument("--legs", type=int, required=True, metavar="L")
 
     everything = sub.add_parser("all", help="run every suite with the default caps")
@@ -130,10 +129,8 @@ def _emit(report: Report, args: argparse.Namespace) -> int:
 
 
 def _run_dims(args: argparse.Namespace) -> int:
-    if (args.legs % 2 == 1) != (args.parity == "odd"):
-        raise ValueError(f"parity {args.parity!r} does not match legs={args.legs}")
     space = tet_slice(args.legs)
-    if args.parity == "even":
+    if args.legs % 2 == 0:
         print(
             f"legs={args.legs} parity=even dim={space.dim} "
             f"closed_form={even_closed_form(args.legs)}"

@@ -27,9 +27,12 @@ read on the standard orbits.  y4-elimination, the substitution
 y4 = -(y1+y2+y3) into Q[y1, y2, y3], stays as the quotient's reference
 presentation.
 
-This module builds the graded slices, the spanning families coming from
-the IHX relation between the two computable internal graphs, and the
-closed-form dimension counts.
+Of the five trivalent graphs with first Betti number 3 (4 vertices, 6
+edges), only the tetrahedron (legs on six edges, S4 acting through the
+faces) and the four-arc graph carry a polynomial presentation here; in
+the other three, reflection kills the odd part and IHX maps absorb the
+even part, which this package does not re-derive.  This module builds
+the graded slices, the IHX spanning families and the closed forms.
 """
 
 from __future__ import annotations
@@ -52,39 +55,6 @@ from .multipoly import (
 )
 
 
-# ---------------------------------------------------------------------------
-# Internal-graph catalog
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InternalGraph:
-    """One of the five trivalent graphs with first Betti number 3.
-
-    All five have 4 vertices and 6 edges.  Only the two graphs carrying a
-    polynomial presentation are computable here; the other three are
-    eliminated by diagram-level arguments (reflection symmetry kills their
-    odd parts, and IHX maps absorb their even parts), which this package
-    records but does not re-derive.
-    """
-
-    id: str
-    computable: bool
-    note: str
-    vertex_count: int = 4
-    edge_count: int = 6
-    betti: int = 3
-
-
-CATALOG: tuple[InternalGraph, ...] = (
-    InternalGraph("wtr", False, "odd part vanishes by reflection; even part absorbed by IHX maps"),
-    InternalGraph("bbl", False, "odd part vanishes by reflection; even part absorbed by IHX maps"),
-    InternalGraph("mdl", False, "odd part vanishes by reflection; even part absorbed by IHX maps"),
-    InternalGraph("tsq", True, "legs on four arcs; reflection acts as -1 on odd degrees"),
-    InternalGraph("tet", True, "legs on six edges; S4 acts through the four faces"),
-)
-
-
 @dataclass
 class SliceSpace:
     """A graded slice: orbit basis, the rows it consumed on the standard orbits, rank."""
@@ -100,11 +70,11 @@ class SliceSpace:
 
 
 @lru_cache(maxsize=None)
-def x_from_y_map() -> dict[str, Poly]:
+def _x_from_y_map() -> dict[str, Poly]:
     """Images of the six edge variables as integer differences y_i - y_j.
 
     Each is four times the paper's image, a quarter of that difference, as
-    `regime_images` also keeps four times the paper's.  x3 and x6 are
+    the regime images of `jd3.asymptotics` are.  x3 and x6 are
     forced by the three linear edge relations (x1 - x2 - x6,
     x1 - x3 + x5, x4 + x5 + x6), which all map to 0 identically under
     these images.
@@ -123,14 +93,14 @@ def x_from_y_map() -> dict[str, Poly]:
 def x_from_y(var: str) -> Poly:
     """Image of one edge variable x1..x6: four times the paper's, a difference y_i - y_j."""
     _coverage.touch("diagram_spaces.x_from_y")
-    images = x_from_y_map()
+    images = _x_from_y_map()
     if var not in images:
         raise ValueError(f"unknown edge variable {var!r}")
     return images[var]
 
 
 def y_from_x(p: Poly) -> Poly:
-    """Rewrite a polynomial in x1..x6 as a polynomial in y1..y4, through `x_from_y_map`.
+    """Rewrite a polynomial in x1..x6 as a polynomial in y1..y4, through `_x_from_y_map`.
 
     This is the paper's change of variables followed by y -> 4y: the part
     of degree d comes out 4^d times the paper's image.  Polynomials
@@ -141,7 +111,7 @@ def y_from_x(p: Poly) -> Poly:
     _coverage.touch("diagram_spaces.y_from_x")
     if p.vars != XVARS:
         raise ValueError("y_from_x expects a polynomial in x1..x6")
-    return p.substitute(x_from_y_map())
+    return p.substitute(_x_from_y_map())
 
 
 # y1, y2, y3 fixed and y4 -> -(y1+y2+y3), as images in Q[y1, y2, y3]
@@ -196,6 +166,14 @@ class _SkewSliceContext:
     (index, coefficient) lists, `pivots`, in basis order, each one's
     leading index with the rest of the row, and `standard` the indices
     that are not pivots.
+
+    In odd degree the certificate holds in every degree, not only in those
+    built: e1*a_mu = sum_i a_(mu+e_i), where mu+e_1 is strict because
+    mu1 > mu2, is the lex-largest of the four tuples (each other one is
+    lex-smaller or repeats an entry and vanishes) and enters with +1, so
+    it is the row's pivot; mu -> mu+e_1 is injective, so no two rows share
+    a pivot.
+    The constructor still checks the certificate in each degree it builds.
     """
 
     def __init__(self, legs: int) -> None:
@@ -304,8 +282,8 @@ def odd_target_dim(legs: int) -> int:
     over Q[sigma2, sigma3^2, sigma4].
     """
     _coverage.touch("diagram_spaces.odd_target_dim")
-    if legs % 2 == 0:
-        raise ValueError("odd_target_dim expects an odd leg count")
+    if legs < 0 or legs % 2 == 0:
+        raise ValueError("odd_target_dim expects an odd, non-negative leg count")
     rest = legs - 9
     if rest < 0:
         return 0
@@ -367,14 +345,14 @@ def _family_slice(family: str, legs: int) -> SliceSpace:
 
     All generators lie in the signed-isotypic part of the slice, so the
     construction stops once the running span is the whole ambient slice.
-    The x-variables enter through `x_from_y_map`, four times the paper's
+    The x-variables enter through `_x_from_y_map`, four times the paper's
     images: every generator is homogeneous of degree `legs` in them, so
     each row is 4^legs times the paper's and the span is the same.
     """
     if legs % 2 == 0:
         raise ValueError(f"{family}_slice expects an odd leg count")
     generators, build = _FAMILIES[family]
-    x = x_from_y_map()
+    x = _x_from_y_map()
     bases = {**x, "x1*x2": x["x1"] * x["x2"]}
     powers: dict[tuple[str, int], Poly] = {}
 

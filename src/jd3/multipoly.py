@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import comb
 from operator import add, itemgetter, methodcaller, mul, neg
+from types import MappingProxyType
 from typing import Callable
 
 from . import _coverage
@@ -127,7 +128,7 @@ def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 
 class Poly:
-    """Sparse polynomial: map from exponent tuple to nonzero int."""
+    """Sparse polynomial: a read-only map `terms` from exponent tuple to nonzero int."""
 
     __slots__ = ("vars", "terms")
 
@@ -147,14 +148,14 @@ class Poly:
                         raise ValueError("negative exponent")
                 if _int(coeff):
                     clean[exps] = coeff
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
 
     @classmethod
     def _raw(cls, vars: VarSet, terms: dict) -> "Poly":
         # internal: terms already normalized (no zeros, valid tuples)
         p = cls.__new__(cls)
         p.vars = vars
-        p.terms = terms
+        p.terms = MappingProxyType(terms)
         return p
 
     @classmethod

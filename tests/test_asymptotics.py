@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -18,9 +19,9 @@ from jd3.asymptotics import (
     REGIME_TWO,
     Regime,
     _regime_factor,
+    _shared_images,
     expected_q_leading,
     leading_term,
-    regime_images,
     substitute_regime,
     substituted_q,
     verify_q_asymptotics,
@@ -47,9 +48,26 @@ def value_at(vec: ExpVector, regime: Regime) -> Fraction:
     return vec.alpha * regime.a + vec.beta * regime.b + vec.gamma * regime.c
 
 
+def descending_classes(p: PuiseuxPoly):
+    """Every nonzero exponent class of p as (key, coefficient, vectors), top down.
+
+    Each is the `top_class()` of what is left of `p.poly` once the members
+    of the classes above it are removed; cancelled classes stay and are
+    skipped, and the zero remainder ends the list.
+    """
+    classes = []
+    poly = p.poly
+    while True:
+        try:
+            top = PuiseuxPoly(p.regime, poly).top_class()
+        except ValueError:
+            return classes
+        classes.append(top)
+        poly = Poly(TVARS, {e: c for e, c in poly.terms.items() if ExpVector(*e) not in top[2]})
+
+
 def single_term(p: PuiseuxPoly):
-    assert len(p.terms) == 1
-    ((value, (coeff, vecs)),) = p.terms.items()
+    ((_, coeff, vecs),) = descending_classes(p)
     return coeff, vecs
 
 
@@ -107,7 +125,7 @@ def test_y1_minus_y2_is_tb_in_regime_two():
 def test_face_sum_substitutes_to_zero():
     for regime in (REGIME_ONE, REGIME_TWO):
         image = substitute_regime(Y["y1"] + Y["y2"] + Y["y3"] + Y["y4"], regime)
-        assert image.is_zero()
+        assert image.poly.is_zero()
 
 
 def test_substitute_requires_y_variables():
@@ -116,18 +134,20 @@ def test_substitute_requires_y_variables():
 
 
 def test_regime_images_sum_to_zero():
-    images = regime_images("one")
-    total = images["y1"] + images["y2"] + images["y3"] + images["y4"]
-    assert total.is_zero()
+    for regime_id in ("one", "two"):
+        images = _shared_images(regime_id)
+        total = images["y1"] + images["y2"] + images["y3"] + images["y4"]
+        assert total.is_zero()
 
 
-def test_regime_images_are_copies_of_the_shared_images():
+def test_shared_regime_images_are_read_only():
     y1 = Poly.variable(YVARS, "y1")
     before = substitute_regime(y1, REGIME_ONE)
-    images = regime_images("one")
-    images["y1"].terms.clear()
-    images["y2"] = Poly.zero(TVARS)
-    assert regime_images("one")["y1"] == before.poly
+    image = _shared_images("one")["y1"]
+    with pytest.raises(AttributeError):
+        image.terms.clear()
+    with pytest.raises(TypeError):
+        image.terms[(0, 0, 0)] = 1
     assert substitute_regime(y1, REGIME_ONE) == before
 
 
@@ -156,7 +176,7 @@ def test_substitute_regime_matches_quarter_images(p, regime):
 
     quarter = {
         y: sympy.Rational(1, 4) * to_sympy(image, ts)
-        for y, image in zip(ys, regime_images(regime.id).values())
+        for y, image in zip(ys, _shared_images(regime.id).values())
     }
     paper = sympy.Poly(sympy.expand(to_sympy(p, ys).subs(quarter, simultaneous=True)), *ts)
     expected = {
@@ -181,7 +201,7 @@ def test_equality_compares_exact_t_polys():
     # coefficients, different t-polynomials
     first = PuiseuxPoly(REGIME_ONE, Poly.monomial(TVARS, (0, 5, 4)))
     second = PuiseuxPoly(REGIME_ONE, Poly.monomial(TVARS, (3, 0, 6)))
-    assert {v: c for v, (c, _) in first.terms.items()} == {v: c for v, (c, _) in second.terms.items()}
+    assert first.top_class()[:2] == second.top_class()[:2] == (60, Fraction(1, 4**9))
     assert first != second
 
 
@@ -237,25 +257,33 @@ def test_integer_keys_match_value_at_grouping(poly, regime):
     # poly is read as a 4x image; the oracle groups its quartered terms by value_at
     p = PuiseuxPoly(regime, poly)
     expected = reference_classes(quartered(poly), regime)
-    d = regime.denominator
-    assert all(type(key) is int for key in p.terms)
-    assert {Fraction(key, d): cls for key, cls in p.terms.items()} == expected
-    assert p.sorted_terms() == [
+    d = lcm(regime.a.denominator, regime.b.denominator, regime.c.denominator)
+    assert all(type(w) is int for w in regime.weights)
+    assert regime.weights == (d * regime.a, d * regime.b, d * regime.c)
+    classes = descending_classes(p)
+    assert all(type(key) is int for key, _, _ in classes)
+    assert [(Fraction(key, d), coeff, vecs) for key, coeff, vecs in classes] == [
         (value, *expected[value]) for value in sorted(expected, reverse=True)
     ]
     if expected:
         top = max(expected)
         coeff, vecs = expected[top]
-        assert leading_term(p, regime) == (coeff, vecs[0])
+        assert leading_term(p) == (coeff, vecs[0])
+    else:
+        with pytest.raises(ValueError):
+            leading_term(p)
 
 
 def test_collision_merges_under_integer_keys():
     p = PuiseuxPoly(REGIME_ONE, four_times(COLLISION))
-    assert REGIME_ONE.weights == (10, 8, 5) and REGIME_ONE.denominator == 5
-    assert p.terms == {60: (3, (ExpVector(0, 5, 4), ExpVector(3, 0, 6)))}
-    assert p.sorted_terms()[0][0] == 12
+    # the weights are 5 * (a, b, c), so the key 60 is the exponent value 12
+    assert REGIME_ONE.weights == (10, 8, 5)
+    assert descending_classes(p) == [(60, 3, (ExpVector(0, 5, 4), ExpVector(3, 0, 6)))]
+    assert value_at(ExpVector(0, 5, 4), REGIME_ONE) == Fraction(60, 5)
     cancelled = PuiseuxPoly(REGIME_ONE, four_times({(0, 5, 4): 1, (3, 0, 6): -1}))
-    assert cancelled.is_zero() and not cancelled.poly.is_zero()
+    assert descending_classes(cancelled) == [] and not cancelled.poly.is_zero()
+    with pytest.raises(ValueError):
+        cancelled.top_class()
 
 
 def test_class_members_of_different_degrees_unscale_apart():
@@ -263,11 +291,12 @@ def test_class_members_of_different_degrees_unscale_apart():
     def image(c_a, c_2c):
         return PuiseuxPoly(REGIME_ONE, Poly(TVARS, {(1, 0, 0): c_a, (0, 0, 2): c_2c}))
 
-    assert image(4, 16).terms == {10: (2, (ExpVector(0, 0, 2), ExpVector(1, 0, 0)))}
-    assert image(4, -16).is_zero() and repr(image(4, -16)) == "0"
-    assert image(1, 1).terms == {10: (Fraction(5, 16), (ExpVector(0, 0, 2), ExpVector(1, 0, 0)))}
+    vecs = (ExpVector(0, 0, 2), ExpVector(1, 0, 0))
+    assert descending_classes(image(4, 16)) == [(10, 2, vecs)]
+    assert descending_classes(image(4, -16)) == []
+    assert descending_classes(image(1, 1)) == [(10, Fraction(5, 16), vecs)]
     lower = PuiseuxPoly(REGIME_ONE, Poly(TVARS, {(1, 0, 0): 4, (0, 0, 2): -16, (0, 1, 0): 8}))
-    assert leading_term(lower, REGIME_ONE) == (2, ExpVector(0, 1, 0))
+    assert leading_term(lower) == (2, ExpVector(0, 1, 0))
 
 
 def test_derived_weights_leave_regime_identity_unchanged():
@@ -280,7 +309,7 @@ def test_derived_weights_leave_regime_identity_unchanged():
     # half of regime one has the same integer weights, over denominator 10, but
     # is another regime
     half = Regime("one", Fraction(1), Fraction(4, 5), Fraction(1, 2))
-    assert half.weights == REGIME_ONE.weights and half.denominator == 10
+    assert half.weights == REGIME_ONE.weights == (10 * half.a, 10 * half.b, 10 * half.c)
     assert half != REGIME_ONE
 
 
@@ -289,31 +318,36 @@ def test_derived_weights_leave_regime_identity_unchanged():
 
 def test_leading_term_simple_comparison():
     p = substitute_regime(Y["y1"] - Y["y4"] - (Y["y2"] - Y["y4"]), REGIME_ONE)
-    coeff, exp = leading_term(p, REGIME_ONE)
+    coeff, exp = leading_term(p)
     assert (coeff, exp) == (1, ExpVector(1, 0, 0))  # t^a - t^b leads with t^a
 
 
 def test_leading_term_of_zero_rejected():
     zero = substitute_regime(Poly.zero(YVARS), REGIME_ONE)
     with pytest.raises(ValueError):
-        leading_term(zero, REGIME_ONE)
+        leading_term(zero)
 
 
-def test_leading_term_regime_mismatch_rejected():
-    p = substitute_regime(Y["y1"], REGIME_ONE)
+def test_mixed_regimes_rejected():
+    # a PuiseuxPoly carries its regime, and + and * refuse two different ones
+    one = substitute_regime(Y["y1"], REGIME_ONE)
+    two = substitute_regime(Y["y1"], REGIME_TWO)
     with pytest.raises(ValueError):
-        leading_term(p, REGIME_TWO)
+        one + two
+    with pytest.raises(ValueError):
+        one * two
+    assert one != two
 
 
 def test_q000_leading_regime_one():
     p = substituted_q(0, 0, 0, REGIME_ONE)
-    coeff, exp = leading_term(p, REGIME_ONE)
+    coeff, exp = leading_term(p)
     assert coeff == 9 and exp == ExpVector(6, 2, 1)
 
 
 def test_q100_leading_regime_one():
     p = substituted_q(1, 0, 0, REGIME_ONE)
-    coeff, exp = leading_term(p, REGIME_ONE)
+    coeff, exp = leading_term(p)
     assert coeff == 18 and exp == ExpVector(8, 2, 1)
 
 
@@ -328,7 +362,7 @@ def test_p2_power_two_orders_regime_one():
     # leading 2^n t^(2an); next term -n 2^n t^(2an-(a-b))
     base = p2(YVARS, ("y1", "y2", "y3"))
     for n in (1, 2, 3, 4):
-        terms = substitute_regime(base**n, REGIME_ONE).sorted_terms()
+        terms = descending_classes(substitute_regime(base**n, REGIME_ONE))
         _, coeff0, vecs0 = terms[0]
         _, coeff1, vecs1 = terms[1]
         assert coeff0 == 2**n and vecs0 == (ExpVector(2 * n, 0, 0),)
@@ -350,12 +384,15 @@ def test_expected_closed_forms_at_origin():
     assert expected_q_leading(0, 0, 1, "two") == (6, ExpVector(9, 3, 1))
 
 
+def rendered_closed_form(n, m, k, regime):
+    coeff, exp = expected_q_leading(n, m, k, regime.id)
+    return f"{coeff}*t^({exp})"
+
+
 def test_verify_q_asymptotics_examples():
-    assert verify_q_asymptotics(0, 0, 0, REGIME_ONE) == (9, ExpVector(6, 2, 1), True)
-    assert verify_q_asymptotics(0, 0, 1, REGIME_TWO)[2]
-    coeff, exp, passed = verify_q_asymptotics(0, 0, 0, REGIME_TWO)
-    assert passed and coeff == 18
-    assert exp == ExpVector(5, 3, 1)
+    assert verify_q_asymptotics(0, 0, 0, REGIME_ONE) == "9*t^(6a+2b+c)"
+    assert verify_q_asymptotics(0, 0, 1, REGIME_TWO) == "6*t^(9a+3b+c)"
+    assert verify_q_asymptotics(0, 0, 0, REGIME_TWO) == "18*t^(5a+3b+c)"
 
 
 def test_verify_q_asymptotics_all_small_degrees():
@@ -364,7 +401,8 @@ def test_verify_q_asymptotics_all_small_degrees():
             for k in range((d - 3 * m) // 2 + 1):
                 n = d - 3 * m - 2 * k
                 for regime in (REGIME_ONE, REGIME_TWO):
-                    assert verify_q_asymptotics(n, m, k, regime)[2], (n, m, k)
+                    actual = verify_q_asymptotics(n, m, k, regime)
+                    assert actual == rendered_closed_form(n, m, k, regime), (n, m, k)
 
 
 def test_leading_coefficients_positive():
@@ -373,15 +411,13 @@ def test_leading_coefficients_positive():
             for k in range((d - 3 * m) // 2 + 1):
                 n = d - 3 * m - 2 * k
                 for regime in (REGIME_ONE, REGIME_TWO):
-                    coeff, _ = leading_term(
-                        substituted_q(n, m, k, regime), regime
-                    )
+                    coeff, _ = leading_term(substituted_q(n, m, k, regime))
                     assert coeff > 0
 
 
 def test_custom_regime_still_passes():
     custom = Regime("one", Fraction(3), Fraction(12, 5), Fraction(3, 2))
-    assert verify_q_asymptotics(0, 0, 0, custom)[2]
+    assert verify_q_asymptotics(0, 0, 0, custom) == rendered_closed_form(0, 0, 0, custom)
 
 
 def test_factored_substitution_matches_direct():
@@ -400,11 +436,13 @@ def test_leading_term_reads_only_the_top_class(monkeypatch):
         return Fraction(*args)
 
     p = substituted_q(2, 1, 1, REGIME_TWO)
+    assert len(descending_classes(p)) > 50
     monkeypatch.setattr(asymptotics, "Fraction", counting_fraction)
-    assert leading_term(p, REGIME_TWO) == expected_q_leading(2, 1, 1, "two")
+    assert leading_term(p) == expected_q_leading(2, 1, 1, "two")
     assert len(made) == 2  # the class read and the expected coefficient
     made.clear()
-    assert len(p.terms) == len(made) > 50  # the full view builds one per nonzero class
+    p.top_class()
+    assert made == []  # the top class is read once and kept
 
 
 # --- homomorphism property ----------------------------------------------------

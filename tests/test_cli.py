@@ -99,22 +99,23 @@ def test_abc_malformed_exits_2(capsys):
 
 
 def test_dims_even(capsys):
-    assert main(["dims", "--parity", "even", "--legs", "12"]) == 0
+    assert main(["dims", "--legs", "12"]) == 0
     out = capsys.readouterr().out
     assert "dim=7" in out and "closed_form=7" in out
 
 
 def test_dims_odd(capsys):
-    assert main(["dims", "--parity", "odd", "--legs", "9"]) == 0
+    assert main(["dims", "--legs", "9"]) == 0
     out = capsys.readouterr().out
     assert "dim=1" in out and "quotient_dim=0" in out
 
 
 def test_dims_parity_mismatch_exits_2(capsys):
-    assert main(["dims", "--parity", "odd", "--legs", "8"]) == 2
+    # the leg count fixes the parity, so --parity is no option at all
+    assert main(["dims", "--parity", "odd", "--legs", "9"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "jd3: error: parity 'odd' does not match legs=8\n"
+    assert "error: unrecognized arguments: --parity odd" in captured.err
 
 
 def test_dims_with_a_broken_e1_certificate_exits_2(monkeypatch, capsys):
@@ -126,7 +127,7 @@ def test_dims_with_a_broken_e1_certificate_exits_2(monkeypatch, capsys):
         return reps + reps[:1] if degree == 8 else reps
 
     monkeypatch.setattr(diagram_spaces, "_orbit_reps", duplicated)
-    assert main(["dims", "--parity", "odd", "--legs", "9"]) == 2
+    assert main(["dims", "--legs", "9"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("jd3: error: e1-rows not unitriangular at legs=9")
@@ -257,7 +258,7 @@ def test_readme_examples_print_what_they_show(capsys):
     # each `$ jd3 ...` line of the README, followed by the exact output it shows
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
     examples = [(i, line) for i, line in enumerate(lines) if line.startswith("$ jd3 ")]
-    assert [line for _, line in examples] == ["$ jd3 dims --parity odd --legs 9"]
+    assert [line for _, line in examples] == ["$ jd3 dims --legs 9"]
     for i, line in examples:
         shown = list(itertools.takewhile(lambda out: out != "```", lines[i + 1 :]))
         assert main(line.split()[2:]) == 0

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jd3.diagram_spaces import (
-    CATALOG,
     _FAMILIES,
     _GENERATOR_SHUFFLE_SEED,
     _SkewSliceContext,
+    _x_from_y_map,
     eliminate_y4,
     subring_family_slice,
     even_closed_form,
@@ -23,7 +23,6 @@ from jd3.diagram_spaces import (
     tet_slice,
     tsq_odd_dim,
     x_from_y,
-    x_from_y_map,
     y_from_x,
 )
 from jd3.linalg import QMatrix, RowSpan, rank, row_space_equal
@@ -101,7 +100,7 @@ def oracle_tet_dim(legs):
 def family_images(family, legs):
     """A family's generators in the order its slice consumes them, built from the edge images."""
     generators, build = _FAMILIES[family]
-    x = x_from_y_map()
+    x = _x_from_y_map()
     bases = {**x, "x1*x2": x["x1"] * x["x2"]}
     order = list(generators(legs))
     random.Random(_GENERATOR_SHUFFLE_SEED).shuffle(order)
@@ -158,18 +157,6 @@ def count_odd_targets(legs):
         for k in range((rest - 6 * m) // 4 + 1)
         if (rest - 6 * m - 4 * k) % 2 == 0
     )
-
-
-# --- catalog -----------------------------------------------------------------
-
-
-def test_catalog_shape():
-    assert len(CATALOG) == 5
-    assert [g.id for g in CATALOG] == ["wtr", "bbl", "mdl", "tsq", "tet"]
-    assert sum(g.computable for g in CATALOG) == 2
-    for g in CATALOG:
-        assert g.vertex_count - g.edge_count == -2
-        assert g.betti == 3
 
 
 # --- changes of variables ----------------------------------------------------
@@ -300,8 +287,10 @@ def test_odd_target_dim_values():
     assert odd_target_dim(15) == 3
     assert odd_target_dim(21) == 7
     assert odd_target_dim(7) == 0
-    with pytest.raises(ValueError):
-        odd_target_dim(8)
+    # even and negative leg counts raise, as in tet_slice(-1) and tsq_odd_dim(-1)
+    for legs in (8, -1, -9):
+        with pytest.raises(ValueError):
+            odd_target_dim(legs)
 
 
 # --- spanning families -------------------------------------------------------

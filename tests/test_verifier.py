@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from jd3 import _coverage, diagram_spaces, multipoly, verifier
+from jd3 import _coverage, asymptotics, diagram_spaces, multipoly, verifier
+from jd3.asymptotics import REGIME_ONE, TVARS, PuiseuxPoly
+from jd3.diagram_spaces import x_from_y
 from jd3.multipoly import Poly
 from jd3.verifier import (
     Report,
@@ -87,6 +89,27 @@ def test_asymptotics_suite_counts():
     actuals = {c.id: c.actual for c in report0.checks}
     assert actuals["asym.regime1.n=0.m=0.k=0"] == "9*t^(6a+2b+c)"
     assert actuals["asym.regime2.n=0.m=0.k=0"] == "18*t^(5a+3b+c)"
+
+
+def test_merged_top_class_fails_its_check(monkeypatch):
+    # t^(6a+2b+c) and t^(5a+2b+3c) share the key 81 under regime one; their
+    # merged coefficient is the closed form's 9, but the class has two vectors
+    merged = PuiseuxPoly(REGIME_ONE, Poly(TVARS, {(6, 2, 1): 8 * 4**9, (5, 2, 3): 4**10}))
+    monkeypatch.setattr(asymptotics, "substituted_q", lambda n, m, k, regime: merged)
+    (check,) = verify_asymptotics(0, regimes=(REGIME_ONE,)).checks
+    assert check.expected == "9*t^(6a+2b+c)"
+    assert check.actual == "9*t^(5a+2b+3c) (merged exponent class)"
+    assert not check.passed
+
+
+def test_shared_edge_images_are_read_only():
+    # x_from_y hands out cached images; a caller cannot change what later runs read
+    with pytest.raises(AttributeError):
+        x_from_y("x1").terms.clear()
+    with pytest.raises(TypeError):
+        x_from_y("x1").terms[(1, 0, 0, 0)] = 5
+    report = run_all()
+    assert report.summary == {"total": 403, "passed": 403, "failed": 0}
 
 
 def test_property_suite_counts_and_passes():
