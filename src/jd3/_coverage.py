@@ -11,7 +11,6 @@ TRACKED_OPS = frozenset(
     {
         "multipoly.ring_ops",
         "multipoly.substitute",
-        "multipoly.act",
         "multipoly.symmetrize",
         "multipoly.elementary_symmetric",
         "multipoly.discriminant",

@@ -18,8 +18,11 @@ from fractions import Fraction
 from .asymptotics import DEFAULT_REGIMES, Regime
 from .diagram_spaces import even_closed_form, odd_target_dim, ihx_image_slice, tet_slice
 from .verifier import (
+    ASYM_MAX_D,
+    EVEN_MAX_LEGS,
+    LEMMA_MAX_D,
+    ODD_MAX_LEGS,
     Report,
-    RunConfig,
     run_all,
     verify_asymptotics,
     verify_even_dims,
@@ -46,19 +49,19 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="suite", required=True)
 
     odd = vsub.add_parser("odd", help="odd-degree vanishing checks")
-    odd.add_argument("--max-legs", type=int, default=29, metavar="N")
+    odd.add_argument("--max-legs", type=int, default=ODD_MAX_LEGS, metavar="N")
     _add_output_flags(odd)
 
     even = vsub.add_parser("even", help="even-degree dimension checks")
-    even.add_argument("--max-legs", type=int, default=30, metavar="N")
+    even.add_argument("--max-legs", type=int, default=EVEN_MAX_LEGS, metavar="N")
     _add_output_flags(even)
 
     lemma = vsub.add_parser("lemma", help="independence and span of the Q family")
-    lemma.add_argument("--max-d", type=int, default=8, metavar="D")
+    lemma.add_argument("--max-d", type=int, default=LEMMA_MAX_D, metavar="D")
     _add_output_flags(lemma)
 
     asym = vsub.add_parser("asymptotics", help="leading-term checks for the Q family")
-    asym.add_argument("--max-d", type=int, default=6, metavar="D")
+    asym.add_argument("--max-d", type=int, default=ASYM_MAX_D, metavar="D")
     asym.add_argument("--regime", choices=("one", "two", "both"), default="both")
     asym.add_argument(
         "--abc",
@@ -72,10 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     dims.add_argument("--legs", type=int, required=True, metavar="L")
 
     everything = sub.add_parser("all", help="run every suite with the default caps")
-    everything.add_argument("--max-legs-odd", type=int, default=29, metavar="N")
-    everything.add_argument("--max-legs-even", type=int, default=30, metavar="N")
-    everything.add_argument("--max-d-lemma", type=int, default=8, metavar="D")
-    everything.add_argument("--max-d-asym", type=int, default=6, metavar="D")
     _add_output_flags(everything)
 
     return parser
@@ -157,13 +156,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "dims":
             return _run_dims(args)
         if args.command == "all":
-            config = RunConfig(
-                odd_max_legs=args.max_legs_odd,
-                even_max_legs=args.max_legs_even,
-                lemma_max_d=args.max_d_lemma,
-                asym_max_d=args.max_d_asym,
-            )
-            return _emit(run_all(config), args)
+            return _emit(run_all(), args)
         if args.suite == "odd":
             return _emit(verify_odd_vanishing(args.max_legs), args)
         if args.suite == "even":

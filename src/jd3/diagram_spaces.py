@@ -50,8 +50,8 @@ from .multipoly import (
     YVARS,
     Y3VARS,
     Z3VARS,
-    act,
     degree_slice_monomials,
+    symmetrize,
 )
 
 
@@ -131,13 +131,6 @@ def eliminate_y4(p: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 # Graded slices
 # ---------------------------------------------------------------------------
-
-
-def _coords(p: Poly, basis_index: dict[tuple[int, ...], int]) -> list[int]:
-    row = [0] * len(basis_index)
-    for exps, coeff in p.terms.items():
-        row[basis_index[exps]] = coeff
-    return row
 
 
 def _orbit_reps(degree: int, strict: bool) -> list[tuple[int, int, int, int]]:
@@ -393,23 +386,22 @@ def tsq_odd_dim(legs: int) -> int:
     """Dimension of the odd slice of the four-arc graph's space: always 0.
 
     The reflection automorphism fixes each arc variable and acts as -1 on
-    odd degrees, so identity + reflection, twice the averaging projector,
-    is applied to every slice monomial and the rank of the image is taken;
-    it annihilates everything, giving rank 0 rather than a hard-coded
+    odd degrees, so the group sum over identity and reflection, twice the
+    averaging projector, is applied to every slice monomial and the rank
+    of the images is taken.  It annihilates everything, so no image is
+    nonzero, no row is built, and the rank is 0 rather than a hard-coded
     constant.
     """
     _coverage.touch("diagram_spaces.tsq_odd_dim")
     if legs % 2 == 0:
         raise ValueError("tsq_odd_dim expects an odd leg count")
     basis = degree_slice_monomials(Z3VARS, legs)
-    basis_index = {m: i for i, m in enumerate(basis)}
-    identity = SignedPermAction(Z3VARS, (0, 1, 2), 1)
-    reflection = SignedPermAction(Z3VARS, (0, 1, 2), -1)
+    group = [SignedPermAction(Z3VARS, (0, 1, 2), 1), SignedPermAction(Z3VARS, (0, 1, 2), -1)]
     rows = []
     for mono in basis:
-        p = Poly.monomial(Z3VARS, mono)
-        image = act(identity, p) + act(reflection, p)
-        rows.append(_coords(image, basis_index))
+        image = symmetrize(Poly.monomial(Z3VARS, mono), group)
+        if not image.is_zero():
+            rows.append([image.terms.get(m, 0) for m in basis])
     return rank(QMatrix.from_rows(rows, cols=len(basis)))
 
 

@@ -4,7 +4,8 @@ Entries are `int`s.  Scaling a row by a nonzero rational changes neither
 the rank nor the row space over Q, so both are computed exactly by
 fraction-free elimination (integer-preserving, as in Bareiss, Math.
 Comp. 22, 1968), with each row divided by its content rather than by
-Bareiss's previous pivot.
+Bareiss's previous pivot.  Every rank feeds the matrix's rows, in
+order, to one `RowSpan`.
 Matrices are dense; everything in this package is small enough that
 sparse storage would only add complexity.
 """
@@ -24,9 +25,7 @@ def _check_ints(entries: Sequence) -> None:
 def _primitive_int_row(row: Sequence[int]) -> list[int] | None:
     """Divide a row of ints (checked by the caller) by its content, with positive leading entry.
 
-    Returns None for the zero row.  Rows that are rational multiples of
-    each other map to the same primitive row, so this doubles as a
-    canonical form for duplicate detection.
+    Returns None for the zero row.
     """
     g = gcd(*row)
     if g == 0:
@@ -82,11 +81,6 @@ class QMatrix:
             raise ValueError("cannot stack matrices with different column counts")
         return QMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols})"
 
@@ -141,24 +135,14 @@ class RowSpan:
 
 
 def rank(m: QMatrix) -> int:
-    """Exact rank over the rationals.
+    """Exact rank over the rationals: each row goes to `RowSpan.add` in order.
 
-    Rows are brought to primitive integer form first; zero rows and repeats
-    (up to scaling) cannot change the rank and are skipped before elimination.
-    Most rows this package ranks are zero (the four-arc graph's odd images),
-    and a repeat would otherwise cost a full reduction against the basis.
+    A zero row returns from the reduction at once, and a repeated row
+    reduces to zero; neither is filtered out first.
     """
     span = RowSpan(m.cols)
-    seen: set[tuple[int, ...]] = set()
     for i in range(m.rows):
-        prim = _primitive_int_row(m.row(i))
-        if prim is None:
-            continue
-        key = tuple(prim)
-        if key in seen:
-            continue
-        seen.add(key)
-        span.add(prim)
+        span.add(m.row(i))
     return span.rank
 
 

@@ -159,13 +159,9 @@ class Poly:
         return p
 
     @classmethod
-    def zero(cls, vars: VarSet) -> "Poly":
-        return cls._raw(vars, {})
-
-    @classmethod
     def constant(cls, vars: VarSet, c) -> "Poly":
         if not _int(c):
-            return cls.zero(vars)
+            return cls._raw(vars, {})
         return cls._raw(vars, {(0,) * len(vars): c})
 
     @classmethod
@@ -224,7 +220,7 @@ class Poly:
     def scale(self, c) -> "Poly":
         _coverage.touch("multipoly.ring_ops")
         if not _int(c):
-            return Poly.zero(self.vars)
+            return Poly._raw(self.vars, {})
         return Poly._raw(self.vars, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
@@ -262,7 +258,7 @@ class Poly:
             elif img.vars != target:
                 raise ValueError("substitution images use different variable sets")
         if not self.terms:
-            return Poly.zero(self.vars if target is None else target)
+            return Poly._raw(self.vars if target is None else target, {})
         if target is None:
             raise ValueError("empty substitution map")
         images = [mapping.get(name) for name in self.vars.names]
@@ -309,14 +305,12 @@ class Poly:
         e = max(self.terms, key=lambda t: (sum(t), t))
         return e, self.terms[e]
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for exps, coeff in self.sorted_terms():
+        by_degree = sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        for exps, coeff in by_degree:
             factors = [
                 f"{n}^{e}" if e > 1 else n
                 for n, e in zip(self.vars.names, exps)
@@ -356,15 +350,6 @@ def perm_sign(perm: tuple[int, ...]) -> int:
         1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
     )
     return -1 if inversions & 1 else 1
-
-
-def act(action: SignedPermAction, p: Poly) -> Poly:
-    """Relabel variables by the permutation and multiply by the character."""
-    _coverage.touch("multipoly.act")
-    if action.vars != p.vars:
-        raise ValueError("action and polynomial use different variable sets")
-    coeffs = p.terms.values() if action.character > 0 else map(neg, p.terms.values())
-    return Poly._raw(p.vars, dict(zip(map(action.relabel, p.terms), coeffs)))
 
 
 def signed_s4(vars: VarSet, character: str) -> list[SignedPermAction]:
@@ -709,12 +694,15 @@ def express_product_in_uvw(n: int, m: int, k: int) -> Poly:
 def degree_slice_monomials(vars: VarSet, d: int) -> list[tuple[int, ...]]:
     """All exponent tuples of total degree d, lexicographically descending.
 
-    The count is C(d + len(vars) - 1, len(vars) - 1).
+    The count is C(d + len(vars) - 1, len(vars) - 1); with no variables it
+    is the empty tuple in degree 0 and nothing above.
     """
     _coverage.touch("multipoly.degree_slice_monomials")
     if d < 0:
         raise ValueError("degree must be non-negative")
     n = len(vars)
+    if not n:
+        return [()] if d == 0 else []
 
     def gen(remaining: int, slots: int):
         if slots == 1:

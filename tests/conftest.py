@@ -27,3 +27,16 @@ def wrong_closed_form(monkeypatch):
 
     closed_form = verifier.even_closed_form
     monkeypatch.setattr(verifier, "even_closed_form", lambda legs: closed_form(legs) + 1)
+
+
+@pytest.fixture
+def caps(monkeypatch):
+    """Set the caps `run_all` reads, `caps(odd, even, lemma, asym)`, for a small run of `jd3 all`."""
+    from jd3 import verifier
+
+    def set_caps(odd: int, even: int, lemma: int, asym: int) -> None:
+        names = ("ODD_MAX_LEGS", "EVEN_MAX_LEGS", "LEMMA_MAX_D", "ASYM_MAX_D")
+        for name, value in zip(names, (odd, even, lemma, asym)):
+            monkeypatch.setattr(verifier, name, value)
+
+    return set_caps

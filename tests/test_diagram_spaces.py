@@ -3,12 +3,14 @@
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jd3 import diagram_spaces
 from jd3.diagram_spaces import (
     _FAMILIES,
     _GENERATOR_SHUFFLE_SEED,
@@ -32,6 +34,7 @@ from jd3.multipoly import (
     XVARS,
     YVARS,
     Y3VARS,
+    Z3VARS,
     degree_slice_monomials,
     elementary_symmetric,
     q_alternant_row,
@@ -69,7 +72,7 @@ def oracle_image(p, degree):
 
 def expand_row(row, basis, degree):
     """A row of orbit-basis coordinates, expanded through the group-sum route."""
-    total = Poly.zero(Y3VARS)
+    total = Poly(Y3VARS)
     for c, rep in zip(row, basis):
         if c:
             total = total + oracle_image(Poly.monomial(YVARS, rep), degree).scale(c)
@@ -272,7 +275,7 @@ def test_tet_slice_rows_are_symmetrizer_images():
         group = group_for(legs)
         basis_images = [symmetrize(Poly.monomial(YVARS, lam), group) for lam in space.basis]
         for row, source in zip(ctx.e1_rows, sources):
-            expanded = Poly.zero(YVARS)
+            expanded = Poly(YVARS)
             for i, c in row:
                 expanded = expanded + basis_images[i].scale(c)
             assert expanded == symmetrize(source, group)
@@ -404,10 +407,44 @@ def test_image_dim_equals_ambient_through_15():
 
 
 def test_tsq_odd_dims_vanish():
-    for legs in (1, 3, 9, 15):
+    for legs in (1, 3, 9, 15, 29, 45):
         assert tsq_odd_dim(legs) == 0
     with pytest.raises(ValueError):
         tsq_odd_dim(4)
+
+
+def test_tsq_odd_dim_builds_no_row_for_a_zero_image(monkeypatch):
+    ranked = []
+    from_rows = QMatrix.from_rows.__func__
+
+    def recording(cls, rows, cols=None):
+        ranked.append((list(rows), cols))
+        return from_rows(cls, ranked[-1][0], cols)
+
+    monkeypatch.setattr(QMatrix, "from_rows", classmethod(recording))
+    assert tsq_odd_dim(29) == 0
+    assert ranked == [([], len(degree_slice_monomials(Z3VARS, 29)))]
+
+
+def test_tsq_odd_dim_ranks_the_nonzero_images(monkeypatch):
+    # negative control: with the reflection's sign dropped, each image is
+    # twice its monomial, so every row is kept and the rank is the slice size
+    action = diagram_spaces.SignedPermAction
+    monkeypatch.setattr(
+        diagram_spaces, "SignedPermAction", lambda vars, perm, character: action(vars, perm, 1)
+    )
+    assert tsq_odd_dim(9) == len(degree_slice_monomials(Z3VARS, 9)) == 55
+
+
+def test_tsq_odd_dim_memory_stays_small():
+    # a dense matrix of the 1,081 zero images would take 36 MiB at L=45
+    tracemalloc.start()
+    try:
+        assert tsq_odd_dim(45) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- closed forms ------------------------------------------------------------

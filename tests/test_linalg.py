@@ -145,9 +145,9 @@ def test_rowspan_reduce_checks_its_input_once_and_its_own_rows_never(monkeypatch
     assert span.reduce([3, 3, 3]) == [0, 0, 0]
     assert checked == [[2, 4, 0], [1, 1, 1], [3, 3, 3]]
     checked.clear()
-    assert rank(QMatrix.from_rows([[0, 0], [1, 2], [2, 4], [0, 1]])) == 2
-    # QMatrix checks its entries; rank hands RowSpan only the distinct nonzero rows
-    assert checked == [[0, 0, 1, 2, 2, 4, 0, 1], [1, 2], [0, 1]]
+    assert rank(QMatrix.from_rows([[0, 0], [1, 2], [2, 4], [0, 1], [1, 2]])) == 2
+    # QMatrix checks its entries; rank hands RowSpan every row, zero and repeated ones included
+    assert checked == [[0, 0, 1, 2, 2, 4, 0, 1, 1, 2], [0, 0], [1, 2], [2, 4], [0, 1], [1, 2]]
 
 
 small_matrix = st.integers(1, 4).flatmap(

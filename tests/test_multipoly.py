@@ -20,7 +20,6 @@ from jd3.multipoly import (
     XVARS,
     YVARS,
     Y3VARS,
-    act,
     degree_slice_monomials,
     discriminant,
     divide_exact,
@@ -69,7 +68,7 @@ def test_product_difference_of_squares():
 
 def test_multiply_by_zero():
     p = Y["y1"] * Y["y2"] + Y["y3"]
-    assert (p * Poly.zero(YVARS)).is_zero()
+    assert (p * Poly(YVARS)).is_zero()
 
 
 def test_p3_expansion_has_six_unit_terms():
@@ -84,7 +83,7 @@ def test_varset_mismatch_rejected():
 
 
 def test_zero_degree_sentinel():
-    assert degree(Poly.zero(YVARS)) == float("-inf")
+    assert degree(Poly(YVARS)) == float("-inf")
     assert degree(Poly.constant(YVARS, 5)) == 0
 
 
@@ -127,19 +126,20 @@ def test_substitute_unmapped_variable_rejected():
 
 
 def test_act_swap_with_sign():
+    # one group element's action is the group sum over that element alone
     swap = SignedPermAction(YVARS, (1, 0, 2, 3), -1)
-    assert act(swap, Y["y1"]) == -Y["y2"]
+    assert symmetrize(Y["y1"], [swap]) == -Y["y2"]
 
 
 def test_act_identity():
     ident = SignedPermAction(YVARS, (0, 1, 2, 3), 1)
-    p = Y["y1"] * Y["y2"] - Y["y3"]
-    assert act(ident, p) == p
+    p = Y["y1"] * Y["y2"] - (Y["y3"] ** 2).scale(3)
+    assert symmetrize(p, [ident]) == p
 
 
 def test_act_four_cycle():
     cyc = SignedPermAction(YVARS, (1, 2, 3, 0), -1)
-    assert act(cyc, Y["y1"] * Y["y2"]) == -(Y["y2"] * Y["y3"])
+    assert symmetrize(Y["y1"] * Y["y2"], [cyc]) == -(Y["y2"] * Y["y3"])
 
 
 def test_skew_symmetrize_linear_vanishes():
@@ -203,7 +203,7 @@ def test_parity_grading_of_products():
     plain_group = signed_s4(YVARS, "trivial")
 
     def is_invariant(p, group):
-        return all(act(g, p) == p for g in group)
+        return all(symmetrize(p, [g]) == p for g in group)
 
     for _ in range(10):
         e1 = tuple(rng.sample(range(6), 4))
@@ -251,7 +251,7 @@ def test_vieta_expansion():
 def test_discriminant_skew_under_signed_transposition():
     delta = discriminant(YVARS)
     swap = SignedPermAction(YVARS, (1, 0, 2, 3), -1)
-    assert act(swap, delta) == delta
+    assert symmetrize(delta, [swap]) == delta
 
 
 def test_discriminant_value_at_1234():
@@ -348,12 +348,12 @@ def test_divide_exact_rejects_non_divisor():
 
 
 def test_divide_exact_zero_dividend():
-    assert divide_exact(Poly.zero(YVARS), Y["y1"]).is_zero()
+    assert divide_exact(Poly(YVARS), Y["y1"]).is_zero()
 
 
 def test_divide_exact_by_zero_rejected():
     with pytest.raises(ValueError):
-        divide_exact(Y["y1"], Poly.zero(YVARS))
+        divide_exact(Y["y1"], Poly(YVARS))
 
 
 def test_skew_images_divisible_by_discriminant():
@@ -457,10 +457,10 @@ XY = {n: Poly.variable(VarSet(("x", "y")), n) for n in ("x", "y")}
         (XY["x"] ** 7 + XY["y"] ** 7, XY["x"] + XY["y"].scale(-3)),
         # a constant and the zero polynomial
         (Poly.constant(XY["x"].vars, -5), XY["x"] - XY["y"]),
-        (Poly.zero(XY["x"].vars), XY["x"] + XY["y"]),
+        (Poly(XY["x"].vars), XY["x"] + XY["y"]),
         # no variables: the only monomial is the empty tuple
         (Poly(VarSet(()), {(): 4}), Poly(VarSet(()), {(): -7})),
-        (Poly(VarSet(()), {(): 4}), Poly.zero(VarSet(()))),
+        (Poly(VarSet(()), {(): 4}), Poly(VarSet(()))),
         # cancellation: the xy terms, with unit and with larger coefficients
         (XY["x"] + XY["y"], XY["x"] - XY["y"]),
         (
@@ -513,7 +513,7 @@ def ref_pow(p, n):
 
 def ref_substitute(p, mapping):
     target = next(iter(mapping.values())).vars
-    acc = Poly.zero(target)
+    acc = Poly(target)
     for exps, coeff in p.terms.items():
         factor = Poly.constant(target, coeff)
         for name, e in zip(p.vars.names, exps):
@@ -637,7 +637,7 @@ def test_relabelling_matches_reference(case):
     p, group = case
     assert symmetrize(p, group) == ref_symmetrize(p, group)
     for action in group:
-        assert act(action, p) == ref_symmetrize(p, [action])
+        assert symmetrize(p, [action]) == ref_symmetrize(p, [action])
 
 
 def test_exponents_past_64_bits_overflow():
@@ -668,14 +668,14 @@ def test_substitute_rejects_non_poly_images():
     with pytest.raises(TypeError):
         Y["y1"].substitute({"y1": 1})
     with pytest.raises(TypeError):
-        Poly.zero(YVARS).substitute({"y1": "y2"})
+        Poly(YVARS).substitute({"y1": "y2"})
 
 
 def test_substitute_checks_image_varsets_before_the_zero_shortcut():
     mixed = {"y1": Y["y1"], "y2": Poly.variable(XVARS, "x1")}
     with pytest.raises(ValueError):
-        Poly.zero(YVARS).substitute(mixed)
-    assert Poly.zero(YVARS).substitute({"y1": Poly.variable(XVARS, "x1")}) == Poly.zero(XVARS)
+        Poly(YVARS).substitute(mixed)
+    assert Poly(YVARS).substitute({"y1": Poly.variable(XVARS, "x1")}) == Poly(XVARS)
 
 
 @pytest.mark.parametrize("bad", [1.5, 1.0, "1", True])
@@ -737,6 +737,16 @@ def test_degree_slice_order_deterministic():
 def test_degree_slice_rejects_negative():
     with pytest.raises(ValueError):
         degree_slice_monomials(Y3VARS, -1)
+
+
+def test_degree_slice_without_variables():
+    # the empty monomial in degree 0 and nothing above, without recursing on zero slots
+    none = VarSet(())
+    assert degree_slice_monomials(none, 0) == [()]
+    for d in (1, 2, 9):
+        assert degree_slice_monomials(none, d) == []
+    with pytest.raises(ValueError):
+        degree_slice_monomials(none, -1)
 
 
 # --- u, v, w subring --------------------------------------------------------

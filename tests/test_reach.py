@@ -20,12 +20,9 @@ PACKAGE = Path(jd3.__file__).resolve().parent
 # (module file, qualified name) -> why no command runs it
 NEVER_RUN = {
     ("multipoly.py", "q_poly"): "Q expanded in y1..y4: the tests' reference; suites read Q's alternant row",
-    ("multipoly.py", "Poly.zero"): "reached only by a zero constant, a scale by 0 or substituting 0",
-    ("multipoly.py", "Poly.sorted_terms"): "the term order of Poly.__repr__",
     ("multipoly.py", "Poly.__repr__"): "read in failure messages and by people, not by a passing run",
     ("multipoly.py", "VarSet.__repr__"): "read in failure messages and by people, not by a passing run",
     ("linalg.py", "QMatrix.__repr__"): "read by people, not by a run",
-    ("linalg.py", "QMatrix.__eq__"): "value equality; the suites compare row spaces by rank",
     ("multipoly.py", "VarSet.__post_init__"): "runs at import, when the module-level variable sets are built",
 }
 
@@ -36,7 +33,7 @@ COMMANDS = (
     ["verify", "asymptotics", "--max-d", "0", "--regime", "one", "--abc", "2", "8/5", "1"],
     ["dims", "--legs", "9"],
     ["dims", "--legs", "4"],
-    ["all", "--max-legs-odd", "9", "--max-legs-even", "4", "--max-d-lemma", "0", "--max-d-asym", "0"],
+    ["all"],  # at the small caps the test sets
 )
 
 
@@ -63,7 +60,8 @@ def clear_package_caches() -> None:
                 value.cache_clear()
 
 
-def test_every_function_runs_in_some_command(tmp_path):
+def test_every_function_runs_in_some_command(tmp_path, caps):
+    caps(9, 4, 0, 0)
     clear_package_caches()  # earlier tests may have filled them
     codes = {}
 
@@ -88,4 +86,11 @@ def test_every_function_runs_in_some_command(tmp_path):
     }
     defined = defined_functions()
     assert set(NEVER_RUN) <= defined
+    assert sorted(NEVER_RUN) == [
+        ("linalg.py", "QMatrix.__repr__"),
+        ("multipoly.py", "Poly.__repr__"),
+        ("multipoly.py", "VarSet.__post_init__"),
+        ("multipoly.py", "VarSet.__repr__"),
+        ("multipoly.py", "q_poly"),
+    ]
     assert sorted(defined - ran - set(NEVER_RUN)) == []

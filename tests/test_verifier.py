@@ -1,5 +1,6 @@
 """Report structure, suite behavior, determinism, coverage."""
 
+import dataclasses
 import json
 import sys
 
@@ -258,11 +259,9 @@ def test_caches_do_not_grow_with_the_caps():
     assert _cached_entries() == small
 
 
-def test_run_all_small_config_passes_and_covers_everything():
-    config = RunConfig(
-        odd_max_legs=9, even_max_legs=6, lemma_max_d=1, asym_max_d=1
-    )
-    report = run_all(config)
+def test_run_all_small_config_passes_and_covers_everything(caps):
+    caps(9, 6, 1, 1)
+    report = run_all()
     assert report.all_passed
     assert _coverage.untouched() == frozenset()
     coverage_checks = [c for c in report.checks if c.id == "all.op_coverage"]
@@ -270,7 +269,14 @@ def test_run_all_small_config_passes_and_covers_everything():
     assert coverage_checks[0].actual == "every operation exercised"
 
 
-def test_every_poly_a_run_builds_holds_int_coefficients(monkeypatch):
+def test_run_config_holds_only_the_property_seed(caps):
+    # the caps are the paper's constants; a run is configured by its property seed alone
+    caps(1, 0, 0, 0)
+    assert [f.name for f in dataclasses.fields(RunConfig)] == ["property_seed"]
+    assert run_all(RunConfig(property_seed=1)).all_passed
+
+
+def test_every_poly_a_run_builds_holds_int_coefficients(monkeypatch, caps):
     # Poly._raw skips the constructor's coefficient check, and the packed
     # products of multiply, power and substitute never pass through it, so
     # every Poly and every packed product of a small run is kept and read
@@ -289,19 +295,19 @@ def test_every_poly_a_run_builds_holds_int_coefficients(monkeypatch):
 
     monkeypatch.setattr(Poly, "_raw", classmethod(kept_raw))
     monkeypatch.setattr(multipoly, "_mul_packed", kept_mul_packed)
-    config = RunConfig(odd_max_legs=11, even_max_legs=8, lemma_max_d=2, asym_max_d=2)
-    assert run_all(config).all_passed
+    caps(11, 8, 2, 2)
+    assert run_all().all_passed
     # floors a little under the counts measured at this config once the
-    # package's fixed-size memos are warm: 3,691 Polys and 5,081 products
-    assert len(built) > 3_500
+    # package's fixed-size memos are warm: 2,625 Polys and 5,081 products
+    assert len(built) > 2_500
     assert len(products) > 5_000
     bad = [c for t in [p.terms for p in built] + products for c in t.values() if type(c) is not int]
     assert bad == []
 
 
-def test_run_all_corrupt_hook_reports_failures(wrong_closed_form):
-    config = RunConfig(odd_max_legs=1, even_max_legs=2, lemma_max_d=0, asym_max_d=0)
-    report = run_all(config)
+def test_run_all_corrupt_hook_reports_failures(wrong_closed_form, caps):
+    caps(1, 2, 0, 0)
+    report = run_all()
     assert not report.all_passed
     failing = [c for c in report.checks if not c.passed]
     assert all(c.id.startswith("even.threeway") for c in failing)
