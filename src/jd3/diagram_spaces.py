@@ -248,7 +248,7 @@ class _SkewSliceContext:
         while span.rank < cols and (row := next(rows, None)) is not None:
             kept.append(self.quotient_row(row))
             span.add(kept[-1])
-        return SliceSpace(self.basis, QMatrix.from_rows(kept, cols=cols), span.rank)
+        return SliceSpace(self.basis, QMatrix(kept, cols), span.rank)
 
 
 def tet_slice(legs: int) -> SliceSpace:
@@ -264,7 +264,7 @@ def tet_slice(legs: int) -> SliceSpace:
         raise ValueError("legs must be non-negative")
     ctx = _SkewSliceContext(legs)
     n = len(ctx.standard)
-    identity = QMatrix(n, n, [int(i == j) for i in range(n) for j in range(n)])
+    identity = QMatrix([[int(i == j) for j in range(n)] for i in range(n)], n)
     return SliceSpace(ctx.basis, identity, n)
 
 
@@ -326,25 +326,19 @@ def _subring_family_build(power, gen: tuple[int, int, int]) -> Poly:
     return power("x1*x2", n) * power("x4", a) * power("x5", b)
 
 
-# family name -> (generator enumeration at a leg count, generator -> polynomial)
-_FAMILIES = {
-    "ihx_image": (_ihx_image_generators, _ihx_image_build),
-    "subring_family": (_subring_family_generators, _subring_family_build),
-}
-
-
-def _family_slice(family: str, legs: int) -> SliceSpace:
+def _family_slice(name: str, legs: int, generators, build) -> SliceSpace:
     """Span of one skew-symmetrized generator family at an odd leg count.
 
-    All generators lie in the signed-isotypic part of the slice, so the
+    `generators(legs)` enumerates the family and `build(power, gen)` turns
+    one generator into a polynomial from powers tabled for this call.  All
+    generators lie in the signed-isotypic part of the slice, so the
     construction stops once the running span is the whole ambient slice.
     The x-variables enter through `_x_from_y_map`, four times the paper's
     images: every generator is homogeneous of degree `legs` in them, so
     each row is 4^legs times the paper's and the span is the same.
     """
     if legs % 2 == 0:
-        raise ValueError(f"{family}_slice expects an odd leg count")
-    generators, build = _FAMILIES[family]
+        raise ValueError(f"{name}_slice expects an odd leg count")
     x = _x_from_y_map()
     bases = {**x, "x1*x2": x["x1"] * x["x2"]}
     powers: dict[tuple[str, int], Poly] = {}
@@ -369,7 +363,7 @@ def ihx_image_slice(legs: int) -> SliceSpace:
     in the first two exponents, so the other half repeats rows).
     """
     _coverage.touch("diagram_spaces.ihx_image_slice")
-    return _family_slice("ihx_image", legs)
+    return _family_slice("ihx_image", legs, _ihx_image_generators, _ihx_image_build)
 
 
 def subring_family_slice(legs: int) -> SliceSpace:
@@ -379,7 +373,7 @@ def subring_family_slice(legs: int) -> SliceSpace:
     in y1-y3, y2-y3 and (y1-y4)(y2-y4) (up to scale factors of 4).
     """
     _coverage.touch("diagram_spaces.subring_family_slice")
-    return _family_slice("subring_family", legs)
+    return _family_slice("subring_family", legs, _subring_family_generators, _subring_family_build)
 
 
 def tsq_odd_dim(legs: int) -> int:
@@ -402,7 +396,7 @@ def tsq_odd_dim(legs: int) -> int:
         image = symmetrize(Poly.monomial(Z3VARS, mono), group)
         if not image.is_zero():
             rows.append([image.terms.get(m, 0) for m in basis])
-    return rank(QMatrix.from_rows(rows, cols=len(basis)))
+    return rank(QMatrix(rows, len(basis)))
 
 
 # ---------------------------------------------------------------------------

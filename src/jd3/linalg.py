@@ -5,9 +5,10 @@ the rank nor the row space over Q, so both are computed exactly by
 fraction-free elimination (integer-preserving, as in Bareiss, Math.
 Comp. 22, 1968), with each row divided by its content rather than by
 Bareiss's previous pivot.  Every rank feeds the matrix's rows, in
-order, to one `RowSpan`.
-Matrices are dense; everything in this package is small enough that
-sparse storage would only add complexity.
+order, to one `RowSpan`.  `RowSpan.reduce` is where entries are
+checked: every row that is ranked, spanned or reduced goes through it,
+and an entry that is not an `int` raises `TypeError` there, before any of
+its arithmetic.  A `QMatrix` checks only its shape.
 """
 
 from __future__ import annotations
@@ -40,49 +41,25 @@ def _primitive_int_row(row: Sequence[int]) -> list[int] | None:
 
 
 class QMatrix:
-    """Dense integer matrix, ranked over Q.  0 x n and n x 0 shapes are legal."""
+    """Integer rows of one width, ranked over Q.  0 x n and n x 0 shapes are legal.
 
-    __slots__ = ("rows", "cols", "entries")
+    Only the shape is checked here: `RowSpan.reduce` refuses an entry that
+    is not an `int` when its row is ranked.
+    """
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[int]) -> None:
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        entries = list(entries)
-        _check_ints(entries)
-        if len(entries) != rows * cols:
-            raise ValueError(
-                f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
-            )
-        self.rows = rows
+    __slots__ = ("rows", "cols", "_row_lists")
+
+    def __init__(self, rows: Iterable[Sequence[int]], cols: int) -> None:
+        if cols < 0:
+            raise ValueError("a column count must be non-negative")
+        self._row_lists = [list(r) for r in rows]
+        if any(len(r) != cols for r in self._row_lists):
+            raise ValueError(f"every row of a matrix with {cols} columns needs {cols} entries")
+        self.rows = len(self._row_lists)
         self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "QMatrix":
-        rows = [list(r) for r in rows]
-        if rows:
-            ncols = len(rows[0])
-            if cols is not None and cols != ncols:
-                raise ValueError("cols argument disagrees with row length")
-            if any(len(r) != ncols for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            if cols is None:
-                raise ValueError("cols is required for a matrix with no rows")
-            ncols = cols
-        flat = [e for r in rows for e in r]
-        return cls(len(rows), ncols, flat)
 
     def row(self, i: int) -> list[int]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def stack(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.cols:
-            raise ValueError("cannot stack matrices with different column counts")
-        return QMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
-    def __repr__(self) -> str:
-        return f"QMatrix({self.rows}x{self.cols})"
+        return self._row_lists[i]
 
 
 class RowSpan:
@@ -154,4 +131,4 @@ def row_space_equal(a: QMatrix, b: QMatrix) -> bool:
     rb = rank(b)
     if ra != rb:
         return False
-    return rank(a.stack(b)) == ra
+    return rank(QMatrix(a._row_lists + b._row_lists, a.cols)) == ra

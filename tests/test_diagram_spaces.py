@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from jd3 import diagram_spaces
 from jd3.diagram_spaces import (
-    _FAMILIES,
     _GENERATOR_SHUFFLE_SEED,
     _SkewSliceContext,
     _x_from_y_map,
@@ -100,9 +100,19 @@ def oracle_tet_dim(legs):
     )
 
 
+# family name -> (generator enumeration at a leg count, generator -> polynomial)
+FAMILIES = {
+    "ihx_image": (diagram_spaces._ihx_image_generators, diagram_spaces._ihx_image_build),
+    "subring_family": (
+        diagram_spaces._subring_family_generators,
+        diagram_spaces._subring_family_build,
+    ),
+}
+
+
 def family_images(family, legs):
     """A family's generators in the order its slice consumes them, built from the edge images."""
-    generators, build = _FAMILIES[family]
+    generators, build = FAMILIES[family]
     x = _x_from_y_map()
     bases = {**x, "x1*x2": x["x1"] * x["x2"]}
     order = list(generators(legs))
@@ -350,11 +360,12 @@ def test_degree9_span_equals_target_basis_sympy_oracle():
     ctx = _SkewSliceContext(9)
     lifted = [lift(ctx, q) for q in row_lists(target.span_matrix)]
     generators = family_images("subring_family", 9)
+    cols = len(target.basis)
     for full, lifted_row in zip((ctx.skew_row(p) for p in generators), lifted):
         difference = [a - b for a, b in zip(full, lifted_row)]
-        assert rank(QMatrix.from_rows(e1_rows + [difference])) == rank(QMatrix.from_rows(e1_rows)) == 2
-    oracle_matrix = QMatrix.from_rows(e1_rows + [strict_coefficients(delta * sigma3)])
-    assert row_space_equal(QMatrix.from_rows(e1_rows + lifted), oracle_matrix)
+        assert rank(QMatrix(e1_rows + [difference], cols)) == rank(QMatrix(e1_rows, cols)) == 2
+    oracle_matrix = QMatrix(e1_rows + [strict_coefficients(delta * sigma3)], cols)
+    assert row_space_equal(QMatrix(e1_rows + lifted, cols), oracle_matrix)
 
 
 @pytest.mark.parametrize("legs", [9, 11, 13, 15])
@@ -379,7 +390,17 @@ def test_early_stop_spans_match_full_construction():
             for row in rows:
                 full.add(row)
             assert stopped.dim == full.rank
-            assert row_space_equal(stopped.span_matrix, QMatrix.from_rows(rows, cols=cols))
+            assert row_space_equal(stopped.span_matrix, QMatrix(rows, cols))
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4, 2), True])
+def test_span_refuses_a_non_int_entry(bad):
+    # QMatrix checks only its shape; a slice's rows still meet RowSpan's int check
+    ctx = _SkewSliceContext(13)
+    row = [0] * len(ctx.basis)
+    row[ctx.standard[0]] = bad
+    with pytest.raises(TypeError):
+        ctx.span([row])
 
 
 def test_span_builds_no_row_after_full_rank():
@@ -415,13 +436,13 @@ def test_tsq_odd_dims_vanish():
 
 def test_tsq_odd_dim_builds_no_row_for_a_zero_image(monkeypatch):
     ranked = []
-    from_rows = QMatrix.from_rows.__func__
+    init = QMatrix.__init__
 
-    def recording(cls, rows, cols=None):
+    def recording(self, rows, cols):
         ranked.append((list(rows), cols))
-        return from_rows(cls, ranked[-1][0], cols)
+        init(self, ranked[-1][0], cols)
 
-    monkeypatch.setattr(QMatrix, "from_rows", classmethod(recording))
+    monkeypatch.setattr(QMatrix, "__init__", recording)
     assert tsq_odd_dim(29) == 0
     assert ranked == [([], len(degree_slice_monomials(Z3VARS, 29)))]
 

@@ -28,11 +28,11 @@ def brute_force_det(rows):
 
 
 def test_rank_identity():
-    assert rank(QMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
+    assert rank(QMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)) == 3
 
 
 def test_rank_proportional_rows():
-    assert rank(QMatrix.from_rows([[1, 2], [2, 4]])) == 1
+    assert rank(QMatrix([[1, 2], [2, 4]], 2)) == 1
 
 
 def test_rank_vandermonde_nodes_1234():
@@ -40,51 +40,53 @@ def test_rank_vandermonde_nodes_1234():
     # oracle: nonzero determinant forces full rank; frozen value 12
     det = brute_force_det(rows)
     assert det == 12
-    assert rank(QMatrix.from_rows(rows)) == 4
+    assert rank(QMatrix(rows, 4)) == 4
 
 
 def test_rank_degenerate_shapes():
-    assert rank(QMatrix(0, 5, [])) == 0
-    assert rank(QMatrix(5, 0, [])) == 0
-    assert rank(QMatrix(2, 2, [0, 0, 0, 0])) == 0
+    assert rank(QMatrix([], 5)) == 0
+    assert rank(QMatrix([[]] * 5, 0)) == 0
+    assert rank(QMatrix([[0, 0], [0, 0]], 2)) == 0
 
 
 def test_qmatrix_validation():
     with pytest.raises(ValueError):
-        QMatrix(2, 2, [1, 2, 3])
+        QMatrix([[1, 2], [3]], 2)  # ragged
     with pytest.raises(ValueError):
-        QMatrix.from_rows([[1, 2], [3]])
+        QMatrix([[1, 2], [3, 4]], 3)  # every row is shorter than cols
     with pytest.raises(ValueError):
-        QMatrix.from_rows([])  # needs explicit cols
+        QMatrix([], -1)
+    m = QMatrix([[1, 2], [3, 4], [5, 6]], 2)
+    assert (m.rows, m.cols, m.row(1)) == (3, 2, [3, 4])
 
 
 def test_row_space_equal_scalar_multiple():
-    a = QMatrix.from_rows([[1, 0]])
-    b = QMatrix.from_rows([[2, 0]])
+    a = QMatrix([[1, 0]], 2)
+    b = QMatrix([[2, 0]], 2)
     assert row_space_equal(a, b)
 
 
 def test_row_space_equal_different_lines():
-    a = QMatrix.from_rows([[1, 0]])
-    b = QMatrix.from_rows([[0, 1]])
+    a = QMatrix([[1, 0]], 2)
+    b = QMatrix([[0, 1]], 2)
     assert not row_space_equal(a, b)
 
 
 def test_row_space_equal_requires_matching_cols():
     with pytest.raises(ValueError):
-        row_space_equal(QMatrix.from_rows([[1, 0]]), QMatrix.from_rows([[1, 0, 0]]))
+        row_space_equal(QMatrix([[1, 0]], 2), QMatrix([[1, 0, 0]], 3))
 
 
 def test_row_space_equal_subspace_not_equal():
-    a = QMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
-    b = QMatrix.from_rows([[1, 1, 0]])
+    a = QMatrix([[1, 0, 0], [0, 1, 0]], 3)
+    b = QMatrix([[1, 1, 0]], 3)
     assert not row_space_equal(a, b)
-    assert row_space_equal(a, QMatrix.from_rows([[1, 1, 0], [1, -1, 0]]))
+    assert row_space_equal(a, QMatrix([[1, 1, 0], [1, -1, 0]], 3))
 
 
 def test_nullspace_zero_matrix():
     # every vector is a relation: rank 0, and sympy's nullspace is the standard basis
-    zero = QMatrix(2, 2, [0, 0, 0, 0])
+    zero = QMatrix([[0, 0], [0, 0]], 2)
     null = sympy.Matrix(2, 2, [0, 0, 0, 0]).nullspace()
     assert rank(zero) == 0 == zero.cols - len(null)
     assert [list(v) for v in null] == [[1, 0], [0, 1]]
@@ -92,11 +94,11 @@ def test_nullspace_zero_matrix():
 
 def test_nullspace_single_relation():
     # [1, -1] spans the kernel of [1, 1]: rank 1, and adding it to the row raises the rank
-    row = QMatrix.from_rows([[1, 1]])
+    row = QMatrix([[1, 1]], 2)
     null = sympy.Matrix([[1, 1]]).nullspace()
     assert [list(v) for v in null] == [[-1, 1]]
     assert rank(row) == 1 == row.cols - len(null)
-    assert rank(QMatrix.from_rows([[1, 1], [1, -1]])) == 2
+    assert rank(QMatrix([[1, 1], [1, -1]], 2)) == 2
 
 
 def test_edge_relations_rank_matches_sympy():
@@ -106,20 +108,22 @@ def test_edge_relations_rank_matches_sympy():
         [1, 0, -1, 0, 1, 0],
         [0, 0, 0, 1, 1, 1],
     ]
-    relations = QMatrix.from_rows(rows)
+    relations = QMatrix(rows, 6)
     null = sympy.Matrix(rows).nullspace()
     assert rank(relations) == 3 == relations.cols - len(null)
     # each relation is independent of the others: dropping one lowers the rank
     for i in range(3):
-        assert rank(QMatrix.from_rows(rows[:i] + rows[i + 1 :])) == 2
+        assert rank(QMatrix(rows[:i] + rows[i + 1 :], 6)) == 2
 
 
 def test_non_int_entries_raise_type_error():
     # the rational route is gone: a Fraction, even an integral one, a float
-    # or a bool is refused rather than converted
+    # or a bool is refused rather than converted, where its row is ranked
     for bad in (Fraction(1, 2), Fraction(4, 2), 0.5, True):
         with pytest.raises(TypeError):
-            QMatrix.from_rows([[1, bad], [2, 3]])
+            rank(QMatrix([[1, bad], [2, 3]], 2))
+        with pytest.raises(TypeError):
+            row_space_equal(QMatrix([[1, 0]], 2), QMatrix([[1, bad]], 2))
         with pytest.raises(TypeError):
             RowSpan(2).add([1, bad])
     span = RowSpan(2)
@@ -145,9 +149,11 @@ def test_rowspan_reduce_checks_its_input_once_and_its_own_rows_never(monkeypatch
     assert span.reduce([3, 3, 3]) == [0, 0, 0]
     assert checked == [[2, 4, 0], [1, 1, 1], [3, 3, 3]]
     checked.clear()
-    assert rank(QMatrix.from_rows([[0, 0], [1, 2], [2, 4], [0, 1], [1, 2]])) == 2
-    # QMatrix checks its entries; rank hands RowSpan every row, zero and repeated ones included
-    assert checked == [[0, 0, 1, 2, 2, 4, 0, 1, 1, 2], [0, 0], [1, 2], [2, 4], [0, 1], [1, 2]]
+    m = QMatrix([[0, 0], [1, 2], [2, 4], [0, 1], [1, 2]], 2)
+    assert checked == []  # QMatrix checks only its shape
+    assert rank(m) == 2
+    # rank hands RowSpan every row once, zero and repeated ones included
+    assert checked == [[0, 0], [1, 2], [2, 4], [0, 1], [1, 2]]
 
 
 small_matrix = st.integers(1, 4).flatmap(
@@ -161,19 +167,19 @@ small_matrix = st.integers(1, 4).flatmap(
 @given(small_matrix)
 def test_rank_transpose_invariant(rows):
     transposed = [list(column) for column in zip(*rows)]
-    assert rank(QMatrix.from_rows(rows)) == rank(QMatrix.from_rows(transposed))
+    assert rank(QMatrix(rows, len(rows[0]))) == rank(QMatrix(transposed, len(rows)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix)
 def test_rank_matches_sympy(rows):
-    assert rank(QMatrix.from_rows(rows)) == sympy.Matrix(rows).rank()
+    assert rank(QMatrix(rows, len(rows[0]))) == sympy.Matrix(rows).rank()
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix)
 def test_rank_nullity(rows):
-    m = QMatrix.from_rows(rows)
+    m = QMatrix(rows, len(rows[0]))
     assert rank(m) + len(sympy.Matrix(rows).nullspace()) == m.cols
 
 
@@ -200,20 +206,20 @@ def test_row_space_equal_matches_sympy(pair):
     a, b = pair
     ra, rb, stacked = (sympy.Matrix(m).rank() for m in (a, b, a + b))
     expected = ra == rb == stacked
-    assert row_space_equal(QMatrix.from_rows(a), QMatrix.from_rows(b)) == expected
+    assert row_space_equal(QMatrix(a, len(a[0])), QMatrix(b, len(b[0]))) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix, st.randoms(use_true_random=False))
 def test_rank_invariant_under_row_ops(rows, rng):
-    m = QMatrix.from_rows(rows)
+    m = QMatrix(rows, len(rows[0]))
     shuffled = list(rows)
     rng.shuffle(shuffled)
     scaled = []
     for row in shuffled:
         factor = rng.choice([1, 2, 3, -1, -5])
         scaled.append([factor * x for x in row])
-    assert rank(QMatrix.from_rows(scaled)) == rank(m)
+    assert rank(QMatrix(scaled, m.cols)) == rank(m)
 
 
 @settings(max_examples=100, deadline=None)

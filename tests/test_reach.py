@@ -22,7 +22,6 @@ NEVER_RUN = {
     ("multipoly.py", "q_poly"): "Q expanded in y1..y4: the tests' reference; suites read Q's alternant row",
     ("multipoly.py", "Poly.__repr__"): "read in failure messages and by people, not by a passing run",
     ("multipoly.py", "VarSet.__repr__"): "read in failure messages and by people, not by a passing run",
-    ("linalg.py", "QMatrix.__repr__"): "read by people, not by a run",
     ("multipoly.py", "VarSet.__post_init__"): "runs at import, when the module-level variable sets are built",
 }
 
@@ -87,7 +86,6 @@ def test_every_function_runs_in_some_command(tmp_path, caps):
     defined = defined_functions()
     assert set(NEVER_RUN) <= defined
     assert sorted(NEVER_RUN) == [
-        ("linalg.py", "QMatrix.__repr__"),
         ("multipoly.py", "Poly.__repr__"),
         ("multipoly.py", "VarSet.__post_init__"),
         ("multipoly.py", "VarSet.__repr__"),
