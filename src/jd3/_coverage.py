@@ -17,7 +17,6 @@ TRACKED_OPS = frozenset(
         "multipoly.p2p3p4",
         "multipoly.q_poly",
         "multipoly.divide_exact",
-        "multipoly.degree_slice_monomials",
         "asymptotics.substitute_regime",
         "asymptotics.leading_term",
         "asymptotics.verify_q_asymptotics",

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _coverage
-from .linalg import QMatrix, RowSpan, rank
+from .linalg import QMatrix, RowSpan, _check_ints, rank
 from .multipoly import (
     Poly,
     SignedPermAction,
@@ -50,7 +50,6 @@ from .multipoly import (
     YVARS,
     Y3VARS,
     Z3VARS,
-    degree_slice_monomials,
     symmetrize,
 )
 
@@ -222,10 +221,12 @@ class _SkewSliceContext:
         """Coordinates on the standard orbits of an odd-degree row's class modulo e1.
 
         Subtracting c times each unitriangular pivot row, in basis order,
-        clears every pivot in integers.
+        clears every pivot in integers.  An entry that is not an `int` raises
+        `TypeError` before any of that arithmetic.
         """
         if not self.signed:
             raise ValueError("quotient_row expects an odd leg count")
+        _check_ints(row)
         r = list(row)
         for p, rest in self.pivots:
             c = r[p]
@@ -387,9 +388,10 @@ def tsq_odd_dim(legs: int) -> int:
     constant.
     """
     _coverage.touch("diagram_spaces.tsq_odd_dim")
-    if legs % 2 == 0:
-        raise ValueError("tsq_odd_dim expects an odd leg count")
-    basis = degree_slice_monomials(Z3VARS, legs)
+    if legs < 0 or legs % 2 == 0:
+        raise ValueError("tsq_odd_dim expects a positive odd leg count")
+    # the exponent tuples of z1, z2, z3 of degree `legs`, lexicographically descending
+    basis = [(a, b, legs - a - b) for a in range(legs, -1, -1) for b in range(legs - a, -1, -1)]
     group = [SignedPermAction(Z3VARS, (0, 1, 2), 1), SignedPermAction(Z3VARS, (0, 1, 2), -1)]
     rows = []
     for mono in basis:

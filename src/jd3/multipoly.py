@@ -15,7 +15,8 @@ the term maps of a Poly stay keyed by tuples.  A result exponent of
 module provides the signed permutation actions of S4 and their group
 sums, elementary symmetric polynomials, the discriminant, the
 P2/P3/P4 building blocks and the Q^{n,m,k} family used by the
-verification suites, exact division, and graded monomial enumeration.
+verification suites, exact division, and membership in the subring
+Z[u, v, w] by w-adic division.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from math import comb
 from operator import add, itemgetter, methodcaller, mul, neg
 from types import MappingProxyType
 from typing import Callable
@@ -625,10 +625,11 @@ def _uvrs_images() -> dict[str, Poly]:
 def _uvw_from_uvrs(q: Poly) -> Poly:
     """w-adic division: rewrite a (u, v, r)-polynomial in u, v, w.
 
-    w = uv + (u+v)r + r^2 has r-leading coefficient 1, so the top
-    r-degree must be even with its coefficient a (u, v)-polynomial g;
-    subtracting g*w^(top/2) strictly lowers the r-degree.  Remainder zero
-    is exactly membership in the subring.
+    w = uv + (u+v)r + r^2 is monic of degree 2 in r, so the top r-degree
+    must be even, and its (u, v)-coefficient g is the coefficient of
+    w^(top/2): q - g*w^(top/2) has a lower r-degree.  The r-degree-0
+    remainder is the coefficient of w^0, so q reduces to zero exactly
+    when it is in the subring.
     """
     if q.vars != _UVRS:
         raise ValueError("expected a polynomial in the change-of-coordinate variables")
@@ -637,33 +638,17 @@ def _uvw_from_uvrs(q: Poly) -> Poly:
     # w = (y1-y4)(y2-y4) = (u+r)(v+r) = uv + (u+v)r + r^2, with s dropped
     u, v, r = (Poly.variable(_UVRS, n) for n in ("u", "v", "r"))
     w = (u + r) * (v + r)
-    work: dict[tuple[int, int, int], int] = {(e[0], e[1], e[2]): c for e, c in q.terms.items()}
     result: dict[tuple[int, int, int], int] = {}
-    while work:
-        top_r = max(e[2] for e in work)
-        if top_r == 0:
-            for (a, b, _), c in work.items():
-                result[(a, b, 0)] = result.get((a, b, 0), 0) + c
-            break
-        if top_r % 2 == 1:
+    while q.terms:
+        top = max(e[2] for e in q.terms)
+        if top % 2:
             raise NotInSubringError("odd power of y3-y4 cannot come from w")
-        half = top_r // 2
-        lead = {(a, b): c for (a, b, r_exp), c in work.items() if r_exp == top_r}
-        for (a, b), c in lead.items():
-            key = (a, b, half)
-            result[key] = result.get(key, 0) + c
-        w_power = w ** half
-        for (a, b), c in lead.items():
-            for (wa, wb, wr, _), wc in w_power.terms.items():
-                key = (a + wa, b + wb, wr)
-                s = work.get(key, 0) - c * wc
-                if s:
-                    work[key] = s
-                elif key in work:
-                    del work[key]
-        if work and max(e[2] for e in work) >= top_r:
+        g = Poly._raw(_UVRS, {(a, b, 0, 0): c for (a, b, e, _), c in q.terms.items() if e == top})
+        result.update({(a, b, top // 2): c for (a, b, _, _), c in g.terms.items()})
+        q = q - g * w ** (top // 2)
+        if q.terms and max(e[2] for e in q.terms) >= top:
             raise NotInSubringError("w-adic reduction failed to make progress")
-    return Poly(UVWVARS, {e: c for e, c in result.items() if c})
+    return Poly._raw(UVWVARS, result)
 
 
 @lru_cache(maxsize=None)
@@ -689,29 +674,3 @@ def express_product_in_uvw(n: int, m: int, k: int) -> Poly:
         * _uvrs_factor("p4") ** k
     ).scale(12)
     return _uvw_from_uvrs(q)
-
-
-def degree_slice_monomials(vars: VarSet, d: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of total degree d, lexicographically descending.
-
-    The count is C(d + len(vars) - 1, len(vars) - 1); with no variables it
-    is the empty tuple in degree 0 and nothing above.
-    """
-    _coverage.touch("multipoly.degree_slice_monomials")
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    n = len(vars)
-    if not n:
-        return [()] if d == 0 else []
-
-    def gen(remaining: int, slots: int):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for e in range(remaining, -1, -1):
-            for rest in gen(remaining - e, slots - 1):
-                yield (e,) + rest
-
-    monomials = list(gen(d, n))
-    assert len(monomials) == comb(d + n - 1, n - 1)
-    return monomials

@@ -5,6 +5,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy
@@ -34,8 +35,6 @@ from jd3.multipoly import (
     XVARS,
     YVARS,
     Y3VARS,
-    Z3VARS,
-    degree_slice_monomials,
     elementary_symmetric,
     q_alternant_row,
     signed_s4,
@@ -93,7 +92,7 @@ def oracle_rank(polys, basis_index, stop_at=None):
 
 
 def oracle_tet_dim(legs):
-    basis = degree_slice_monomials(Y3VARS, legs)
+    basis = [(a, b, legs - a - b) for a in range(legs, -1, -1) for b in range(legs - a, -1, -1)]
     index = {m: i for i, m in enumerate(basis)}
     return oracle_rank(
         (oracle_image(Poly.monomial(YVARS, m + (0,)), legs) for m in basis), index
@@ -125,7 +124,7 @@ def oracle_family_dim(family, legs, ambient):
 
     Generators stop once their rank reaches the oracle's ambient dimension.
     """
-    basis = degree_slice_monomials(Y3VARS, legs)
+    basis = [(a, b, legs - a - b) for a in range(legs, -1, -1) for b in range(legs - a, -1, -1)]
     index = {m: i for i, m in enumerate(basis)}
     images = (oracle_image(p, legs) for p in family_images(family, legs))
     return oracle_rank(images, index, stop_at=ambient)
@@ -395,12 +394,14 @@ def test_early_stop_spans_match_full_construction():
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4, 2), True])
 def test_span_refuses_a_non_int_entry(bad):
-    # QMatrix checks only its shape; a slice's rows still meet RowSpan's int check
+    # a bad entry is refused before quotient_row's arithmetic, on a standard
+    # orbit and at a pivot, where that arithmetic would turn it into ints
     ctx = _SkewSliceContext(13)
-    row = [0] * len(ctx.basis)
-    row[ctx.standard[0]] = bad
-    with pytest.raises(TypeError):
-        ctx.span([row])
+    for index in (ctx.standard[0], ctx.pivots[0][0]):
+        row = [0] * len(ctx.basis)
+        row[index] = bad
+        with pytest.raises(TypeError):
+            ctx.span([row])
 
 
 def test_span_builds_no_row_after_full_rank():
@@ -430,8 +431,9 @@ def test_image_dim_equals_ambient_through_15():
 def test_tsq_odd_dims_vanish():
     for legs in (1, 3, 9, 15, 29, 45):
         assert tsq_odd_dim(legs) == 0
-    with pytest.raises(ValueError):
-        tsq_odd_dim(4)
+    for legs in (4, -1):
+        with pytest.raises(ValueError):
+            tsq_odd_dim(legs)
 
 
 def test_tsq_odd_dim_builds_no_row_for_a_zero_image(monkeypatch):
@@ -444,7 +446,7 @@ def test_tsq_odd_dim_builds_no_row_for_a_zero_image(monkeypatch):
 
     monkeypatch.setattr(QMatrix, "__init__", recording)
     assert tsq_odd_dim(29) == 0
-    assert ranked == [([], len(degree_slice_monomials(Z3VARS, 29)))]
+    assert ranked == [([], comb(29 + 2, 2))]  # no row, on 465 columns
 
 
 def test_tsq_odd_dim_ranks_the_nonzero_images(monkeypatch):
@@ -454,7 +456,7 @@ def test_tsq_odd_dim_ranks_the_nonzero_images(monkeypatch):
     monkeypatch.setattr(
         diagram_spaces, "SignedPermAction", lambda vars, perm, character: action(vars, perm, 1)
     )
-    assert tsq_odd_dim(9) == len(degree_slice_monomials(Z3VARS, 9)) == 55
+    assert tsq_odd_dim(9) == comb(9 + 2, 2) == 55
 
 
 def test_tsq_odd_dim_memory_stays_small():

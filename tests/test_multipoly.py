@@ -20,7 +20,6 @@ from jd3.multipoly import (
     XVARS,
     YVARS,
     Y3VARS,
-    degree_slice_monomials,
     discriminant,
     divide_exact,
     elementary_symmetric,
@@ -33,9 +32,12 @@ from jd3.multipoly import (
     q_poly,
     signed_s4,
     symmetrize,
+    UVWVARS,
+    _UVRS,
     _uvrs_images,
     _uvw_from_uvrs,
 )
+from jd3.verifier import _lemma_triples
 
 Y = {n: Poly.variable(YVARS, n) for n in YVARS.names}
 
@@ -720,35 +722,6 @@ def test_divide_exact_specific_skew_image():
     assert degree(quotient) == 3
 
 
-# --- monomial enumeration ---------------------------------------------------
-
-
-def test_degree_slice_counts():
-    assert len(degree_slice_monomials(Y3VARS, 0)) == 1
-    assert len(degree_slice_monomials(Y3VARS, 2)) == 6
-    assert len(degree_slice_monomials(Y3VARS, 9)) == 55
-
-
-def test_degree_slice_order_deterministic():
-    monos = degree_slice_monomials(Y3VARS, 2)
-    assert monos == [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
-
-
-def test_degree_slice_rejects_negative():
-    with pytest.raises(ValueError):
-        degree_slice_monomials(Y3VARS, -1)
-
-
-def test_degree_slice_without_variables():
-    # the empty monomial in degree 0 and nothing above, without recursing on zero slots
-    none = VarSet(())
-    assert degree_slice_monomials(none, 0) == [()]
-    for d in (1, 2, 9):
-        assert degree_slice_monomials(none, d) == []
-    with pytest.raises(ValueError):
-        degree_slice_monomials(none, -1)
-
-
 # --- u, v, w subring --------------------------------------------------------
 
 
@@ -797,11 +770,45 @@ def test_express_in_uvw_basic_generators():
 
 
 def test_express_in_uvw_reconstructs_products():
-    for nmk in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1)):
+    # every lemma triple to d=8, the first spot checks among them
+    triples = [t for d in range(9) for t in _lemma_triples(d)]
+    assert {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1)} <= set(triples)
+    for nmk in triples:
         product = p2p3p4_product(*nmk)
         g = express_in_uvw(product)
         assert g == express_product_in_uvw(*nmk)
         assert g.substitute(uvw_images()) == product
+
+
+U, V, R = (Poly.variable(_UVRS, n) for n in ("u", "v", "r"))
+
+
+def compose_w(g: Poly) -> Poly:
+    """g(u, v, w) with w = (u+r)(v+r), in the change-of-coordinate variables."""
+    return g.substitute({"u": U, "v": V, "w": (U + R) * (V + R)})
+
+
+uvw_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3), st.integers(-5, 5), max_size=5
+).map(partial(Poly, UVWVARS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(uvw_polys)
+@example(Poly.variable(UVWVARS, "w") ** 3)
+def test_uvw_from_uvrs_inverts_composition_with_w(g):
+    assert _uvw_from_uvrs(compose_w(g)) == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(uvw_polys.map(compose_w), uvw_polys.filter(lambda h: h.terms).map(compose_w))
+@example(Poly(_UVRS), R)
+def test_uvw_from_uvrs_refuses_r_times_a_member(g, h):
+    # r -> -(u+v)-r fixes u, v and w but turns r*h into -(u+v+r)*h, so
+    # g + r*h is no member.  The example r*r = r^2 has an even top degree,
+    # but its remainder r^2 - w = -(u+v)r - uv has an odd one.
+    with pytest.raises(NotInSubringError):
+        _uvw_from_uvrs(g + R * h)
 
 
 def test_express_product_degree_is_odd():
