@@ -222,10 +222,13 @@ class _SkewSliceContext:
 
         Subtracting c times each unitriangular pivot row, in basis order,
         clears every pivot in integers.  An entry that is not an `int` raises
-        `TypeError` before any of that arithmetic.
+        `TypeError`, and a row whose length is not the basis size `ValueError`,
+        before any of that arithmetic.
         """
         if not self.signed:
             raise ValueError("quotient_row expects an odd leg count")
+        if len(row) != len(self.basis):
+            raise ValueError(f"row has {len(row)} entries, the basis {len(self.basis)}")
         _check_ints(row)
         r = list(row)
         for p, rest in self.pivots:

@@ -469,17 +469,6 @@ def q_factor(which: str, args: tuple[str, ...]) -> Poly:
     return {"p2": p2, "p3": p3, "p4": p4}[which](YVARS, args)
 
 
-def assemble_q(n: int, m: int, k: int, factor) -> Poly:
-    """Q^{n,m,k} multiplied out from factor(which, args) for P2/P3/P4.
-
-    Any ring homomorphism applied to the factors first (a substitution)
-    gives the image of Q^{n,m,k} under it.
-    """
-    first = reduce(add, (factor("p2", t) ** n * factor("p3", t) ** (2 * m + 3) for t in _Q_TRIPLES))
-    second = reduce(add, (factor("p4", q) ** k for q in _Q_QUADS))
-    return first * second
-
-
 def q_poly(n: int, m: int, k: int) -> Poly:
     """The degree 2n+6m+4k+9 skew-invariant family in y1..y4.
 
@@ -491,7 +480,11 @@ def q_poly(n: int, m: int, k: int) -> Poly:
     _coverage.touch("multipoly.q_poly")
     if n < 0 or m < 0 or k < 0:
         raise ValueError("q_poly parameters must be non-negative")
-    return assemble_q(n, m, k, q_factor)
+    first = reduce(
+        add, (q_factor("p2", t) ** n * q_factor("p3", t) ** (2 * m + 3) for t in _Q_TRIPLES)
+    )
+    second = reduce(add, (q_factor("p4", q) ** k for q in _Q_QUADS))
+    return first * second
 
 
 # Per term of the first factor: the y-indices its three arguments read, and

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from . import _coverage
 from .asymptotics import (
     DEFAULT_REGIMES,
+    QImagePowers,
     Regime,
     expected_q_leading,
     substitute_regime,
@@ -306,6 +307,7 @@ def verify_asymptotics(max_d: int, regimes: tuple[Regime, ...] | None = None) ->
     report = Report(suite="asymptotics")
     for regime in regimes:
         regime_tag = "regime1" if regime.id == "one" else "regime2"
+        powers = QImagePowers(regime)
         for (n, m, k) in triples:
             params = {"n": str(n), "m": str(m), "k": str(k), "regime": regime.id}
             coeff, exp = expected_q_leading(n, m, k, regime.id)
@@ -314,7 +316,7 @@ def verify_asymptotics(max_d: int, regimes: tuple[Regime, ...] | None = None) ->
                     f"asym.{regime_tag}.n={n}.m={m}.k={k}",
                     params,
                     f"{coeff}*t^({exp})",
-                    lambda: verify_q_asymptotics(n, m, k, regime),
+                    lambda: verify_q_asymptotics(n, m, k, powers),
                 )
             )
     return report.finalize()

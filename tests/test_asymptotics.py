@@ -2,7 +2,9 @@
 
 import random
 from fractions import Fraction
+from functools import partial, reduce
 from math import lcm
+from operator import add
 
 import pytest
 import sympy
@@ -15,6 +17,7 @@ from jd3.asymptotics import (
     TVARS,
     ExpVector,
     PuiseuxPoly,
+    QImagePowers,
     REGIME_ONE,
     REGIME_TWO,
     Regime,
@@ -27,6 +30,7 @@ from jd3.asymptotics import (
     verify_q_asymptotics,
 )
 from jd3.multipoly import _Q_QUADS, _Q_TRIPLES, Poly, XVARS, YVARS, p2, q_poly
+from jd3.verifier import _lemma_triples
 
 Y = {n: Poly.variable(YVARS, n) for n in YVARS.names}
 
@@ -340,13 +344,13 @@ def test_mixed_regimes_rejected():
 
 
 def test_q000_leading_regime_one():
-    p = substituted_q(0, 0, 0, REGIME_ONE)
+    p = substituted_q(0, 0, 0, QImagePowers(REGIME_ONE))
     coeff, exp = leading_term(p)
     assert coeff == 9 and exp == ExpVector(6, 2, 1)
 
 
 def test_q100_leading_regime_one():
-    p = substituted_q(1, 0, 0, REGIME_ONE)
+    p = substituted_q(1, 0, 0, QImagePowers(REGIME_ONE))
     coeff, exp = leading_term(p)
     assert coeff == 18 and exp == ExpVector(8, 2, 1)
 
@@ -390,41 +394,67 @@ def rendered_closed_form(n, m, k, regime):
 
 
 def test_verify_q_asymptotics_examples():
-    assert verify_q_asymptotics(0, 0, 0, REGIME_ONE) == "9*t^(6a+2b+c)"
-    assert verify_q_asymptotics(0, 0, 1, REGIME_TWO) == "6*t^(9a+3b+c)"
-    assert verify_q_asymptotics(0, 0, 0, REGIME_TWO) == "18*t^(5a+3b+c)"
+    one, two = QImagePowers(REGIME_ONE), QImagePowers(REGIME_TWO)
+    assert verify_q_asymptotics(0, 0, 0, one) == "9*t^(6a+2b+c)"
+    assert verify_q_asymptotics(0, 0, 1, two) == "6*t^(9a+3b+c)"
+    assert verify_q_asymptotics(0, 0, 0, two) == "18*t^(5a+3b+c)"
 
 
 def test_verify_q_asymptotics_all_small_degrees():
+    tables = {regime: QImagePowers(regime) for regime in (REGIME_ONE, REGIME_TWO)}
     for d in range(4):
         for m in range(d // 3 + 1):
             for k in range((d - 3 * m) // 2 + 1):
                 n = d - 3 * m - 2 * k
                 for regime in (REGIME_ONE, REGIME_TWO):
-                    actual = verify_q_asymptotics(n, m, k, regime)
+                    actual = verify_q_asymptotics(n, m, k, tables[regime])
                     assert actual == rendered_closed_form(n, m, k, regime), (n, m, k)
 
 
 def test_leading_coefficients_positive():
+    tables = {regime: QImagePowers(regime) for regime in (REGIME_ONE, REGIME_TWO)}
     for d in range(4):
         for m in range(d // 3 + 1):
             for k in range((d - 3 * m) // 2 + 1):
                 n = d - 3 * m - 2 * k
                 for regime in (REGIME_ONE, REGIME_TWO):
-                    coeff, _ = leading_term(substituted_q(n, m, k, regime))
+                    coeff, _ = leading_term(substituted_q(n, m, k, tables[regime]))
                     assert coeff > 0
 
 
 def test_custom_regime_still_passes():
     custom = Regime("one", Fraction(3), Fraction(12, 5), Fraction(3, 2))
-    assert verify_q_asymptotics(0, 0, 0, custom) == rendered_closed_form(0, 0, 0, custom)
+    actual = verify_q_asymptotics(0, 0, 0, QImagePowers(custom))
+    assert actual == rendered_closed_form(0, 0, 0, custom)
 
 
 def test_factored_substitution_matches_direct():
+    powers = QImagePowers(REGIME_ONE)
     for nmk in ((0, 0, 0), (1, 0, 0), (0, 0, 1)):
         direct = substitute_regime(q_poly(*nmk), REGIME_ONE)
-        assert substituted_q(*nmk, REGIME_ONE) == direct
+        assert substituted_q(*nmk, powers) == direct
         assert all(type(c) is int for c in direct.poly.terms.values())
+
+
+def assembled_q(n, m, k, regime_id):
+    """Q^{n,m,k}'s regime image multiplied out factor by factor, every power raised afresh."""
+    factor = partial(_regime_factor, regime_id)
+    first = reduce(add, (factor("p2", t) ** n * factor("p3", t) ** (2 * m + 3) for t in _Q_TRIPLES))
+    second = reduce(add, (factor("p4", q) ** k for q in _Q_QUADS))
+    return first * second
+
+
+def test_power_table_equals_the_factor_by_factor_product():
+    # the CLI and the tests ask for entries out of suite order, so a chain
+    # head extended past a smaller n would show in one of the two orders
+    suite_order = [t for d in range(13) for t in _lemma_triples(d)]
+    shuffled = random.Random(17).sample(suite_order, len(suite_order))
+    for regime in (REGIME_ONE, REGIME_TWO):
+        expected = {nmk: assembled_q(*nmk, regime.id).terms for nmk in suite_order}
+        for order in (suite_order, shuffled):
+            powers = QImagePowers(regime)
+            for nmk in order:
+                assert substituted_q(*nmk, powers).poly.terms == expected[nmk], (regime.id, nmk)
 
 
 def test_leading_term_reads_only_the_top_class(monkeypatch):
@@ -435,7 +465,7 @@ def test_leading_term_reads_only_the_top_class(monkeypatch):
         made.append(args)
         return Fraction(*args)
 
-    p = substituted_q(2, 1, 1, REGIME_TWO)
+    p = substituted_q(2, 1, 1, QImagePowers(REGIME_TWO))
     assert len(descending_classes(p)) > 50
     monkeypatch.setattr(asymptotics, "Fraction", counting_fraction)
     assert leading_term(p) == expected_q_leading(2, 1, 1, "two")

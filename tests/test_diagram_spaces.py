@@ -404,6 +404,16 @@ def test_span_refuses_a_non_int_entry(bad):
             ctx.span([row])
 
 
+@pytest.mark.parametrize("extra", [2, -1])
+def test_span_refuses_a_row_of_the_wrong_length(extra):
+    # two entries too many were dropped silently, one too few read past the row's end
+    ctx = _SkewSliceContext(13)
+    n = len(ctx.basis)
+    row = ([7, 8] * n)[: n + extra]
+    with pytest.raises(ValueError, match=f"row has {n + extra} entries, the basis {n}"):
+        ctx.span([row])
+
+
 def test_span_builds_no_row_after_full_rank():
     # the lemma's Q rows of one degree span the slice; a row asked for after them raises
     d = 5
