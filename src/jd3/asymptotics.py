@@ -12,7 +12,9 @@ ordering.  Terms whose exponents evaluate equal are merged.  The grouping
 key is the integer alpha*A + beta*B + gamma*C, where (A, B, C) = D*(a, b, c)
 for the least common denominator D > 0 of a, b and c: it is D times the
 exact value, so it orders and merges exactly as the value does, with int
-arithmetic only.  Everything is exact: there is no truncation, so little-o
+arithmetic only.  Q^{n,m,k}'s image is one product of its two factors'
+images, read from a `multipoly.QFactorPowers` table of the regime's
+images.  Everything is exact: there is no truncation, so little-o
 statements become statements about which terms exist below the leading
 exponent.
 """
@@ -21,12 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache
 from math import lcm
-from operator import add
 
 from . import _coverage
-from .multipoly import _Q_QUADS, _Q_TRIPLES, Poly, VarSet, YVARS, _exact, q_factor
+from .multipoly import Poly, QFactorPowers, VarSet, YVARS, _exact
 
 TVARS = VarSet(("ta", "tb", "tc"))
 
@@ -221,77 +222,23 @@ def expected_q_leading(n: int, m: int, k: int, regime_id: str) -> tuple[Fraction
     return coeff, vec
 
 
-@lru_cache(maxsize=None)
-def _regime_factor(regime_id: str, which: str, args: tuple[str, ...]) -> Poly:
-    """P2/P3/P4 under four times the regime substitution: an integer t-polynomial."""
-    return q_factor(which, args).substitute(_shared_images(regime_id))
-
-
-class QImagePowers:
-    """Regime images of the two factors of Q^{n,m,k}, each built once, for one caller's lifetime.
-
-    `first(n, m)` is the image of the sum over the four argument triples of
-    P2^n * P3^(2m+3), and `second(k)` the image of the sum of P4^k over the
-    three pairings.  Each new entry is one product per term by the image of
-    P2, P3^2 or P4, extended from a kept chain head: column m keeps its
-    per-triple terms at its largest n, one more chain keeps them at n = 0
-    for the largest m, and the pairings keep theirs at the largest k.  Every
-    sum below a head is kept, so a head is never extended past a smaller
-    exponent; no other product is kept.  The images depend on `regime.id`
-    only.
-    """
-
-    def __init__(self, regime: Regime) -> None:
-        self.regime = regime
-        factor = partial(_regime_factor, regime.id)
-        self._p2 = [factor("p2", t) for t in _Q_TRIPLES]
-        self._p3_squared = [factor("p3", t) ** 2 for t in _Q_TRIPLES]
-        cubes = [factor("p3", t) ** 3 for t in _Q_TRIPLES]
-        self._m_head = (0, cubes)
-        self._columns = {0: (0, cubes)}  # m -> (its largest n, the four terms there)
-        self._first = {(0, 0): reduce(add, cubes)}
-        self._p4 = [factor("p4", q) for q in _Q_QUADS]
-        self._p4_powers = [Poly.constant(TVARS, 1)] * len(_Q_QUADS)
-        self._second = [reduce(add, self._p4_powers)]
-
-    def first(self, n: int, m: int) -> Poly:
-        g = self._first.get((n, m))
-        if g is None:
-            while self._m_head[0] < m:
-                top, terms = self._m_head
-                terms = [t * s for t, s in zip(terms, self._p3_squared)]
-                self._m_head = (top + 1, terms)
-                self._columns[top + 1] = (0, terms)
-                self._first[(0, top + 1)] = reduce(add, terms)
-            top, terms = self._columns[m]
-            while top < n:
-                terms = [t * p for t, p in zip(terms, self._p2)]
-                top += 1
-                self._first[(top, m)] = reduce(add, terms)
-            self._columns[m] = (top, terms)
-            g = self._first[(n, m)]
-        return g
-
-    def second(self, k: int) -> Poly:
-        while len(self._second) <= k:
-            self._p4_powers = [p * f for p, f in zip(self._p4_powers, self._p4)]
-            self._second.append(reduce(add, self._p4_powers))
-        return self._second[k]
-
-
-def substituted_q(n: int, m: int, k: int, powers: QImagePowers) -> PuiseuxPoly:
+def substituted_q(n: int, m: int, k: int, regime: Regime, powers: QFactorPowers) -> PuiseuxPoly:
     """The regime image of Q^{n,m,k}, one product of its two factors' images.
 
-    Substitution is a ring homomorphism (property-tested elsewhere), so
-    substituting P2/P3/P4 first and multiplying the small integer
-    t-polynomials gives the same exact result as expanding Q and
-    substituting, without the intermediate blow-up.
+    `powers` tables the factors under the regime's images, which depend on
+    `regime.id` only.  Substitution is a ring homomorphism
+    (property-tested elsewhere), so substituting P2/P3/P4 first and
+    multiplying the small integer t-polynomials gives the same exact
+    result as expanding Q and substituting, without the intermediate
+    blow-up.
     """
-    return PuiseuxPoly(powers.regime, powers.first(n, m) * powers.second(k))
+    return PuiseuxPoly(regime, powers.first(n, m) * powers.second(k))
 
 
-def verify_q_asymptotics(n: int, m: int, k: int, powers: QImagePowers) -> str:
-    """The computed leading term of Q^{n,m,k} under `powers.regime`, rendered as `coeff*t^(vec)`.
+def verify_q_asymptotics(n: int, m: int, k: int, regime: Regime, powers: QFactorPowers) -> str:
+    """The computed leading term of Q^{n,m,k} under `regime`, rendered as `coeff*t^(vec)`.
+
+    `powers` tables Q's factors under the images of `regime.id`.
 
     When the top exponent class holds more than one vector, the rendering
     ends in " (merged exponent class)", so an accidental exponent collision
@@ -300,7 +247,7 @@ def verify_q_asymptotics(n: int, m: int, k: int, powers: QImagePowers) -> str:
     _coverage.touch("asymptotics.verify_q_asymptotics")
     if n < 0 or m < 0 or k < 0:
         raise ValueError("q parameters must be non-negative")
-    substituted = substituted_q(n, m, k, powers)
+    substituted = substituted_q(n, m, k, regime, powers)
     coeff, exp = leading_term(substituted)
     rendered = f"{coeff}*t^({exp})"
     if len(substituted.top_class()[2]) > 1:

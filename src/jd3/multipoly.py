@@ -15,8 +15,9 @@ the term maps of a Poly stay keyed by tuples.  A result exponent of
 module provides the signed permutation actions of S4 and their group
 sums, elementary symmetric polynomials, the discriminant, the
 P2/P3/P4 building blocks and the Q^{n,m,k} family used by the
-verification suites, exact division, and membership in the subring
-Z[u, v, w] by w-adic division.
+verification suites, with `QFactorPowers`, the one table of Q's factor
+powers in a caller's coordinates, exact division, and membership in the
+subring Z[u, v, w] by w-adic division.
 """
 
 from __future__ import annotations
@@ -495,74 +496,105 @@ _Q_TRIPLE_SLOTS = tuple(
 )
 
 
-class QPowers:
+class QFactorPowers:
     """Powers of the factors of Q^{n,m,k}, each built once, for one caller's lifetime.
 
-    `first(n, m)` is G = P2^n * P3^(2m+3) at (y1, y2, y3), in three
-    variables; every term of the first factor of Q is G relabelled, so G is
-    the only first factor expanded.  `second(k)` is the second factor, the
-    sum of P4^k over the three pairings, indexed for `q_alternant_row`.
-    Each new entry costs one product by a small factor.
+    `first(n, m)` is the sum over `triples` of P2^n * P3^(2m+3) and
+    `second(k)` the sum over `quads` of P4^k, each factor taken at its
+    argument y-variables and carried by `images()`, a substitution map,
+    into the caller's coordinates; with no `images` they stay in y1..y4.
+    The factors are built on the first read, P3 once per triple and then
+    squared and cubed.  Each new entry is one product per term by P2, P3^2
+    or P4, extended from a kept chain head: column m keeps its per-triple
+    terms at its largest n, one more chain keeps them at n = 0 for the
+    largest m, and the pairings keep theirs at the largest k.  Every sum
+    below a head is kept, so a head is never extended past a smaller
+    exponent; no other product is kept.
     """
 
-    def __init__(self) -> None:
-        base = ("y1", "y2", "y3")
-        self._p2 = p2(Y3VARS, base)
-        self._p3_squared = p3(Y3VARS, base) ** 2
-        self._first: dict[tuple[int, int], Poly] = {(0, 0): p3(Y3VARS, base) ** 3}
-        self._p4 = [q_factor("p4", q) for q in _Q_QUADS]
-        self._p4_powers = [Poly.constant(YVARS, 1)] * len(_Q_QUADS)
-        self._second: list[list[dict[int, list[tuple[tuple[int, ...], int]]]]] = []
+    def __init__(
+        self,
+        triples: tuple[tuple[str, ...], ...],
+        quads: tuple[tuple[str, ...], ...],
+        images: Callable[[], dict[str, Poly]] | None = None,
+    ) -> None:
+        self._triples, self._quads, self._images = triples, quads, images
+        self._first: dict[tuple[int, int], Poly] = {}
+        self._second: list[Poly] = []
+
+    def _factors(self, which: str, arguments: tuple[tuple[str, ...], ...]) -> list[Poly]:
+        """P2, P3 or P4 at each argument tuple, in the table's coordinates."""
+        factors = [q_factor(which, args) for args in arguments]
+        if self._images is None:
+            return factors
+        images = self._images()
+        return [f.substitute(images) for f in factors]
 
     def first(self, n: int, m: int) -> Poly:
-        g = self._first.get((n, m))
-        if g is None:
-            if n:
-                g = self.first(n - 1, m) * self._p2
-            else:
-                g = self.first(0, m - 1) * self._p3_squared
-            self._first[(n, m)] = g
-        return g
+        if not self._first:
+            self._p2 = self._factors("p2", self._triples)
+            p3s = self._factors("p3", self._triples)
+            self._p3_squared = [p * p for p in p3s]
+            cubes = [s * p for s, p in zip(self._p3_squared, p3s)]
+            self._m_head = (0, cubes)
+            self._columns = {0: (0, cubes)}  # m -> (its largest n, the terms there)
+            self._first[(0, 0)] = reduce(add, cubes)
+        while self._m_head[0] < m:
+            top, terms = self._m_head
+            terms = [t * s for t, s in zip(terms, self._p3_squared)]
+            self._m_head = (top + 1, terms)
+            self._columns[top + 1] = (0, terms)
+            self._first[(0, top + 1)] = reduce(add, terms)
+        top, terms = self._columns[m]
+        while top < n:
+            terms = [t * p for t, p in zip(terms, self._p2)]
+            top += 1
+            self._first[(top, m)] = reduce(add, terms)
+        self._columns[m] = (top, terms)
+        return self._first[(n, m)]
 
-    def second(self, k: int) -> list[dict[int, list[tuple[tuple[int, ...], int]]]]:
-        """Terms of the sum of P4^k, indexed per variable i by their exponent of y_i."""
+    def second(self, k: int) -> Poly:
+        if not self._second:
+            self._p4 = self._factors("p4", self._quads)
+            self._p4_powers = [Poly.constant(self._p4[0].vars, 1)] * len(self._p4)
+            self._second.append(reduce(add, self._p4_powers))
         while len(self._second) <= k:
-            if self._second:
-                self._p4_powers = [p * f for p, f in zip(self._p4_powers, self._p4)]
-            total = reduce(add, self._p4_powers)
-            index: list[dict[int, list[tuple[tuple[int, ...], int]]]] = [{} for _ in YVARS.names]
-            for nu, c in total.terms.items():
-                for i, e in enumerate(nu):
-                    index[i].setdefault(e, []).append((nu, c))
-            self._second.append(index)
+            self._p4_powers = [p * f for p, f in zip(self._p4_powers, self._p4)]
+            self._second.append(reduce(add, self._p4_powers))
         return self._second[k]
 
 
 def q_alternant_row(
-    n: int, m: int, k: int, basis: list[tuple[int, ...]], powers: QPowers
+    n: int, m: int, k: int, basis: list[tuple[int, ...]], powers: QFactorPowers
 ) -> list[int]:
     """Coordinates of Q^{n,m,k} on the alternants a_l, l in `basis` (strict tuples).
 
-    Q is skew, so its coordinate on a_l/24 is 24 times its coefficient at
-    y^l; this equals `skew_row(q_poly(n, m, k))` of the degree's slice
-    context.  Q = F * S with S = sum of P4^k symmetric, so that coefficient
-    is sum over the terms c_nu y^nu of S of c_nu * F_(l - nu).  Each term of
-    F omits one variable, so F_(l - nu) is a sum of lookups in G over the
-    terms whose omitted variable i has nu_i = l_i; a negative exponent is
-    no key of G and reads 0 (Macdonald, Symmetric Functions and Hall
-    Polynomials, ch. I.3).
+    `powers` tables G = P2^n * P3^(2m+3) at (y1, y2, y3), its one triple,
+    and P4 over the three pairings.  Q is skew, so its coordinate on a_l/24
+    is 24 times its coefficient at y^l; this equals
+    `skew_row(q_poly(n, m, k))` of the degree's slice context.  Q = F * S
+    with S = sum of P4^k symmetric, so that coefficient is sum over the
+    terms c_nu y^nu of S of c_nu * F_(l - nu).  Each term of F is G
+    relabelled and omits one variable, so F_(l - nu) is a sum of lookups
+    in G over the terms whose omitted variable i has nu_i = l_i; a negative
+    exponent is no key of G and reads 0 (Macdonald, Symmetric Functions
+    and Hall Polynomials, ch. I.3).
     """
     _coverage.touch("multipoly.q_poly")
     if n < 0 or m < 0 or k < 0:
         raise ValueError("q_poly parameters must be non-negative")
     g = powers.first(n, m).terms
-    second = powers.second(k)
+    # the terms of the sum of P4^k, indexed per variable i by their exponent of y_i
+    second: list[dict[int, list[tuple[tuple[int, ...], int]]]] = [{} for _ in YVARS.names]
+    for term in powers.second(k).terms.items():
+        for i, e in enumerate(term[0]):
+            second[i].setdefault(e, []).append(term)
     row = []
     for lam in basis:
         total = 0
         for (a, b, c), i in _Q_TRIPLE_SLOTS:
             for nu, coeff in second[i].get(lam[i], ()):
-                total += coeff * g.get((lam[a] - nu[a], lam[b] - nu[b], lam[c] - nu[c]), 0)
+                total += coeff * g.get((lam[a] - nu[a], lam[b] - nu[b], lam[c] - nu[c], 0), 0)
         row.append(24 * total)
     return row
 
@@ -644,26 +676,16 @@ def _uvw_from_uvrs(q: Poly) -> Poly:
     return Poly._raw(UVWVARS, result)
 
 
-@lru_cache(maxsize=None)
-def _uvrs_factor(which: str) -> Poly:
-    args = ("y1", "y2", "y3", "y4") if which == "p4" else ("y1", "y2", "y3")
-    return q_factor(which, args).substitute(_uvrs_images())
-
-
-def express_product_in_uvw(n: int, m: int, k: int) -> Poly:
+def express_product_in_uvw(n: int, m: int, k: int, powers: QFactorPowers) -> Poly:
     """The u, v, w expression of 12 * P2^n * P3^(2m+3) * P4^k.
 
-    The change of coordinates is applied to the three small factors and
-    the product is assembled in the new coordinates (substitution is a
-    ring homomorphism), which avoids expanding the product twice.  The
-    product is in the subring exactly when it has no s-dependence and a
-    zero remainder under w-adic division; otherwise NotInSubringError.
+    `powers` tables P2 and P3 at (y1, y2, y3) and P4 at (y1, y2, y3, y4),
+    carried by `_uvrs_images` into the change-of-coordinate variables;
+    substitution is a ring homomorphism, so the product is assembled there
+    without expanding it twice.  The product is in the subring exactly
+    when it has no s-dependence and a zero remainder under w-adic
+    division; otherwise NotInSubringError.
     """
     if n < 0 or m < 0 or k < 0:
         raise ValueError("parameters must be non-negative")
-    q = (
-        _uvrs_factor("p2") ** n
-        * _uvrs_factor("p3") ** (2 * m + 3)
-        * _uvrs_factor("p4") ** k
-    ).scale(12)
-    return _uvw_from_uvrs(q)
+    return _uvw_from_uvrs((powers.first(n, m) * powers.second(k)).scale(12))

@@ -11,15 +11,16 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import _coverage
 from .asymptotics import (
     DEFAULT_REGIMES,
-    QImagePowers,
     Regime,
     expected_q_leading,
     substitute_regime,
     verify_q_asymptotics,
+    _shared_images,
 )
 from .diagram_spaces import (
     SliceSpace,
@@ -38,6 +39,7 @@ from .diagram_spaces import (
 from .linalg import row_space_equal
 from .multipoly import (
     Poly,
+    QFactorPowers,
     XVARS,
     YVARS,
     discriminant,
@@ -47,10 +49,12 @@ from .multipoly import (
     p2,
     p3,
     p4,
-    QPowers,
     q_alternant_row,
     signed_s4,
     symmetrize,
+    _Q_QUADS,
+    _Q_TRIPLES,
+    _uvrs_images,
 )
 
 DEFAULT_PROPERTY_SEED = 20060808
@@ -259,12 +263,14 @@ def verify_lemma(max_d: int) -> Report:
     the target slice dimension (surjectivity); and each un-symmetrized
     product 12 P2^n P3^(2m+3) P4^k must rewrite exactly in u, v, w.
     The Q rows are read straight into alternant coordinates from one table
-    of factor powers, which lives as long as this call.
+    of factor powers, and the products from one in u, v, r, s; both live
+    as long as this call.
     """
     if max_d < 0:
         raise ValueError("max_d must be non-negative")
     report = Report(suite="lemma")
-    powers = QPowers()
+    powers = QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS)
+    products = QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS[:1], _uvrs_images)
     for d in range(max_d + 1):
         legs = 2 * d + 9
         triples = _lemma_triples(d)
@@ -291,7 +297,7 @@ def verify_lemma(max_d: int) -> Report:
                     f"lemma.membership.d={d}.n={n}.m={m}.k={k}",
                     {"d": str(d), "n": str(n), "m": str(m), "k": str(k)},
                     "member",
-                    lambda n=n, m=m, k=k: (express_product_in_uvw(n, m, k), "member")[1],
+                    lambda n=n, m=m, k=k: (express_product_in_uvw(n, m, k, products), "member")[1],
                 )
             )
     return report.finalize()
@@ -307,7 +313,7 @@ def verify_asymptotics(max_d: int, regimes: tuple[Regime, ...] | None = None) ->
     report = Report(suite="asymptotics")
     for regime in regimes:
         regime_tag = "regime1" if regime.id == "one" else "regime2"
-        powers = QImagePowers(regime)
+        powers = QFactorPowers(_Q_TRIPLES, _Q_QUADS, partial(_shared_images, regime.id))
         for (n, m, k) in triples:
             params = {"n": str(n), "m": str(m), "k": str(k), "regime": regime.id}
             coeff, exp = expected_q_leading(n, m, k, regime.id)
@@ -316,7 +322,7 @@ def verify_asymptotics(max_d: int, regimes: tuple[Regime, ...] | None = None) ->
                     f"asym.{regime_tag}.n={n}.m={m}.k={k}",
                     params,
                     f"{coeff}*t^({exp})",
-                    lambda: verify_q_asymptotics(n, m, k, powers),
+                    lambda: verify_q_asymptotics(n, m, k, regime, powers),
                 )
             )
     return report.finalize()

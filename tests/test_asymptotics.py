@@ -17,11 +17,9 @@ from jd3.asymptotics import (
     TVARS,
     ExpVector,
     PuiseuxPoly,
-    QImagePowers,
     REGIME_ONE,
     REGIME_TWO,
     Regime,
-    _regime_factor,
     _shared_images,
     expected_q_leading,
     leading_term,
@@ -29,10 +27,30 @@ from jd3.asymptotics import (
     substituted_q,
     verify_q_asymptotics,
 )
-from jd3.multipoly import _Q_QUADS, _Q_TRIPLES, Poly, XVARS, YVARS, p2, q_poly
+from jd3.multipoly import (
+    _Q_QUADS,
+    _Q_TRIPLES,
+    Poly,
+    QFactorPowers,
+    XVARS,
+    YVARS,
+    p2,
+    q_factor,
+    q_poly,
+)
 from jd3.verifier import _lemma_triples
 
 Y = {n: Poly.variable(YVARS, n) for n in YVARS.names}
+
+
+def regime_factor(regime_id, which, args):
+    """P2/P3/P4 under four times the regime substitution, built apart from any table."""
+    return q_factor(which, args).substitute(_shared_images(regime_id))
+
+
+def image_powers(regime):
+    """A table of Q's factor images under `regime`, as the asymptotics suite builds one."""
+    return QFactorPowers(_Q_TRIPLES, _Q_QUADS, partial(_shared_images, regime.id))
 
 
 def quartered(poly):
@@ -196,7 +214,7 @@ def test_regime_factors_have_int_coefficients():
     factors += [("p4", q) for q in _Q_QUADS]
     for regime_id in ("one", "two"):
         for which, args in factors:
-            factor = _regime_factor(regime_id, which, args)
+            factor = regime_factor(regime_id, which, args)
             assert factor.terms and all(type(c) is int for c in factor.terms.values())
 
 
@@ -344,13 +362,13 @@ def test_mixed_regimes_rejected():
 
 
 def test_q000_leading_regime_one():
-    p = substituted_q(0, 0, 0, QImagePowers(REGIME_ONE))
+    p = substituted_q(0, 0, 0, REGIME_ONE, image_powers(REGIME_ONE))
     coeff, exp = leading_term(p)
     assert coeff == 9 and exp == ExpVector(6, 2, 1)
 
 
 def test_q100_leading_regime_one():
-    p = substituted_q(1, 0, 0, QImagePowers(REGIME_ONE))
+    p = substituted_q(1, 0, 0, REGIME_ONE, image_powers(REGIME_ONE))
     coeff, exp = leading_term(p)
     assert coeff == 18 and exp == ExpVector(8, 2, 1)
 
@@ -394,51 +412,51 @@ def rendered_closed_form(n, m, k, regime):
 
 
 def test_verify_q_asymptotics_examples():
-    one, two = QImagePowers(REGIME_ONE), QImagePowers(REGIME_TWO)
-    assert verify_q_asymptotics(0, 0, 0, one) == "9*t^(6a+2b+c)"
-    assert verify_q_asymptotics(0, 0, 1, two) == "6*t^(9a+3b+c)"
-    assert verify_q_asymptotics(0, 0, 0, two) == "18*t^(5a+3b+c)"
+    one, two = image_powers(REGIME_ONE), image_powers(REGIME_TWO)
+    assert verify_q_asymptotics(0, 0, 0, REGIME_ONE, one) == "9*t^(6a+2b+c)"
+    assert verify_q_asymptotics(0, 0, 1, REGIME_TWO, two) == "6*t^(9a+3b+c)"
+    assert verify_q_asymptotics(0, 0, 0, REGIME_TWO, two) == "18*t^(5a+3b+c)"
 
 
 def test_verify_q_asymptotics_all_small_degrees():
-    tables = {regime: QImagePowers(regime) for regime in (REGIME_ONE, REGIME_TWO)}
+    tables = {regime: image_powers(regime) for regime in (REGIME_ONE, REGIME_TWO)}
     for d in range(4):
         for m in range(d // 3 + 1):
             for k in range((d - 3 * m) // 2 + 1):
                 n = d - 3 * m - 2 * k
                 for regime in (REGIME_ONE, REGIME_TWO):
-                    actual = verify_q_asymptotics(n, m, k, tables[regime])
+                    actual = verify_q_asymptotics(n, m, k, regime, tables[regime])
                     assert actual == rendered_closed_form(n, m, k, regime), (n, m, k)
 
 
 def test_leading_coefficients_positive():
-    tables = {regime: QImagePowers(regime) for regime in (REGIME_ONE, REGIME_TWO)}
+    tables = {regime: image_powers(regime) for regime in (REGIME_ONE, REGIME_TWO)}
     for d in range(4):
         for m in range(d // 3 + 1):
             for k in range((d - 3 * m) // 2 + 1):
                 n = d - 3 * m - 2 * k
                 for regime in (REGIME_ONE, REGIME_TWO):
-                    coeff, _ = leading_term(substituted_q(n, m, k, tables[regime]))
+                    coeff, _ = leading_term(substituted_q(n, m, k, regime, tables[regime]))
                     assert coeff > 0
 
 
 def test_custom_regime_still_passes():
     custom = Regime("one", Fraction(3), Fraction(12, 5), Fraction(3, 2))
-    actual = verify_q_asymptotics(0, 0, 0, QImagePowers(custom))
+    actual = verify_q_asymptotics(0, 0, 0, custom, image_powers(custom))
     assert actual == rendered_closed_form(0, 0, 0, custom)
 
 
 def test_factored_substitution_matches_direct():
-    powers = QImagePowers(REGIME_ONE)
+    powers = image_powers(REGIME_ONE)
     for nmk in ((0, 0, 0), (1, 0, 0), (0, 0, 1)):
         direct = substitute_regime(q_poly(*nmk), REGIME_ONE)
-        assert substituted_q(*nmk, powers) == direct
+        assert substituted_q(*nmk, REGIME_ONE, powers) == direct
         assert all(type(c) is int for c in direct.poly.terms.values())
 
 
 def assembled_q(n, m, k, regime_id):
     """Q^{n,m,k}'s regime image multiplied out factor by factor, every power raised afresh."""
-    factor = partial(_regime_factor, regime_id)
+    factor = partial(regime_factor, regime_id)
     first = reduce(add, (factor("p2", t) ** n * factor("p3", t) ** (2 * m + 3) for t in _Q_TRIPLES))
     second = reduce(add, (factor("p4", q) ** k for q in _Q_QUADS))
     return first * second
@@ -452,9 +470,9 @@ def test_power_table_equals_the_factor_by_factor_product():
     for regime in (REGIME_ONE, REGIME_TWO):
         expected = {nmk: assembled_q(*nmk, regime.id).terms for nmk in suite_order}
         for order in (suite_order, shuffled):
-            powers = QImagePowers(regime)
+            powers = image_powers(regime)
             for nmk in order:
-                assert substituted_q(*nmk, powers).poly.terms == expected[nmk], (regime.id, nmk)
+                assert substituted_q(*nmk, regime, powers).poly.terms == expected[nmk], (regime.id, nmk)
 
 
 def test_leading_term_reads_only_the_top_class(monkeypatch):
@@ -465,7 +483,7 @@ def test_leading_term_reads_only_the_top_class(monkeypatch):
         made.append(args)
         return Fraction(*args)
 
-    p = substituted_q(2, 1, 1, QImagePowers(REGIME_TWO))
+    p = substituted_q(2, 1, 1, REGIME_TWO, image_powers(REGIME_TWO))
     assert len(descending_classes(p)) > 50
     monkeypatch.setattr(asymptotics, "Fraction", counting_fraction)
     assert leading_term(p) == expected_q_leading(2, 1, 1, "two")

@@ -31,7 +31,7 @@ from jd3.diagram_spaces import (
 from jd3.linalg import QMatrix, RowSpan, rank, row_space_equal
 from jd3.multipoly import (
     Poly,
-    QPowers,
+    QFactorPowers,
     XVARS,
     YVARS,
     Y3VARS,
@@ -39,6 +39,8 @@ from jd3.multipoly import (
     q_alternant_row,
     signed_s4,
     symmetrize,
+    _Q_QUADS,
+    _Q_TRIPLES,
 )
 from jd3.verifier import _lemma_triples
 
@@ -418,7 +420,7 @@ def test_span_builds_no_row_after_full_rank():
     # the lemma's Q rows of one degree span the slice; a row asked for after them raises
     d = 5
     ctx = _SkewSliceContext(2 * d + 9)
-    powers = QPowers()
+    powers = QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS)
 
     def rows():
         for n, m, k in _lemma_triples(d):

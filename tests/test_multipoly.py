@@ -14,7 +14,7 @@ from jd3.multipoly import (
     NotDivisibleError,
     NotInSubringError,
     Poly,
-    QPowers,
+    QFactorPowers,
     SignedPermAction,
     VarSet,
     XVARS,
@@ -33,6 +33,8 @@ from jd3.multipoly import (
     signed_s4,
     symmetrize,
     UVWVARS,
+    _Q_QUADS,
+    _Q_TRIPLES,
     _UVRS,
     _uvrs_images,
     _uvw_from_uvrs,
@@ -318,7 +320,8 @@ def test_alternant_rows_equal_skew_rows_of_q_poly():
     # and a fresh table that fills its entries in the reverse order
     triples = [(d, t) for d in range(10) for t in _q_triples(d)]
     assert len(triples) == 53
-    in_order, reversed_order = QPowers(), QPowers()
+    in_order = QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS)
+    reversed_order = QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS)
     expected = {}
     for d, nmk in triples:
         ctx = _SkewSliceContext(2 * d + 9)
@@ -331,8 +334,9 @@ def test_alternant_rows_equal_skew_rows_of_q_poly():
 
 
 def test_alternant_row_rejects_negative():
+    powers = QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS)
     with pytest.raises(ValueError):
-        q_alternant_row(0, -1, 0, _SkewSliceContext(9).basis, QPowers())
+        q_alternant_row(0, -1, 0, _SkewSliceContext(9).basis, powers)
 
 
 # --- exact division ---------------------------------------------------------
@@ -769,15 +773,27 @@ def test_express_in_uvw_basic_generators():
         assert g.substitute(images) == images[name]
 
 
+def uvrs_powers() -> QFactorPowers:
+    """The lemma's table of P2, P3 at (y1, y2, y3) and P4 at (y1..y4) in u, v, r, s."""
+    return QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS[:1], _uvrs_images)
+
+
 def test_express_in_uvw_reconstructs_products():
-    # every lemma triple to d=8, the first spot checks among them
+    # every lemma triple to d=8, the first spot checks among them, read from
+    # one table in suite order and from a fresh one in a shuffled order: a
+    # chain head extended past a smaller exponent would show in one of them
     triples = [t for d in range(9) for t in _lemma_triples(d)]
     assert {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1)} <= set(triples)
+    expected = {}
+    suite_order = uvrs_powers()
     for nmk in triples:
         product = p2p3p4_product(*nmk)
-        g = express_in_uvw(product)
-        assert g == express_product_in_uvw(*nmk)
-        assert g.substitute(uvw_images()) == product
+        expected[nmk] = express_in_uvw(product)
+        assert expected[nmk] == express_product_in_uvw(*nmk, suite_order)
+        assert expected[nmk].substitute(uvw_images()) == product
+    shuffled = uvrs_powers()
+    for nmk in random.Random(8).sample(triples, len(triples)):
+        assert express_product_in_uvw(*nmk, shuffled) == expected[nmk], nmk
 
 
 U, V, R = (Poly.variable(_UVRS, n) for n in ("u", "v", "r"))

@@ -96,8 +96,9 @@ def test_asymptotics_suite_counts():
 
 def test_asymptotics_power_tables_live_for_one_regime_of_one_call():
     # peak measured at 1.57 MiB for both regimes at d <= 12.  A d = 0 run
-    # first fills the fixed-size factor memos, so what stays traced after
-    # the d <= 12 run is what that run kept, such as a table held between calls
+    # first fills the fixed-size regime image caches, so what stays traced
+    # after the d <= 12 run is what that run kept, such as a table held
+    # between calls; each table builds its own factors
     assert verify_asymptotics(0).all_passed
     gc.collect()
     tracemalloc.start()
@@ -114,11 +115,40 @@ def test_asymptotics_power_tables_live_for_one_regime_of_one_call():
     assert kept < 64 << 10
 
 
+def test_lemma_power_tables_live_for_one_call():
+    # a d = 0 run first fills the fixed-size caches, so what stays traced
+    # after the d <= 8 run is what that run kept, such as a table held between calls
+    assert verify_lemma(0).all_passed
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = verify_lemma(8)
+        assert report.all_passed and report.summary["total"] == 59
+        del report
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 << 10
+
+
+def test_power_tables_build_their_factors_inside_a_check(monkeypatch):
+    # a table's constructor does no arithmetic: its factors are built on the
+    # first read, so a failure there is the reading check's FAIL record
+    def broken(self, which, arguments):
+        raise KeyError(which)
+
+    monkeypatch.setattr(multipoly.QFactorPowers, "_factors", broken)
+    for report in (verify_asymptotics(0), verify_lemma(0)):
+        assert report.summary["total"] == report.summary["failed"] > 0
+        assert all(c.actual.startswith("error: KeyError: ") for c in report.checks)
+
+
 def test_merged_top_class_fails_its_check(monkeypatch):
     # t^(6a+2b+c) and t^(5a+2b+3c) share the key 81 under regime one; their
     # merged coefficient is the closed form's 9, but the class has two vectors
     merged = PuiseuxPoly(REGIME_ONE, Poly(TVARS, {(6, 2, 1): 8 * 4**9, (5, 2, 3): 4**10}))
-    monkeypatch.setattr(asymptotics, "substituted_q", lambda n, m, k, powers: merged)
+    monkeypatch.setattr(asymptotics, "substituted_q", lambda n, m, k, regime, powers: merged)
     (check,) = verify_asymptotics(0, regimes=(REGIME_ONE,)).checks
     assert check.expected == "9*t^(6a+2b+c)"
     assert check.actual == "9*t^(5a+2b+3c) (merged exponent class)"
@@ -305,7 +335,8 @@ def test_every_poly_a_run_builds_holds_int_coefficients(monkeypatch, caps):
     # once the run is over
     raw = Poly._raw.__func__
     mul_packed = multipoly._mul_packed
-    built, products = [], []
+    poly_mul = Poly.__mul__
+    built, products, muls = [], [], []
 
     def kept_raw(cls, vars, terms):
         built.append(raw(cls, vars, terms))
@@ -315,14 +346,18 @@ def test_every_poly_a_run_builds_holds_int_coefficients(monkeypatch, caps):
         products.append(mul_packed(a, b))
         return products[-1]
 
+    def counted_mul(a, b):
+        muls.append(None)
+        return poly_mul(a, b)
+
     monkeypatch.setattr(Poly, "_raw", classmethod(kept_raw))
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
     monkeypatch.setattr(multipoly, "_mul_packed", kept_mul_packed)
     caps(11, 8, 2, 2)
     assert run_all().all_passed
-    # floors a little under the counts measured at this config once the
-    # package's fixed-size memos are warm: 2,554 Polys and 5,027 products
-    assert len(built) > 2_500
-    assert len(products) > 5_000
+    # every Poly product runs one packed product, which was kept
+    assert built and muls
+    assert len(products) >= len(muls)
     bad = [c for t in [p.terms for p in built] + products for c in t.values() if type(c) is not int]
     assert bad == []
 
