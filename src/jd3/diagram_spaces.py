@@ -32,7 +32,8 @@ edges), only the tetrahedron (legs on six edges, S4 acting through the
 faces) and the four-arc graph carry a polynomial presentation here; in
 the other three, reflection kills the odd part and IHX maps absorb the
 even part, which this package does not re-derive.  This module builds
-the graded slices, the IHX spanning families and the closed forms.
+the graded slices, the IHX spanning families, the rows of the lemma's
+Q family and the closed forms.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from . import _coverage
 from .linalg import QMatrix, RowSpan, _check_ints, rank
 from .multipoly import (
     Poly,
+    QFactorPowers,
     SignedPermAction,
     XVARS,
     YVARS,
@@ -255,6 +257,30 @@ class _SkewSliceContext:
         return SliceSpace(self.basis, QMatrix(kept, cols), span.rank)
 
 
+def q_alternant_row(
+    n: int, m: int, k: int, ctx: _SkewSliceContext, powers: QFactorPowers
+) -> list[int]:
+    """Coordinates of Q^{n,m,k} on the alternants a_l/24 of `ctx`'s odd slice.
+
+    `powers` tables G = P2^n * P3^(2m+3) at (y1, y2, y3), its one triple,
+    and S, the sum of P4^k over the three pairings, so that Q = F * S with
+    F the four-term sum of G relabelled.  Let A be the signed S4 group sum.
+    Q is skew and S symmetric and nonzero, so F is skew, and F = A(G+),
+    where G+ keeps G's terms at strict tuples l1 > l2 > l3 > l4 = 0: each
+    term of F omits one variable, so at a strict tuple F's coefficient is
+    G's when l4 = 0 and 0 otherwise.  A commutes with multiplying by the
+    symmetric S, so Q = A(G+ * S), and Q's coordinate, 24 times its
+    coefficient at y^l, is `ctx.skew_row(24 * G+ * S)` (Macdonald,
+    Symmetric Functions and Hall Polynomials, ch. I.3).
+    """
+    _coverage.touch("multipoly.q_poly")  # the suites' one reach of the Q family
+    if n < 0 or m < 0 or k < 0:
+        raise ValueError("q_poly parameters must be non-negative")
+    g = powers.first(n, m)
+    strict = Poly(g.vars, {e: 24 * c for e, c in g.terms.items() if e[0] > e[1] > e[2] > e[3]})
+    return ctx.skew_row(strict * powers.second(k))
+
+
 def tet_slice(legs: int) -> SliceSpace:
     """Graded slice of the tetrahedron space at the given leg count.
 
@@ -310,11 +336,7 @@ def _ihx_image_generators(legs: int):
 
 def _ihx_image_build(power, gen: tuple[int, int, int, int]) -> Poly:
     a, b, c, d = gen
-    sym_pair = power("x1", a) * power("x5", b)
-    if a != b:
-        sym_pair = sym_pair + power("x1", b) * power("x5", a)
-    else:
-        sym_pair = sym_pair.scale(2)
+    sym_pair = power("x1", a) * power("x5", b) + power("x1", b) * power("x5", a)
     tail = power("x4", c) * power("x2", d).scale((-1) ** d)
     return sym_pair * tail
 

@@ -488,14 +488,6 @@ def q_poly(n: int, m: int, k: int) -> Poly:
     return first * second
 
 
-# Per term of the first factor: the y-indices its three arguments read, and
-# the index of the variable it omits.
-_Q_TRIPLE_SLOTS = tuple(
-    (tuple(YVARS.index(v) for v in t), next(i for i, v in enumerate(YVARS.names) if v not in t))
-    for t in _Q_TRIPLES
-)
-
-
 class QFactorPowers:
     """Powers of the factors of Q^{n,m,k}, each built once, for one caller's lifetime.
 
@@ -562,41 +554,6 @@ class QFactorPowers:
             self._p4_powers = [p * f for p, f in zip(self._p4_powers, self._p4)]
             self._second.append(reduce(add, self._p4_powers))
         return self._second[k]
-
-
-def q_alternant_row(
-    n: int, m: int, k: int, basis: list[tuple[int, ...]], powers: QFactorPowers
-) -> list[int]:
-    """Coordinates of Q^{n,m,k} on the alternants a_l, l in `basis` (strict tuples).
-
-    `powers` tables G = P2^n * P3^(2m+3) at (y1, y2, y3), its one triple,
-    and P4 over the three pairings.  Q is skew, so its coordinate on a_l/24
-    is 24 times its coefficient at y^l; this equals
-    `skew_row(q_poly(n, m, k))` of the degree's slice context.  Q = F * S
-    with S = sum of P4^k symmetric, so that coefficient is sum over the
-    terms c_nu y^nu of S of c_nu * F_(l - nu).  Each term of F is G
-    relabelled and omits one variable, so F_(l - nu) is a sum of lookups
-    in G over the terms whose omitted variable i has nu_i = l_i; a negative
-    exponent is no key of G and reads 0 (Macdonald, Symmetric Functions
-    and Hall Polynomials, ch. I.3).
-    """
-    _coverage.touch("multipoly.q_poly")
-    if n < 0 or m < 0 or k < 0:
-        raise ValueError("q_poly parameters must be non-negative")
-    g = powers.first(n, m).terms
-    # the terms of the sum of P4^k, indexed per variable i by their exponent of y_i
-    second: list[dict[int, list[tuple[tuple[int, ...], int]]]] = [{} for _ in YVARS.names]
-    for term in powers.second(k).terms.items():
-        for i, e in enumerate(term[0]):
-            second[i].setdefault(e, []).append(term)
-    row = []
-    for lam in basis:
-        total = 0
-        for (a, b, c), i in _Q_TRIPLE_SLOTS:
-            for nu, coeff in second[i].get(lam[i], ()):
-                total += coeff * g.get((lam[a] - nu[a], lam[b] - nu[b], lam[c] - nu[c], 0), 0)
-        row.append(24 * total)
-    return row
 
 
 def divide_exact(p: Poly, d: Poly) -> Poly:

@@ -34,6 +34,7 @@ from .diagram_spaces import (
     tsq_odd_dim,
     x_from_y,
     y_from_x,
+    q_alternant_row,
     _SkewSliceContext,
 )
 from .linalg import row_space_equal
@@ -49,7 +50,6 @@ from .multipoly import (
     p2,
     p3,
     p4,
-    q_alternant_row,
     signed_s4,
     symmetrize,
     _Q_QUADS,
@@ -262,9 +262,10 @@ def verify_lemma(max_d: int) -> Report:
     2d+9 must have exact rank equal to their count (independence) and to
     the target slice dimension (surjectivity); and each un-symmetrized
     product 12 P2^n P3^(2m+3) P4^k must rewrite exactly in u, v, w.
-    The Q rows are read straight into alternant coordinates from one table
-    of factor powers, and the products from one in u, v, r, s; both live
-    as long as this call.
+    Each Q row is the slice projection of one product, G's strict part
+    times the P4 sum, from one table of factor powers (`q_alternant_row`),
+    and the membership products come from one in u, v, r, s; both tables
+    live as long as this call.
     """
     if max_d < 0:
         raise ValueError("max_d must be non-negative")
@@ -278,7 +279,7 @@ def verify_lemma(max_d: int) -> Report:
 
         def q_rank() -> str:
             ctx = _SkewSliceContext(legs)
-            rows = (q_alternant_row(n, m, k, ctx.basis, powers) for (n, m, k) in triples)
+            rows = (q_alternant_row(n, m, k, ctx, powers) for (n, m, k) in triples)
             return str(ctx.span(rows).dim)
 
         independence = _timed_check(f"lemma.rank.d={d}", params, str(len(triples)), q_rank)

@@ -23,6 +23,7 @@ from jd3.diagram_spaces import (
     hilbert_coefficients,
     odd_target_dim,
     ihx_image_slice,
+    q_alternant_row,
     tet_slice,
     tsq_odd_dim,
     x_from_y,
@@ -36,7 +37,6 @@ from jd3.multipoly import (
     YVARS,
     Y3VARS,
     elementary_symmetric,
-    q_alternant_row,
     signed_s4,
     symmetrize,
     _Q_QUADS,
@@ -424,7 +424,7 @@ def test_span_builds_no_row_after_full_rank():
 
     def rows():
         for n, m, k in _lemma_triples(d):
-            yield q_alternant_row(n, m, k, ctx.basis, powers)
+            yield q_alternant_row(n, m, k, ctx, powers)
         raise AssertionError("a row was built after full rank")
 
     space = ctx.span(rows())

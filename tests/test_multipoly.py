@@ -9,7 +9,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jd3.diagram_spaces import _SkewSliceContext, eliminate_y4
+from jd3.diagram_spaces import _SkewSliceContext, eliminate_y4, q_alternant_row
 from jd3.multipoly import (
     NotDivisibleError,
     NotInSubringError,
@@ -28,7 +28,6 @@ from jd3.multipoly import (
     p3,
     p4,
     perm_sign,
-    q_alternant_row,
     q_poly,
     signed_s4,
     symmetrize,
@@ -327,16 +326,83 @@ def test_alternant_rows_equal_skew_rows_of_q_poly():
         ctx = _SkewSliceContext(2 * d + 9)
         expected[nmk] = ctx.skew_row(q_poly(*nmk))
         assert any(expected[nmk])
-        assert q_alternant_row(*nmk, ctx.basis, in_order) == expected[nmk]
+        assert q_alternant_row(*nmk, ctx, in_order) == expected[nmk]
     for d, nmk in reversed(triples):
-        basis = _SkewSliceContext(2 * d + 9).basis
-        assert q_alternant_row(*nmk, basis, reversed_order) == expected[nmk]
+        ctx = _SkewSliceContext(2 * d + 9)
+        assert q_alternant_row(*nmk, ctx, reversed_order) == expected[nmk]
 
 
 def test_alternant_row_rejects_negative():
     powers = QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS)
     with pytest.raises(ValueError):
-        q_alternant_row(0, -1, 0, _SkewSliceContext(9).basis, powers)
+        q_alternant_row(0, -1, 0, _SkewSliceContext(9), powers)
+
+
+def _strict_part(p: Poly) -> Poly:
+    """p's terms at exponent tuples l1 > l2 > l3 > l4."""
+    return Poly(p.vars, {e: c for e, c in p.terms.items() if e[0] > e[1] > e[2] > e[3]})
+
+
+def test_q_poly_is_the_signed_sum_of_the_strict_first_term_times_s():
+    # Q = A(G+ * S), G the first factor's (y1, y2, y3) term and S the P4 sum;
+    # the full G is skew in y1, y2, y3 and sums to six times Q, a scale rank cannot see
+    sign = signed_s4(YVARS, "sign")
+    args = _Q_TRIPLES[0]
+    for d in range(5):
+        for n, m, k in _q_triples(d):
+            g = p2(YVARS, args) ** n * p3(YVARS, args) ** (2 * m + 3)
+            s = sum((p4(YVARS, quad) ** k for quad in _Q_QUADS[1:]), p4(YVARS, _Q_QUADS[0]) ** k)
+            q = q_poly(n, m, k)
+            assert symmetrize(_strict_part(g) * s, sign) == q
+            assert symmetrize(g * s, sign) == q.scale(6)
+
+
+# Per term of the first factor: the y-indices its three arguments read, and
+# the index of the variable it omits.
+_Q_TRIPLE_SLOTS = tuple(
+    (tuple(YVARS.index(v) for v in t), next(i for i, v in enumerate(YVARS.names) if v not in t))
+    for t in _Q_TRIPLES
+)
+
+
+def _lookup_alternant_row(n, m, k, basis, powers):
+    """Q's alternant coordinates as a sum over S's terms of lookups in G.
+
+    Q = F * S, so Q's coefficient at a strict l is the sum over the terms
+    c_nu y^nu of S of c_nu * F_(l - nu); each term of F is G relabelled and
+    omits one variable i, so F_(l - nu) is a lookup in G over the terms with
+    nu_i = l_i.  A negative exponent is no key of G and reads 0.
+    """
+    g = powers.first(n, m).terms
+    # the terms of the sum of P4^k, indexed per variable i by their exponent of y_i
+    second = [{} for _ in YVARS.names]
+    for term in powers.second(k).terms.items():
+        for i, e in enumerate(term[0]):
+            second[i].setdefault(e, []).append(term)
+    row = []
+    for lam in basis:
+        total = 0
+        for (a, b, c), i in _Q_TRIPLE_SLOTS:
+            for nu, coeff in second[i].get(lam[i], ()):
+                total += coeff * g.get((lam[a] - nu[a], lam[b] - nu[b], lam[c] - nu[c], 0), 0)
+        row.append(24 * total)
+    return row
+
+
+def test_alternant_rows_equal_the_lookup_convolution():
+    # every (n, m, k) with n + 2k + 3m <= 12, in the suite's order and in a
+    # seeded shuffle, each filling a fresh table
+    triples = [(d, t) for d in range(13) for t in _q_triples(d)]
+    shuffled = list(triples)
+    random.Random(0).shuffle(shuffled)
+    contexts = {d: _SkewSliceContext(2 * d + 9) for d in range(13)}
+    reference = QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS)
+    for order in (triples, shuffled):
+        powers = QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS)
+        for d, nmk in order:
+            ctx = contexts[d]
+            expected = _lookup_alternant_row(*nmk, ctx.basis, reference)
+            assert q_alternant_row(*nmk, ctx, powers) == expected
 
 
 # --- exact division ---------------------------------------------------------
