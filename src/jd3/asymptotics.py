@@ -12,9 +12,12 @@ ordering.  Terms whose exponents evaluate equal are merged.  The grouping
 key is the integer alpha*A + beta*B + gamma*C, where (A, B, C) = D*(a, b, c)
 for the least common denominator D > 0 of a, b and c: it is D times the
 exact value, so it orders and merges exactly as the value does, with int
-arithmetic only.  Q^{n,m,k}'s image is one product of its two factors'
-images, read from a `multipoly.QFactorPowers` table of the regime's
-images.  Everything is exact: there is no truncation, so little-o
+arithmetic only.  Q^{n,m,k}'s image is held as its two factors' images,
+read from a `multipoly.QFactorPowers` table of the regime's images, and
+never multiplied out: the key of a product term is the sum of its
+factors' keys, so the leading class is read from the factors' classes,
+from the top down, multiplying only the class pairs that land on the
+classes read.  Everything is exact: there is no truncation, so little-o
 statements become statements about which terms exist below the leading
 exponent.
 """
@@ -23,8 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from heapq import heappop, heappush
 from math import lcm
+from operator import add
 
 from . import _coverage
 from .multipoly import Poly, QFactorPowers, VarSet, YVARS, _exact
@@ -126,39 +131,76 @@ class PuiseuxPoly:
 
     A view of `poly`, the t-polynomial of the four-times images: its term
     t^e stands for the term of coefficient c/4^|e| in the paper's images.
-    `==`, `+` and `*` act on `poly`; `top_class()` reads the leading
-    exponent class.
+    `poly` is held as `factors`, one or two t-polynomials whose product it
+    is, and multiplied out only when it is first read: `==`, `+` and `*`
+    act on it, while `top_class()` reads the leading exponent class from
+    the factors without expanding them.
     """
 
-    __slots__ = ("regime", "poly", "_top")
+    __slots__ = ("regime", "factors", "_poly", "_top")
 
-    def __init__(self, regime: Regime, poly: Poly) -> None:
-        if poly.vars != TVARS:
+    def __init__(self, regime: Regime, *factors: Poly) -> None:
+        if not 1 <= len(factors) <= 2:
+            raise ValueError("expected one or two factor polynomials")
+        if any(f.vars != TVARS for f in factors):
             raise ValueError("expected a polynomial in the t-exponent variables")
         self.regime = regime
-        self.poly = poly
+        self.factors = factors
+        self._poly = factors[0] if len(factors) == 1 else None
         self._top: tuple[int, Fraction, tuple[ExpVector, ...]] | None = None
+
+    @property
+    def poly(self) -> Poly:
+        """The product of the factors, multiplied out on the first read and kept."""
+        if self._poly is None:
+            self._poly = self.factors[0] * self.factors[1]
+        return self._poly
+
+    def _classes(self, factor: Poly) -> tuple[list[int], list[dict]]:
+        """A factor's integer keys in descending order, each with its class's terms."""
+        wa, wb, wc = self.regime.weights
+        classes: dict[int, dict[tuple[int, int, int], int]] = {}
+        for exps, coeff in factor.terms.items():
+            alpha, beta, gamma = exps
+            classes.setdefault(alpha * wa + beta * wb + gamma * wc, {})[exps] = coeff
+        keys = sorted(classes, reverse=True)
+        return keys, [classes[key] for key in keys]
 
     def top_class(self) -> tuple[int, Fraction, tuple[ExpVector, ...]]:
         """Key, merged coefficient and sorted vectors of the largest nonzero class.
 
         A class merges to s/4^D, where D is its largest degree and s sums each
-        member's coefficient times 4^(D - |e|).  Classes are read from the top
-        down, so only the cancelled classes above it are summed.
+        member's coefficient times 4^(D - |e|).  The key is additive under
+        multiplication, so the product's class at key K is the sum of
+        F_kf * S_kg over the factors' classes with kf + kg = K; one factor is
+        the case S = 1.  Candidate keys are popped from a heap over the two
+        descending key lists, largest first, as in Johnson's heap
+        multiplication (S. C. Johnson, "Sparse polynomial arithmetic", SIGSAM
+        Bull. 1974), each class is multiplied out from its pairs alone, and
+        the walk stops at the first class whose s is nonzero.  No pair of a
+        class is skipped, so the class is the expanded product's own, exact;
+        the classes above it cancelled, and when every class cancels the
+        walk has multiplied each pair once, no more than the full product.
         """
         if self._top is None:
-            wa, wb, wc = self.regime.weights
-            terms = self.poly.terms
-            classes: dict[int, list[tuple[int, int, int]]] = {}
-            for exps in terms:
-                alpha, beta, gamma = exps
-                classes.setdefault(alpha * wa + beta * wb + gamma * wc, []).append(exps)
-            for key in sorted(classes, reverse=True):
-                members = classes[key]
-                degree = max(map(sum, members))
-                s = sum(terms[e] * 4 ** (degree - sum(e)) for e in members)
+            first, second = (*self.factors, Poly.constant(TVARS, 1))[:2]
+            (fkeys, fclasses), (skeys, sclasses) = self._classes(first), self._classes(second)
+            heap = [(-fkeys[0] - skeys[0], 0, 0)] if fkeys and skeys else []
+            while heap:
+                key = -heap[0][0]
+                pairs = []
+                while heap and -heap[0][0] == key:
+                    _, i, j = heappop(heap)
+                    pairs.append(Poly._raw(TVARS, fclasses[i]) * Poly._raw(TVARS, sclasses[j]))
+                    if j + 1 < len(skeys):
+                        heappush(heap, (-fkeys[i] - skeys[j + 1], i, j + 1))
+                    if j == 0 and i + 1 < len(fkeys):
+                        heappush(heap, (-fkeys[i + 1] - skeys[0], i + 1, 0))
+                terms = reduce(add, pairs).terms
+                degree = max(map(sum, terms), default=0)
+                s = sum(c * 4 ** (degree - sum(e)) for e, c in terms.items())
                 if s:
-                    vecs = tuple(ExpVector(*e) for e in sorted(members))
+                    vecs = tuple(ExpVector(*e) for e in sorted(terms))
                     self._top = (key, Fraction(s, 4**degree), vecs)
                     break
             else:
@@ -223,16 +265,17 @@ def expected_q_leading(n: int, m: int, k: int, regime_id: str) -> tuple[Fraction
 
 
 def substituted_q(n: int, m: int, k: int, regime: Regime, powers: QFactorPowers) -> PuiseuxPoly:
-    """The regime image of Q^{n,m,k}, one product of its two factors' images.
+    """The regime image of Q^{n,m,k}, held as its two factors' images.
 
     `powers` tables the factors under the regime's images, which depend on
     `regime.id` only.  Substitution is a ring homomorphism
-    (property-tested elsewhere), so substituting P2/P3/P4 first and
-    multiplying the small integer t-polynomials gives the same exact
-    result as expanding Q and substituting, without the intermediate
-    blow-up.
+    (property-tested elsewhere), so the product of the substituted factors
+    `first(n, m)` and `second(k)` is the exact image of Q, with no
+    expansion of Q in y1..y4.  The product itself is not formed:
+    `top_class()` reads the leading class from the factors' classes, and
+    `poly` multiplies them out only if it is read.
     """
-    return PuiseuxPoly(regime, powers.first(n, m) * powers.second(k))
+    return PuiseuxPoly(regime, powers.first(n, m), powers.second(k))
 
 
 def verify_q_asymptotics(n: int, m: int, k: int, regime: Regime, powers: QFactorPowers) -> str:

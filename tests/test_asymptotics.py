@@ -38,7 +38,7 @@ from jd3.multipoly import (
     q_factor,
     q_poly,
 )
-from jd3.verifier import _lemma_triples
+from jd3.verifier import _lemma_triples, verify_asymptotics
 
 Y = {n: Poly.variable(YVARS, n) for n in YVARS.names}
 
@@ -491,6 +491,119 @@ def test_leading_term_reads_only_the_top_class(monkeypatch):
     made.clear()
     p.top_class()
     assert made == []  # the top class is read once and kept
+
+
+# --- the class walk over two factors ------------------------------------------
+
+
+def grouped_top_class(poly, regime):
+    """The top class of an expanded t-polynomial: every term grouped by key, read top down."""
+    wa, wb, wc = regime.weights
+    classes = {}
+    for e in poly.terms:
+        classes.setdefault(e[0] * wa + e[1] * wb + e[2] * wc, []).append(e)
+    for key in sorted(classes, reverse=True):
+        members = classes[key]
+        degree = max(map(sum, members))
+        s = sum(poly.terms[e] * 4 ** (degree - sum(e)) for e in members)
+        if s:
+            return key, Fraction(s, 4**degree), tuple(ExpVector(*e) for e in sorted(members))
+    raise ValueError("zero polynomial has no leading term")
+
+
+# exact regimes over large common denominators, as the benchmark draws them
+WIDE_ONE = Regime("one", Fraction(286, 45), Fraction(251, 45), Fraction(196, 45))
+WIDE_TWO = Regime("two", Fraction(300, 143), Fraction(239, 143), Fraction(197, 143))
+
+
+def test_factor_walk_equals_the_expanded_top_class():
+    assert WIDE_ONE.weights == (286, 251, 196) and WIDE_TWO.weights == (300, 239, 197)
+    triples = [t for d in range(13) for t in _lemma_triples(d)]
+    tables = {regime_id: image_powers(DEFAULT_REGIMES[regime_id]) for regime_id in ("one", "two")}
+    for regime in (REGIME_ONE, REGIME_TWO, WIDE_ONE, WIDE_TWO):
+        powers = tables[regime.id]
+        for nmk in triples:
+            walked = substituted_q(*nmk, regime, powers)
+            product = powers.first(*nmk[:2]) * powers.second(nmk[2])
+            expected = PuiseuxPoly(regime, product).top_class()
+            assert walked.top_class() == expected == grouped_top_class(product, regime), nmk
+
+
+def walked_and_expanded(first, second, regime=REGIME_ONE):
+    """The walk's top class of first*second, checked against the expanded product's."""
+    first, second = Poly(TVARS, first), Poly(TVARS, second)
+    top = PuiseuxPoly(regime, first, second).top_class()
+    assert top == grouped_top_class(first * second, regime)
+    return top
+
+
+# t^(5b+4c) - t^(3a+6c): one key (60 under regime one), one degree, merged sum 0
+CANCELLING = {(0, 5, 4): 1, (3, 0, 6): -1}
+
+
+def times(terms, exps):
+    return {tuple(x + y for x, y in zip(e, exps)): c for e, c in terms.items()}
+
+
+def test_walk_descends_past_cancelled_classes():
+    # F = A t^a + A t^b + t^c and S = t^a - t^b with A cancelling: the classes
+    # at keys 80 and 76 merge to 0, the two pair products at key 78 cancel
+    # term by term, and the first surviving class, t^(a+c), has key 15
+    first = {**times(CANCELLING, (1, 0, 0)), **times(CANCELLING, (0, 1, 0)), (0, 0, 1): 1}
+    second = {(1, 0, 0): 1, (0, 1, 0): -1}
+    product = Poly(TVARS, first) * Poly(TVARS, second)
+    assert len(product.terms) == 6
+    assert walked_and_expanded(first, second) == (15, Fraction(1, 16), (ExpVector(1, 0, 1),))
+
+
+def test_walk_skips_a_top_class_of_different_degrees_merging_to_zero():
+    # 4t^a - 16t^(2c) merges to 0 (degrees 1 and 2 at key 10), and so does
+    # its product with t^a at key 20 and with t^c at key 15
+    first = {(1, 0, 0): 4, (0, 0, 2): -16, (0, 1, 0): 8}
+    second = {(1, 0, 0): 1, (0, 0, 1): 1}
+    assert walked_and_expanded(first, second) == (18, Fraction(1, 2), (ExpVector(1, 1, 0),))
+
+
+def test_two_class_pairs_on_one_key_render_as_merged(monkeypatch):
+    # F's classes at keys 10 and 8 times S's at 10 and 8: the top pair merges
+    # to 0, and (10, 8) and (8, 10) both land on key 18
+    first = {(1, 0, 0): 4, (0, 0, 2): -16, (0, 1, 0): 1}
+    second = {(1, 0, 0): 1, (0, 1, 0): 1}
+    vecs = (ExpVector(0, 1, 2), ExpVector(1, 1, 0))
+    assert walked_and_expanded(first, second) == (18, Fraction(4, 4**3), vecs)
+    walked = PuiseuxPoly(REGIME_ONE, Poly(TVARS, first), Poly(TVARS, second))
+    monkeypatch.setattr(asymptotics, "substituted_q", lambda n, m, k, regime, powers: walked)
+    assert verify_q_asymptotics(0, 0, 0, REGIME_ONE, None) == "1/16*t^(b+2c) (merged exponent class)"
+
+
+def test_zero_factor_has_no_top_class():
+    factor = Poly(TVARS, {(1, 0, 0): 1})
+    for factors in ((factor, Poly(TVARS)), (Poly(TVARS), factor), (Poly(TVARS),)):
+        with pytest.raises(ValueError):
+            PuiseuxPoly(REGIME_ONE, *factors).top_class()
+
+
+def test_puiseux_poly_takes_one_or_two_t_factors():
+    factor = Poly(TVARS, {(1, 0, 0): 1})
+    for factors in ((), (factor,) * 3, (Poly.variable(YVARS, "y1"),), (factor, Poly(XVARS))):
+        with pytest.raises(ValueError):
+            PuiseuxPoly(REGIME_ONE, *factors)
+
+
+def test_verify_asymptotics_never_expands_q(monkeypatch):
+    # the walk reads Q's leading class from its two factors; a fall-back to
+    # first * second, here or on a read of `poly`, fails this test
+    returned = []
+    original = asymptotics.substituted_q
+
+    def kept(*args):
+        returned.append(original(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(asymptotics, "substituted_q", kept)
+    report = verify_asymptotics(12)
+    assert report.summary["total"] == report.summary["passed"] == len(returned) == 204
+    assert all(len(p.factors) == 2 and p._poly is None for p in returned)
 
 
 # --- homomorphism property ----------------------------------------------------
