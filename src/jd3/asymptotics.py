@@ -129,15 +129,14 @@ def _shared_images(regime_id: str) -> dict[str, Poly]:
 class PuiseuxPoly:
     """Finite sum of terms q * t^(alpha*a + beta*b + gamma*c) under a regime.
 
-    A view of `poly`, the t-polynomial of the four-times images: its term
-    t^e stands for the term of coefficient c/4^|e| in the paper's images.
-    `poly` is held as `factors`, one or two t-polynomials whose product it
-    is, and multiplied out only when it is first read: `==`, `+` and `*`
-    act on it, while `top_class()` reads the leading exponent class from
-    the factors without expanding them.
+    Held as `factors`, one or two t-polynomials of the four-times images
+    whose product it is: a term t^e of that product stands for the term of
+    coefficient c/4^|e| in the paper's images.  The product is never
+    multiplied out: `top_class()` reads the leading exponent class from
+    the factors, and `*` keeps the factors of both operands.
     """
 
-    __slots__ = ("regime", "factors", "_poly", "_top")
+    __slots__ = ("regime", "factors", "_top")
 
     def __init__(self, regime: Regime, *factors: Poly) -> None:
         if not 1 <= len(factors) <= 2:
@@ -146,15 +145,7 @@ class PuiseuxPoly:
             raise ValueError("expected a polynomial in the t-exponent variables")
         self.regime = regime
         self.factors = factors
-        self._poly = factors[0] if len(factors) == 1 else None
         self._top: tuple[int, Fraction, tuple[ExpVector, ...]] | None = None
-
-    @property
-    def poly(self) -> Poly:
-        """The product of the factors, multiplied out on the first read and kept."""
-        if self._poly is None:
-            self._poly = self.factors[0] * self.factors[1]
-        return self._poly
 
     def _classes(self, factor: Poly) -> tuple[list[int], list[dict]]:
         """A factor's integer keys in descending order, each with its class's terms."""
@@ -207,31 +198,19 @@ class PuiseuxPoly:
                 raise ValueError("zero polynomial has no leading term")
         return self._top
 
-    def _check_regime(self, other: "PuiseuxPoly") -> None:
+    def __mul__(self, other: "PuiseuxPoly") -> "PuiseuxPoly":
+        """The product held as both operands' factors, not multiplied out."""
         if self.regime != other.regime:
             raise ValueError("mixed regimes")
-
-    def __eq__(self, other: object) -> bool:
-        """Equality of the exact t-polynomials, finer than equal merged coefficients."""
-        if not isinstance(other, PuiseuxPoly):
-            return NotImplemented
-        return self.regime == other.regime and self.poly == other.poly
-
-    def __add__(self, other: "PuiseuxPoly") -> "PuiseuxPoly":
-        self._check_regime(other)
-        return PuiseuxPoly(self.regime, self.poly + other.poly)
-
-    def __mul__(self, other: "PuiseuxPoly") -> "PuiseuxPoly":
-        self._check_regime(other)
-        return PuiseuxPoly(self.regime, self.poly * other.poly)
+        return PuiseuxPoly(self.regime, *self.factors, *other.factors)
 
 
-def substitute_regime(p: Poly, regime: Regime) -> PuiseuxPoly:
-    """Exact substitution of y1..y4 by their regime images, fully expanded."""
+def substitute_regime(p: Poly, regime: Regime) -> Poly:
+    """Exact substitution of y1..y4 by four times their regime images, a t-polynomial."""
     _coverage.touch("asymptotics.substitute_regime")
     if p.vars != YVARS:
         raise ValueError("substitute_regime expects a polynomial in exactly y1..y4")
-    return PuiseuxPoly(regime, p.substitute(_shared_images(regime.id)))
+    return p.substitute(_shared_images(regime.id))
 
 
 def leading_term(p: PuiseuxPoly) -> tuple[Fraction, ExpVector]:
@@ -271,11 +250,10 @@ def substituted_q(n: int, m: int, k: int, regime: Regime, powers: QFactorPowers)
     `regime.id` only.  Substitution is a ring homomorphism
     (property-tested elsewhere), so the product of the substituted factors
     `first(n, m)` and `second(k)` is the exact image of Q, with no
-    expansion of Q in y1..y4.  The product itself is not formed:
-    `top_class()` reads the leading class from the factors' classes, and
-    `poly` multiplies them out only if it is read.
+    expansion of Q in y1..y4.  The product itself is never formed:
+    `top_class()` reads the leading class from the factors' classes.
     """
-    return PuiseuxPoly(regime, powers.first(n, m), powers.second(k))
+    return PuiseuxPoly(regime, powers.first(n, m)) * PuiseuxPoly(regime, powers.second(k))
 
 
 def verify_q_asymptotics(n: int, m: int, k: int, regime: Regime, powers: QFactorPowers) -> str:

@@ -301,8 +301,9 @@ def tet_slice(legs: int) -> SliceSpace:
 def odd_target_dim(legs: int) -> int:
     """Number of (n, m, k) >= 0 with 2n + 6m + 4k = legs - 9 (0 below 9).
 
-    This is the graded dimension of the discriminant-times-sigma3 module
-    over Q[sigma2, sigma3^2, sigma4].
+    By definition this is the coefficient of t^legs in
+    t^9/((1-t^2)(1-t^4)(1-t^6)), the graded dimension of the
+    discriminant-times-sigma3 module over Q[sigma2, sigma3^2, sigma4].
     """
     _coverage.touch("diagram_spaces.odd_target_dim")
     if legs < 0 or legs % 2 == 0:

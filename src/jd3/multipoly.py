@@ -17,7 +17,7 @@ sums, elementary symmetric polynomials, the discriminant, the
 P2/P3/P4 building blocks and the Q^{n,m,k} family used by the
 verification suites, with `QFactorPowers`, the one table of Q's factor
 powers in a caller's coordinates, exact division, and membership in the
-subring Z[u, v, w] by w-adic division.
+subring Z[u, v, w] by w-adic division of P2, P3 and P4, closed under products.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import itertools
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from operator import add, itemgetter, methodcaller, mul, neg
 from types import MappingProxyType
 from typing import Callable
@@ -493,8 +493,9 @@ class QFactorPowers:
 
     `first(n, m)` is the sum over `triples` of P2^n * P3^(2m+3) and
     `second(k)` the sum over `quads` of P4^k, each factor taken at its
-    argument y-variables and carried by `images()`, a substitution map,
-    into the caller's coordinates; with no `images` they stay in y1..y4.
+    argument y-variables and carried by `carry`, a ring homomorphism given
+    as a map of polynomials, into the caller's coordinates; with no
+    `carry` they stay in y1..y4.
     The factors are built on the first read, P3 once per triple and then
     squared and cubed.  Each new entry is one product per term by P2, P3^2
     or P4, extended from a kept chain head: column m keeps its per-triple
@@ -508,19 +509,16 @@ class QFactorPowers:
         self,
         triples: tuple[tuple[str, ...], ...],
         quads: tuple[tuple[str, ...], ...],
-        images: Callable[[], dict[str, Poly]] | None = None,
+        carry: Callable[[Poly], Poly] | None = None,
     ) -> None:
-        self._triples, self._quads, self._images = triples, quads, images
+        self._triples, self._quads, self._carry = triples, quads, carry
         self._first: dict[tuple[int, int], Poly] = {}
         self._second: list[Poly] = []
 
     def _factors(self, which: str, arguments: tuple[tuple[str, ...], ...]) -> list[Poly]:
         """P2, P3 or P4 at each argument tuple, in the table's coordinates."""
         factors = [q_factor(which, args) for args in arguments]
-        if self._images is None:
-            return factors
-        images = self._images()
-        return [f.substitute(images) for f in factors]
+        return factors if self._carry is None else list(map(self._carry, factors))
 
     def first(self, n: int, m: int) -> Poly:
         if not self._first:
@@ -594,16 +592,6 @@ UVWVARS = VarSet(("u", "v", "w"))
 _UVRS = VarSet(("u", "v", "r", "s"))
 
 
-@lru_cache(maxsize=None)
-def _uvrs_images() -> dict[str, Poly]:
-    # Linear change of coordinates: u = y1-y3, v = y2-y3, r = y3-y4, s = y3.
-    u = Poly.variable(_UVRS, "u")
-    v = Poly.variable(_UVRS, "v")
-    r = Poly.variable(_UVRS, "r")
-    s = Poly.variable(_UVRS, "s")
-    return {"y1": u + s, "y2": v + s, "y3": s, "y4": s - r}
-
-
 def _uvw_from_uvrs(q: Poly) -> Poly:
     """w-adic division: rewrite a (u, v, r)-polynomial in u, v, w.
 
@@ -633,16 +621,28 @@ def _uvw_from_uvrs(q: Poly) -> Poly:
     return Poly._raw(UVWVARS, result)
 
 
+def _uvw_from_y(p: Poly) -> Poly:
+    """p in u = y1-y3, v = y2-y3, w = (y1-y4)(y2-y4), or NotInSubringError.
+
+    p is rewritten in u, v, r = y3-y4 and s = y3, a linear change of
+    coordinates, and then divided w-adically by `_uvw_from_uvrs`.
+    """
+    u, v, r, s = (Poly.variable(_UVRS, name) for name in _UVRS.names)
+    return _uvw_from_uvrs(p.substitute({"y1": u + s, "y2": v + s, "y3": s, "y4": s - r}))
+
+
 def express_product_in_uvw(n: int, m: int, k: int, powers: QFactorPowers) -> Poly:
     """The u, v, w expression of 12 * P2^n * P3^(2m+3) * P4^k.
 
     `powers` tables P2 and P3 at (y1, y2, y3) and P4 at (y1, y2, y3, y4),
-    carried by `_uvrs_images` into the change-of-coordinate variables;
-    substitution is a ring homomorphism, so the product is assembled there
-    without expanding it twice.  The product is in the subring exactly
-    when it has no s-dependence and a zero remainder under w-adic
-    division; otherwise NotInSubringError.
+    each carried into Z[u, v, w] by `_uvw_from_y`, which raises
+    NotInSubringError for a factor outside it.  Z[u, v, w] is a ring, so
+    it is closed under products: once the three factors are members, so
+    is the product, and substituting u, v, w by their y-polynomials is a
+    ring homomorphism, so the product of the factors' expressions is the
+    product's expression.  The product is therefore multiplied inside
+    Z[u, v, w] and never divided w-adically itself.
     """
     if n < 0 or m < 0 or k < 0:
         raise ValueError("parameters must be non-negative")
-    return _uvw_from_uvrs((powers.first(n, m) * powers.second(k)).scale(12))
+    return (powers.first(n, m) * powers.second(k)).scale(12)

@@ -20,7 +20,6 @@ from .asymptotics import (
     expected_q_leading,
     substitute_regime,
     verify_q_asymptotics,
-    _shared_images,
 )
 from .diagram_spaces import (
     SliceSpace,
@@ -54,7 +53,7 @@ from .multipoly import (
     symmetrize,
     _Q_QUADS,
     _Q_TRIPLES,
-    _uvrs_images,
+    _uvw_from_y,
 )
 
 DEFAULT_PROPERTY_SEED = 20060808
@@ -264,14 +263,14 @@ def verify_lemma(max_d: int) -> Report:
     product 12 P2^n P3^(2m+3) P4^k must rewrite exactly in u, v, w.
     Each Q row is the slice projection of one product, G's strict part
     times the P4 sum, from one table of factor powers (`q_alternant_row`),
-    and the membership products come from one in u, v, r, s; both tables
-    live as long as this call.
+    and the membership products from one of P2, P3 and P4 in u, v, w;
+    both tables live as long as this call.
     """
     if max_d < 0:
         raise ValueError("max_d must be non-negative")
     report = Report(suite="lemma")
     powers = QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS)
-    products = QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS[:1], _uvrs_images)
+    products = QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS[:1], _uvw_from_y)
     for d in range(max_d + 1):
         legs = 2 * d + 9
         triples = _lemma_triples(d)
@@ -314,7 +313,7 @@ def verify_asymptotics(max_d: int, regimes: tuple[Regime, ...] | None = None) ->
     report = Report(suite="asymptotics")
     for regime in regimes:
         regime_tag = "regime1" if regime.id == "one" else "regime2"
-        powers = QFactorPowers(_Q_TRIPLES, _Q_QUADS, partial(_shared_images, regime.id))
+        powers = QFactorPowers(_Q_TRIPLES, _Q_QUADS, partial(substitute_regime, regime=regime))
         for (n, m, k) in triples:
             params = {"n": str(n), "m": str(m), "k": str(k), "regime": regime.id}
             coeff, exp = expected_q_leading(n, m, k, regime.id)

@@ -1,10 +1,11 @@
 """Regime substitutions, exact leading terms, closed-form comparisons."""
 
 import random
+import sys
 from fractions import Fraction
 from functools import partial, reduce
 from math import lcm
-from operator import add
+from operator import add, mul
 
 import pytest
 import sympy
@@ -50,7 +51,12 @@ def regime_factor(regime_id, which, args):
 
 def image_powers(regime):
     """A table of Q's factor images under `regime`, as the asymptotics suite builds one."""
-    return QFactorPowers(_Q_TRIPLES, _Q_QUADS, partial(_shared_images, regime.id))
+    return QFactorPowers(_Q_TRIPLES, _Q_QUADS, partial(substitute_regime, regime=regime))
+
+
+def expanded(p: PuiseuxPoly) -> Poly:
+    """The t-polynomial that p's factors multiply out to."""
+    return reduce(mul, p.factors)
 
 
 def quartered(poly):
@@ -70,26 +76,25 @@ def value_at(vec: ExpVector, regime: Regime) -> Fraction:
     return vec.alpha * regime.a + vec.beta * regime.b + vec.gamma * regime.c
 
 
-def descending_classes(p: PuiseuxPoly):
-    """Every nonzero exponent class of p as (key, coefficient, vectors), top down.
+def descending_classes(poly: Poly, regime: Regime):
+    """Every nonzero exponent class of a t-polynomial as (key, coefficient, vectors), top down.
 
-    Each is the `top_class()` of what is left of `p.poly` once the members
+    Each is the `top_class()` of what is left of `poly` once the members
     of the classes above it are removed; cancelled classes stay and are
     skipped, and the zero remainder ends the list.
     """
     classes = []
-    poly = p.poly
     while True:
         try:
-            top = PuiseuxPoly(p.regime, poly).top_class()
+            top = PuiseuxPoly(regime, poly).top_class()
         except ValueError:
             return classes
         classes.append(top)
         poly = Poly(TVARS, {e: c for e, c in poly.terms.items() if ExpVector(*e) not in top[2]})
 
 
-def single_term(p: PuiseuxPoly):
-    ((_, coeff, vecs),) = descending_classes(p)
+def single_term(poly: Poly, regime: Regime):
+    ((_, coeff, vecs),) = descending_classes(poly, regime)
     return coeff, vecs
 
 
@@ -129,25 +134,25 @@ def test_regime_exponents_are_exact():
 
 
 def test_y1_minus_y4_is_ta_in_regime_one():
-    coeff, vecs = single_term(substitute_regime(Y["y1"] - Y["y4"], REGIME_ONE))
+    coeff, vecs = single_term(substitute_regime(Y["y1"] - Y["y4"], REGIME_ONE), REGIME_ONE)
     assert coeff == 1 and vecs == (ExpVector(1, 0, 0),)
 
 
 def test_regime_one_defining_differences():
     for name, vec in (("y1", (1, 0, 0)), ("y2", (0, 1, 0)), ("y3", (0, 0, 1))):
-        coeff, vecs = single_term(substitute_regime(Y[name] - Y["y4"], REGIME_ONE))
+        coeff, vecs = single_term(substitute_regime(Y[name] - Y["y4"], REGIME_ONE), REGIME_ONE)
         assert coeff == 1 and vecs == (ExpVector(*vec),)
 
 
 def test_y1_minus_y2_is_tb_in_regime_two():
-    coeff, vecs = single_term(substitute_regime(Y["y1"] - Y["y2"], REGIME_TWO))
+    coeff, vecs = single_term(substitute_regime(Y["y1"] - Y["y2"], REGIME_TWO), REGIME_TWO)
     assert coeff == 1 and vecs == (ExpVector(0, 1, 0),)
 
 
 def test_face_sum_substitutes_to_zero():
     for regime in (REGIME_ONE, REGIME_TWO):
         image = substitute_regime(Y["y1"] + Y["y2"] + Y["y3"] + Y["y4"], regime)
-        assert image.poly.is_zero()
+        assert image.vars == TVARS and image.is_zero()
 
 
 def test_substitute_requires_y_variables():
@@ -205,8 +210,8 @@ def test_substitute_regime_matches_quarter_images(p, regime):
         e: Fraction(int(c.p), int(c.q)) for e, c in zip(paper.monoms(), paper.coeffs()) if c
     }
     image = substitute_regime(p, regime)
-    assert quartered(image.poly) == expected
-    assert image == PuiseuxPoly(regime, four_times(expected))
+    assert quartered(image) == expected
+    assert image == four_times(expected)
 
 
 def test_regime_factors_have_int_coefficients():
@@ -218,13 +223,13 @@ def test_regime_factors_have_int_coefficients():
             assert factor.terms and all(type(c) is int for c in factor.terms.values())
 
 
-def test_equality_compares_exact_t_polys():
+def test_top_class_keeps_the_exact_vectors():
     # t^(5b+4c) and t^(3a+6c) share the value 12 under regime one: equal merged
-    # coefficients, different t-polynomials
+    # coefficients, different exponent vectors
     first = PuiseuxPoly(REGIME_ONE, Poly.monomial(TVARS, (0, 5, 4)))
     second = PuiseuxPoly(REGIME_ONE, Poly.monomial(TVARS, (3, 0, 6)))
     assert first.top_class()[:2] == second.top_class()[:2] == (60, Fraction(1, 4**9))
-    assert first != second
+    assert first.top_class()[2] == (ExpVector(0, 5, 4),) != second.top_class()[2]
 
 
 # --- integer exponent keys ---------------------------------------------------
@@ -282,7 +287,7 @@ def test_integer_keys_match_value_at_grouping(poly, regime):
     d = lcm(regime.a.denominator, regime.b.denominator, regime.c.denominator)
     assert all(type(w) is int for w in regime.weights)
     assert regime.weights == (d * regime.a, d * regime.b, d * regime.c)
-    classes = descending_classes(p)
+    classes = descending_classes(poly, regime)
     assert all(type(key) is int for key, _, _ in classes)
     assert [(Fraction(key, d), coeff, vecs) for key, coeff, vecs in classes] == [
         (value, *expected[value]) for value in sorted(expected, reverse=True)
@@ -297,26 +302,26 @@ def test_integer_keys_match_value_at_grouping(poly, regime):
 
 
 def test_collision_merges_under_integer_keys():
-    p = PuiseuxPoly(REGIME_ONE, four_times(COLLISION))
     # the weights are 5 * (a, b, c), so the key 60 is the exponent value 12
     assert REGIME_ONE.weights == (10, 8, 5)
-    assert descending_classes(p) == [(60, 3, (ExpVector(0, 5, 4), ExpVector(3, 0, 6)))]
+    merged = (60, 3, (ExpVector(0, 5, 4), ExpVector(3, 0, 6)))
+    assert descending_classes(four_times(COLLISION), REGIME_ONE) == [merged]
     assert value_at(ExpVector(0, 5, 4), REGIME_ONE) == Fraction(60, 5)
-    cancelled = PuiseuxPoly(REGIME_ONE, four_times({(0, 5, 4): 1, (3, 0, 6): -1}))
-    assert descending_classes(cancelled) == [] and not cancelled.poly.is_zero()
+    cancelled = four_times({(0, 5, 4): 1, (3, 0, 6): -1})
+    assert descending_classes(cancelled, REGIME_ONE) == [] and not cancelled.is_zero()
     with pytest.raises(ValueError):
-        cancelled.top_class()
+        PuiseuxPoly(REGIME_ONE, cancelled).top_class()
 
 
 def test_class_members_of_different_degrees_unscale_apart():
     # t^a and t^(2c) share the key 10 under regime one but come from y-degrees 1 and 2
-    def image(c_a, c_2c):
-        return PuiseuxPoly(REGIME_ONE, Poly(TVARS, {(1, 0, 0): c_a, (0, 0, 2): c_2c}))
+    def classes(c_a, c_2c):
+        return descending_classes(Poly(TVARS, {(1, 0, 0): c_a, (0, 0, 2): c_2c}), REGIME_ONE)
 
     vecs = (ExpVector(0, 0, 2), ExpVector(1, 0, 0))
-    assert descending_classes(image(4, 16)) == [(10, 2, vecs)]
-    assert descending_classes(image(4, -16)) == []
-    assert descending_classes(image(1, 1)) == [(10, Fraction(5, 16), vecs)]
+    assert classes(4, 16) == [(10, 2, vecs)]
+    assert classes(4, -16) == []
+    assert classes(1, 1) == [(10, Fraction(5, 16), vecs)]
     lower = PuiseuxPoly(REGIME_ONE, Poly(TVARS, {(1, 0, 0): 4, (0, 0, 2): -16, (0, 1, 0): 8}))
     assert leading_term(lower) == (2, ExpVector(0, 1, 0))
 
@@ -340,25 +345,35 @@ def test_derived_weights_leave_regime_identity_unchanged():
 
 def test_leading_term_simple_comparison():
     p = substitute_regime(Y["y1"] - Y["y4"] - (Y["y2"] - Y["y4"]), REGIME_ONE)
-    coeff, exp = leading_term(p)
+    coeff, exp = leading_term(PuiseuxPoly(REGIME_ONE, p))
     assert (coeff, exp) == (1, ExpVector(1, 0, 0))  # t^a - t^b leads with t^a
 
 
 def test_leading_term_of_zero_rejected():
     zero = substitute_regime(Poly(YVARS), REGIME_ONE)
     with pytest.raises(ValueError):
-        leading_term(zero)
+        leading_term(PuiseuxPoly(REGIME_ONE, zero))
 
 
 def test_mixed_regimes_rejected():
-    # a PuiseuxPoly carries its regime, and + and * refuse two different ones
-    one = substitute_regime(Y["y1"], REGIME_ONE)
-    two = substitute_regime(Y["y1"], REGIME_TWO)
-    with pytest.raises(ValueError):
-        one + two
+    # a PuiseuxPoly carries its regime, and * refuses two different ones
+    one = PuiseuxPoly(REGIME_ONE, substitute_regime(Y["y1"], REGIME_ONE))
+    two = PuiseuxPoly(REGIME_TWO, substitute_regime(Y["y1"], REGIME_TWO))
     with pytest.raises(ValueError):
         one * two
-    assert one != two
+
+
+def test_product_keeps_both_operands_factors():
+    # * never multiplies out: the product holds the operands' factors, and a
+    # product of three factors is refused
+    a, b, c = (PuiseuxPoly(REGIME_ONE, Poly.variable(TVARS, name)) for name in TVARS.names)
+    product = a * b
+    assert product.factors == a.factors + b.factors and product.regime == REGIME_ONE
+    assert product.top_class() == (18, Fraction(1, 16), (ExpVector(1, 1, 0),))
+    with pytest.raises(ValueError):
+        product * c
+    with pytest.raises(ValueError):
+        c * product
 
 
 def test_q000_leading_regime_one():
@@ -384,7 +399,7 @@ def test_p2_power_two_orders_regime_one():
     # leading 2^n t^(2an); next term -n 2^n t^(2an-(a-b))
     base = p2(YVARS, ("y1", "y2", "y3"))
     for n in (1, 2, 3, 4):
-        terms = descending_classes(substitute_regime(base**n, REGIME_ONE))
+        terms = descending_classes(substitute_regime(base**n, REGIME_ONE), REGIME_ONE)
         _, coeff0, vecs0 = terms[0]
         _, coeff1, vecs1 = terms[1]
         assert coeff0 == 2**n and vecs0 == (ExpVector(2 * n, 0, 0),)
@@ -450,8 +465,8 @@ def test_factored_substitution_matches_direct():
     powers = image_powers(REGIME_ONE)
     for nmk in ((0, 0, 0), (1, 0, 0), (0, 0, 1)):
         direct = substitute_regime(q_poly(*nmk), REGIME_ONE)
-        assert substituted_q(*nmk, REGIME_ONE, powers) == direct
-        assert all(type(c) is int for c in direct.poly.terms.values())
+        assert expanded(substituted_q(*nmk, REGIME_ONE, powers)) == direct
+        assert all(type(c) is int for c in direct.terms.values())
 
 
 def assembled_q(n, m, k, regime_id):
@@ -472,7 +487,8 @@ def test_power_table_equals_the_factor_by_factor_product():
         for order in (suite_order, shuffled):
             powers = image_powers(regime)
             for nmk in order:
-                assert substituted_q(*nmk, regime, powers).poly.terms == expected[nmk], (regime.id, nmk)
+                product = expanded(substituted_q(*nmk, regime, powers))
+                assert product.terms == expected[nmk], (regime.id, nmk)
 
 
 def test_leading_term_reads_only_the_top_class(monkeypatch):
@@ -484,7 +500,7 @@ def test_leading_term_reads_only_the_top_class(monkeypatch):
         return Fraction(*args)
 
     p = substituted_q(2, 1, 1, REGIME_TWO, image_powers(REGIME_TWO))
-    assert len(descending_classes(p)) > 50
+    assert len(descending_classes(expanded(p), REGIME_TWO)) > 50
     monkeypatch.setattr(asymptotics, "Fraction", counting_fraction)
     assert leading_term(p) == expected_q_leading(2, 1, 1, "two")
     assert len(made) == 2  # the class read and the expected coefficient
@@ -590,20 +606,40 @@ def test_puiseux_poly_takes_one_or_two_t_factors():
             PuiseuxPoly(REGIME_ONE, *factors)
 
 
+def in_a_factor_table(frame) -> bool:
+    """Whether a frame runs inside a method of a QFactorPowers table."""
+    while frame is not None:
+        if isinstance(frame.f_locals.get("self"), QFactorPowers):
+            return True
+        frame = frame.f_back
+    return False
+
+
 def test_verify_asymptotics_never_expands_q(monkeypatch):
-    # the walk reads Q's leading class from its two factors; a fall-back to
-    # first * second, here or on a read of `poly`, fails this test
-    returned = []
-    original = asymptotics.substituted_q
+    # the walk reads Q's leading class from its two factors: outside the
+    # factor table a product multiplies two classes, never a whole factor,
+    # so a fall-back to first * second fails this test
+    returned, products = [], []
+    original_q, original_mul = asymptotics.substituted_q, Poly.__mul__
 
     def kept(*args):
-        returned.append(original(*args))
+        returned.append(original_q(*args))
         return returned[-1]
 
+    def watched(a, b):
+        if not in_a_factor_table(sys._getframe(1)):
+            products.append((a, b))
+        return original_mul(a, b)
+
     monkeypatch.setattr(asymptotics, "substituted_q", kept)
+    monkeypatch.setattr(Poly, "__mul__", watched)
     report = verify_asymptotics(12)
     assert report.summary["total"] == report.summary["passed"] == len(returned) == 204
-    assert all(len(p.factors) == 2 and p._poly is None for p in returned)
+    assert all(len(p.factors) == 2 for p in returned)
+    factors = {id(f) for p in returned for f in p.factors}
+    assert products and not any(id(a) in factors or id(b) in factors for a, b in products)
+    # to d = 12 each leading class is one term of F times one term of S
+    assert sum(len(a.terms) * len(b.terms) for a, b in products) == len(products) == 204
 
 
 # --- homomorphism property ----------------------------------------------------
@@ -623,9 +659,6 @@ def test_substitute_regime_is_ring_homomorphism():
         p = Poly(YVARS, terms_p)
         q = Poly(YVARS, terms_q)
         for regime in (REGIME_ONE, REGIME_TWO):
-            assert substitute_regime(p * q, regime) == substitute_regime(
-                p, regime
-            ) * substitute_regime(q, regime)
-            assert substitute_regime(p + q, regime) == substitute_regime(
-                p, regime
-            ) + substitute_regime(q, regime)
+            sp, sq = substitute_regime(p, regime), substitute_regime(q, regime)
+            assert substitute_regime(p * q, regime) == sp * sq
+            assert substitute_regime(p + q, regime) == sp + sq

@@ -35,8 +35,8 @@ from jd3.multipoly import (
     _Q_QUADS,
     _Q_TRIPLES,
     _UVRS,
-    _uvrs_images,
     _uvw_from_uvrs,
+    _uvw_from_y,
 )
 from jd3.verifier import _lemma_triples
 
@@ -804,20 +804,8 @@ def p2p3p4_product(n: int, m: int, k: int) -> Poly:
     ).scale(12)
 
 
-def express_in_uvw(p: Poly) -> Poly:
-    """Rewrite p as a polynomial in u = y1-y3, v = y2-y3, w = (y1-y4)(y2-y4).
-
-    The change of coordinates (u, v, r, s) = (y1-y3, y2-y3, y3-y4, y3) is
-    applied first; membership requires no s-dependence and a zero
-    remainder under w-adic division.  Raises NotInSubringError otherwise;
-    the returned polynomial reconstructs p exactly when u, v, w are
-    substituted back.
-    """
-    return _uvw_from_uvrs(p.substitute(_uvrs_images()))
-
-
 def uvw_images() -> dict[str, Poly]:
-    """The y-polynomials that u, v, w stand for; inverse of express_in_uvw."""
+    """The y-polynomials that u, v, w stand for; inverse of _uvw_from_y."""
     return {
         "u": Y["y1"] - Y["y3"],
         "v": Y["y2"] - Y["y3"],
@@ -827,21 +815,21 @@ def uvw_images() -> dict[str, Poly]:
 
 def test_express_in_uvw_rejects_outsiders():
     with pytest.raises(NotInSubringError):
-        express_in_uvw(Y["y3"])
+        _uvw_from_y(Y["y3"])
     with pytest.raises(NotInSubringError):
-        express_in_uvw(Y["y3"] - Y["y4"])
+        _uvw_from_y(Y["y3"] - Y["y4"])
 
 
 def test_express_in_uvw_basic_generators():
     images = uvw_images()
     for name in ("u", "v", "w"):
-        g = express_in_uvw(images[name])
+        g = _uvw_from_y(images[name])
         assert g.substitute(images) == images[name]
 
 
-def uvrs_powers() -> QFactorPowers:
-    """The lemma's table of P2, P3 at (y1, y2, y3) and P4 at (y1..y4) in u, v, r, s."""
-    return QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS[:1], _uvrs_images)
+def uvw_powers() -> QFactorPowers:
+    """The lemma's table of P2, P3 at (y1, y2, y3) and P4 at (y1..y4) in u, v, w."""
+    return QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS[:1], _uvw_from_y)
 
 
 def test_express_in_uvw_reconstructs_products():
@@ -851,13 +839,13 @@ def test_express_in_uvw_reconstructs_products():
     triples = [t for d in range(9) for t in _lemma_triples(d)]
     assert {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1)} <= set(triples)
     expected = {}
-    suite_order = uvrs_powers()
+    suite_order = uvw_powers()
     for nmk in triples:
         product = p2p3p4_product(*nmk)
-        expected[nmk] = express_in_uvw(product)
+        expected[nmk] = _uvw_from_y(product)
         assert expected[nmk] == express_product_in_uvw(*nmk, suite_order)
         assert expected[nmk].substitute(uvw_images()) == product
-    shuffled = uvrs_powers()
+    shuffled = uvw_powers()
     for nmk in random.Random(8).sample(triples, len(triples)):
         assert express_product_in_uvw(*nmk, shuffled) == expected[nmk], nmk
 

@@ -36,17 +36,26 @@ COMMANDS = (
 )
 
 
-def defined_functions() -> set[tuple[str, str]]:
-    """Every def of the package's sources, nested ones included, as (file, qualified name)."""
-    found = set()
+def defined_functions() -> dict[tuple[str, int, str], tuple[str, str]]:
+    """Every def of the package's sources, nested ones included.
+
+    Keyed by (file, first line, name), which a running code object also
+    has, to (file, qualified name).  The qualified names are built while
+    walking the nested code objects, as Python 3.10 has no `co_qualname`.
+    """
+    found = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        stack = [compile(path.read_text(), str(path), "exec")]
+        stack = [(compile(path.read_text(), str(path), "exec"), "")]
         while stack:
-            for const in stack.pop().co_consts:
+            code, prefix = stack.pop()
+            for const in code.co_consts:
                 if hasattr(const, "co_code"):
-                    stack.append(const)
-                    if const.co_flags & CO_OPTIMIZED and not const.co_name.startswith("<"):
-                        found.add((path.name, const.co_qualname))
+                    qualname = prefix + const.co_name
+                    function = const.co_flags & CO_OPTIMIZED
+                    stack.append((const, qualname + (".<locals>." if function else ".")))
+                    if function and not const.co_name.startswith("<"):
+                        key = (path.name, const.co_firstlineno, const.co_name)
+                        found[key] = (path.name, qualname)
     return found
 
 
@@ -78,12 +87,13 @@ def test_every_function_runs_in_some_command(tmp_path, caps):
     finally:
         sys.setprofile(previous)
     assert exits == [0] * len(COMMANDS)
+    index = defined_functions()
     ran = {
-        (Path(code.co_filename).name, code.co_qualname)
+        index.get((Path(code.co_filename).name, code.co_firstlineno, code.co_name))
         for code in codes.values()
         if Path(code.co_filename).resolve().parent == PACKAGE
     }
-    defined = defined_functions()
+    defined = set(index.values())
     assert set(NEVER_RUN) <= defined
     assert sorted(NEVER_RUN) == [
         ("multipoly.py", "Poly.__repr__"),

@@ -72,9 +72,19 @@ def test_even_suite_corrupt_hook_fails(wrong_closed_form):
     assert report.summary["failed"] == report.summary["total"]
 
 
-def test_lemma_suite_small():
+def test_lemma_suite_small(monkeypatch):
+    divided = []
+    uvw_from_uvrs = multipoly._uvw_from_uvrs
+
+    def counted(q):
+        divided.append(q)
+        return uvw_from_uvrs(q)
+
+    monkeypatch.setattr(multipoly, "_uvw_from_uvrs", counted)
     report = verify_lemma(3)
     assert report.all_passed
+    # membership divides only P2, P3 and P4 w-adically and multiplies them in u, v, w
+    assert len(divided) == 3
     ranks = {c.params["d"]: c.actual for c in report.checks if c.id.startswith("lemma.rank")}
     assert ranks == {"0": "1", "1": "1", "2": "2", "3": "3"}
     memberships = [c for c in report.checks if c.id.startswith("lemma.membership")]
@@ -142,6 +152,20 @@ def test_power_tables_build_their_factors_inside_a_check(monkeypatch):
     for report in (verify_asymptotics(0), verify_lemma(0)):
         assert report.summary["total"] == report.summary["failed"] > 0
         assert all(c.actual.startswith("error: KeyError: ") for c in report.checks)
+
+
+def test_membership_fails_for_a_factor_outside_the_subring(monkeypatch):
+    # membership reads only P2, P3 and P4 in u, v, w and multiplies there, so
+    # a factor outside Z[u, v, w], here P4 times y3, fails every product
+    p4, y3 = multipoly.p4, Poly.variable(multipoly.YVARS, "y3")
+    monkeypatch.setattr(multipoly, "p4", lambda vars, args: p4(vars, args) * y3)
+    report = verify_lemma(4)
+    membership = [c for c in report.checks if c.id.startswith("lemma.membership.")]
+    assert len(membership) == 11
+    for check in membership:
+        assert not check.passed and check.expected == "member"
+        assert check.actual.startswith("error: NotInSubringError: ")
+        assert "Traceback" not in check.actual
 
 
 def test_merged_top_class_fails_its_check(monkeypatch):
