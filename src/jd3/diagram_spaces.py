@@ -14,6 +14,11 @@ with integer coordinates:
   the plain orbit average of y^l (m_l over its orbit size).
   Symmetrizing a monomial sorts its exponents.
 
+A row is read from a product of packed polynomials (`multipoly.Packing`):
+each product term's key is looked up in one table per degree, the key of
+every monomial on a basis orbit with its index and sign, so no term is
+unpacked or sorted.
+
 The quotient by e1 is presented by a triangularity certificate, not by
 elimination.  The e1-rows, e1 times each basis vector b_mu one degree
 lower, span the invariant part of the ideal (e1) in the slice's degree.
@@ -41,10 +46,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations, repeat
+from operator import itemgetter
 
 from . import _coverage
 from .linalg import QMatrix, RowSpan, _check_ints, rank
 from .multipoly import (
+    Packing,
     Poly,
     QFactorPowers,
     SignedPermAction,
@@ -52,6 +60,9 @@ from .multipoly import (
     YVARS,
     Y3VARS,
     Z3VARS,
+    packed_product,
+    packed_sum,
+    perm_sign,
     symmetrize,
 )
 
@@ -155,35 +166,41 @@ class _SkewSliceContext:
     """Per-degree orbit basis, projection and e1 certificate of one slice computation.
 
     Odd degrees use the signed orbit basis, even degrees the plain one (see
-    the module docstring).  `skew_row` projects a y-polynomial onto the
-    slice in that basis; `e1_rows` holds the e1-rows as sparse
-    (index, coefficient) lists, `pivots`, in basis order, each one's
-    leading index with the rest of the row, and `standard` the indices
-    that are not pivots.
+    the module docstring).  `skew_row` projects a product of packed
+    y-polynomials onto the slice in that basis; `e1_rows` holds the
+    e1-rows as sparse (index, coefficient) lists, `pivots`, in basis
+    order, each one's leading index with the rest of the row, and
+    `standard` the indices that are not pivots.
 
-    In odd degree the certificate holds in every degree, not only in those
-    built: e1*a_mu = sum_i a_(mu+e_i), where mu+e_1 is strict because
-    mu1 > mu2, is the lex-largest of the four tuples (each other one is
-    lex-smaller or repeats an entry and vanishes) and enters with +1, so
-    it is the row's pivot; mu -> mu+e_1 is injective, so no two rows share
-    a pivot.
+    e1*b_mu = sum_k b_(mu+e_k), and mu+e_k sorts to mu+e_j with j the
+    first index of mu_k's run of equal entries, so each row is read from
+    mu without a sort.  In odd degree mu is strict, j = k, and the term is
+    zero exactly when mu_k+1 = mu_(k-1), a repeated entry.  There the
+    certificate holds in every degree, not only in those built:
+    mu+e_1 is strict because mu1 > mu2, is the lex-largest of the four
+    tuples (each other one is lex-smaller or vanishes) and enters with
+    +1, so it is the row's pivot; mu -> mu+e_1 is injective, so no two
+    rows share a pivot.
     The constructor still checks the certificate in each degree it builds.
     """
 
     def __init__(self, legs: int) -> None:
         self.signed = legs % 2 == 1
         self.basis = _orbit_reps(legs, self.signed)
-        self.index = {rep: i for i, rep in enumerate(self.basis)}
-        self._slots: dict[tuple[int, ...], tuple[int, int]] = {}
+        self.packing = Packing(4, legs)
+        self._table: dict[int, tuple[int, int]] | None = None
+        index = {rep: i for i, rep in enumerate(self.basis)}
         self.e1_rows: list[list[tuple[int, int]]] = []
         pivots: dict[int, list[tuple[int, int]]] = {}
         for mu in _orbit_reps(legs - 1, self.signed):
-            # e1 * b_mu = sum over i of b_(mu+e_i): one slot per raised exponent
             row: dict[int, int] = {}
             for k in range(4):
-                i, sign = self._slot(mu[:k] + (mu[k] + 1,) + mu[k + 1 :])
-                row[i] = row.get(i, 0) + sign
-            self.e1_rows.append([(i, c) for i, c in sorted(row.items()) if c])
+                if self.signed and k and mu[k] + 1 == mu[k - 1]:
+                    continue
+                j = mu.index(mu[k])
+                i = index[mu[:j] + (mu[j] + 1,) + mu[j + 1 :]]
+                row[i] = row.get(i, 0) + 1
+            self.e1_rows.append(sorted(row.items()))
             (lead, c), *rest = self.e1_rows[-1] or [(None, 0)]
             if lead in pivots or c == 0 or (self.signed and c != 1):
                 raise ArithmeticError(
@@ -193,30 +210,38 @@ class _SkewSliceContext:
         self.pivots = sorted(pivots.items())
         self.standard = [i for i in range(len(self.basis)) if i not in pivots]
 
-    def _slot(self, exps: tuple[int, ...]) -> tuple[int, int]:
-        """Basis index and sign of a monomial's orbit average; sign 0 when it is zero."""
-        rep = tuple(sorted(exps, reverse=True))
-        if not self.signed:
-            return self.index[rep], 1
-        if len(set(exps)) < 4:
-            return 0, 0
-        a, b, c, d = exps
-        inversions = (a < b) + (a < c) + (a < d) + (b < c) + (b < d) + (c < d)
-        return self.index[rep], -1 if inversions & 1 else 1
+    def _orbit_table(self) -> dict[int, tuple[int, int]]:
+        """The packed key of every monomial on every basis orbit -> (basis index, sign).
 
-    def skew_row(self, p: Poly) -> list[int]:
-        """Coordinates of the (signed, in odd degree) orbit average of p."""
+        A basis tuple is sorted descending, so a permutation of its
+        entries has the sign of the permutation's own inversions; in odd
+        degree the 24 permutations of a strict tuple are distinct
+        monomials, and in even degree a repeated one writes its slot again.
+        """
+        table: dict[int, tuple[int, int]] = {}
+        for perm in permutations(range(4)):
+            sign = perm_sign(perm) if self.signed else 1
+            keys = self.packing.keys(map(itemgetter(*perm), self.basis))
+            table.update(zip(keys, zip(range(len(self.basis)), repeat(sign))))
+        return table
+
+    def skew_row(self, *factors: dict[int, int]) -> list[int]:
+        """Coordinates of the (signed, in odd degree) orbit average of the factors' product.
+
+        The factors are packed polynomials of `packing` whose degrees sum
+        to the slice's.  Their product's terms are read through the orbit
+        table, built on the first call: a key that is not in it, in odd
+        degree a monomial with a repeated exponent, counts 0.
+        """
+        if self._table is None:
+            self._table = self._orbit_table()
+        slot_of = self._table.get
         row = [0] * len(self.basis)
-        slots = self._slots
-        for exps, coeff in p.terms.items():
-            slot = slots.get(exps)
-            if slot is None:
-                slot = slots[exps] = self._slot(exps)
-            i, sign = slot
-            if sign > 0:
-                row[i] += coeff
-            elif sign:
-                row[i] -= coeff
+        for key, coeff in packed_product(*factors).items():
+            slot = slot_of(key)
+            if slot is not None:
+                i, sign = slot
+                row[i] += sign * coeff
         return row
 
     def quotient_row(self, row: list[int]) -> list[int]:
@@ -270,15 +295,16 @@ def q_alternant_row(
     term of F omits one variable, so at a strict tuple F's coefficient is
     G's when l4 = 0 and 0 otherwise.  A commutes with multiplying by the
     symmetric S, so Q = A(G+ * S), and Q's coordinate, 24 times its
-    coefficient at y^l, is `ctx.skew_row(24 * G+ * S)` (Macdonald,
-    Symmetric Functions and Hall Polynomials, ch. I.3).
+    coefficient at y^l, is `ctx.skew_row` of the two packed factors
+    24 * G+ and S (Macdonald, Symmetric Functions and Hall Polynomials,
+    ch. I.3); their product is never unpacked.
     """
     _coverage.touch("multipoly.q_poly")  # the suites' one reach of the Q family
     if n < 0 or m < 0 or k < 0:
         raise ValueError("q_poly parameters must be non-negative")
-    g = powers.first(n, m)
-    strict = Poly(g.vars, {e: 24 * c for e, c in g.terms.items() if e[0] > e[1] > e[2] > e[3]})
-    return ctx.skew_row(strict * powers.second(k))
+    g = powers.first(n, m).terms
+    strict = {e: 24 * c for e, c in g.items() if e[0] > e[1] > e[2] > e[3]}
+    return ctx.skew_row(ctx.packing.pack(strict), ctx.packing.pack(powers.second(k).terms))
 
 
 def tet_slice(legs: int) -> SliceSpace:
@@ -335,11 +361,13 @@ def _ihx_image_generators(legs: int):
                 yield (a, b, c, legs - a - b - c)
 
 
-def _ihx_image_build(power, gen: tuple[int, int, int, int]) -> Poly:
+def _ihx_image_build(power, gen: tuple[int, int, int, int]) -> tuple[dict, dict]:
     a, b, c, d = gen
-    sym_pair = power("x1", a) * power("x5", b) + power("x1", b) * power("x5", a)
-    tail = power("x4", c) * power("x2", d).scale((-1) ** d)
-    return sym_pair * tail
+    pair = packed_sum(
+        packed_product(power("x1", a), power("x5", b)),
+        packed_product(power("x1", b), power("x5", a)),
+    )
+    return pair, packed_product(power("x4", c), power("-x2", d))
 
 
 def _subring_family_generators(legs: int):
@@ -348,38 +376,53 @@ def _subring_family_generators(legs: int):
             yield (n, a, legs - 2 * n - a)
 
 
-def _subring_family_build(power, gen: tuple[int, int, int]) -> Poly:
+def _subring_family_build(power, gen: tuple[int, int, int]) -> tuple[dict, dict]:
     n, a, b = gen
-    return power("x1*x2", n) * power("x4", a) * power("x5", b)
+    return packed_product(power("x1*x2", n), power("x4", a)), power("x5", b)
+
+
+def _edge_powers(packing: Packing):
+    """`power(base, e)`: an edge image's e-th power, packed in `packing`, for one slice.
+
+    The bases are the images of x1..x6 under `_x_from_y_map`, -x2 and
+    x1*x2.  Each power is one packed product of the power below it by its
+    base, built on the first read and kept for the caller's lifetime.
+    """
+    x = _x_from_y_map()
+    images = {**x, "-x2": -x["x2"], "x1*x2": x["x1"] * x["x2"]}
+    bases = {name: packing.pack(image.terms) for name, image in images.items()}
+    one = packing.pack({(0, 0, 0, 0): 1})
+    powers = {name: [one] for name in bases}
+
+    def power(base: str, e: int) -> dict[int, int]:
+        table = powers[base]
+        while len(table) <= e:
+            table.append(packed_product(table[-1], bases[base]))
+        return table[e]
+
+    return power
 
 
 def _family_slice(name: str, legs: int, generators, build) -> SliceSpace:
     """Span of one skew-symmetrized generator family at an odd leg count.
 
-    `generators(legs)` enumerates the family and `build(power, gen)` turns
-    one generator into a polynomial from powers tabled for this call.  All
-    generators lie in the signed-isotypic part of the slice, so the
-    construction stops once the running span is the whole ambient slice.
-    The x-variables enter through `_x_from_y_map`, four times the paper's
-    images: every generator is homogeneous of degree `legs` in them, so
-    each row is 4^legs times the paper's and the span is the same.
+    `generators(legs)` enumerates the family, and `build(power, gen)`
+    turns one generator into its two packed factors, from the powers of
+    `_edge_powers` tabled for this call; `skew_row` projects their
+    product, which is never unpacked.  All generators lie in the
+    signed-isotypic part of the slice, so the construction stops once
+    the running span is the whole ambient slice.  The x-variables enter
+    through `_x_from_y_map`, four times the paper's images: every
+    generator is homogeneous of degree `legs` in them, so each row is
+    4^legs times the paper's and the span is the same.
     """
     if legs % 2 == 0:
         raise ValueError(f"{name}_slice expects an odd leg count")
-    x = _x_from_y_map()
-    bases = {**x, "x1*x2": x["x1"] * x["x2"]}
-    powers: dict[tuple[str, int], Poly] = {}
-
-    def power(base: str, e: int) -> Poly:
-        hit = powers.get((base, e))
-        if hit is None:
-            hit = powers[(base, e)] = bases[base] ** e
-        return hit
-
     ctx = _SkewSliceContext(legs)
+    power = _edge_powers(ctx.packing)
     order = list(generators(legs))
     random.Random(_GENERATOR_SHUFFLE_SEED).shuffle(order)
-    return ctx.span(ctx.skew_row(build(power, gen)) for gen in order)
+    return ctx.span(ctx.skew_row(*build(power, gen)) for gen in order)
 
 
 def ihx_image_slice(legs: int) -> SliceSpace:

@@ -3,9 +3,9 @@
 Entries are `int`s.  Scaling a row by a nonzero rational changes neither
 the rank nor the row space over Q, so both are computed exactly by
 fraction-free elimination (integer-preserving, as in Bareiss, Math.
-Comp. 22, 1968), with each row divided by its content rather than by
-Bareiss's previous pivot.  Every rank feeds the matrix's rows, in
-order, to one `RowSpan`.  `RowSpan.reduce` is where entries are
+Comp. 22, 1968), with each row divided by its content after every
+step rather than by Bareiss's previous pivot.  Every rank feeds the
+matrix's rows, in order, to one `RowSpan`.  `RowSpan.reduce` is where entries are
 checked: every row that is ranked, spanned or reduced goes through it,
 and an entry that is not an `int` raises `TypeError` there, before any of
 its arithmetic.  A `QMatrix` checks only its shape.
@@ -84,7 +84,12 @@ class RowSpan:
         return len(self.pivot_rows)
 
     def reduce(self, vec: Sequence[int]) -> list[int]:
-        """Reduction of the row against the basis, up to a nonzero scalar."""
+        """Reduction of the row against the basis, up to a nonzero scalar.
+
+        Each step v <- p*v - c*prow first divides p and c by their gcd and
+        then v by its content, so a row's entries do not grow with the
+        number of pivots it meets.
+        """
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
         _check_ints(vec)
@@ -95,7 +100,12 @@ class RowSpan:
             c = v[pcol]
             if c:
                 p = prow[pcol]
+                g = gcd(p, c)
+                p, c = p // g, c // g
                 v = [p * a - c * b for a, b in zip(v, prow)]
+                g = gcd(*v)
+                if g > 1:
+                    v = [a // g for a in v]
         return v
 
     def add(self, vec: Sequence[int]) -> bool:

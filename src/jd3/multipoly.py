@@ -10,8 +10,10 @@ for the largest exponent of the result, so adding two packed keys
 multiplies the monomials (packed exponent vectors, as in Monagan and
 Pearce, CASC 2007).  They pack once on the way in, run every
 intermediate product through the one packed kernel, and unpack once;
-the term maps of a Poly stay keyed by tuples.  A result exponent of
-2^64 or more raises OverflowError.  On top of the ring operations this
+the term maps of a Poly stay keyed by tuples.  A `Packing` is one such
+layout for callers that keep polynomials packed from factor to product
+(`packed_product`, `packed_sum`), as the slice rows do.  A result
+exponent of 2^64 or more raises OverflowError.  On top of the ring operations this
 module provides the signed permutation actions of S4 and their group
 sums, elementary symmetric polynomials, the discriminant, the
 P2/P3/P4 building blocks and the Q^{n,m,k} family used by the
@@ -29,7 +31,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from operator import add, itemgetter, methodcaller, mul, neg
 from types import MappingProxyType
-from typing import Callable
+from typing import Callable, Iterator, Mapping
 
 from . import _coverage
 
@@ -125,6 +127,45 @@ def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         for k2, c2 in b_items:
             k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+class Packing:
+    """One packed layout: n exponents of at most `top`, one int key per exponent tuple.
+
+    A packed polynomial is a plain dict from key to nonzero int
+    coefficient.  Adding two keys multiplies their monomials while every
+    exponent of the product stays at most `top`, so `packed_product`
+    multiplies within one layout and `packed_sum` adds; a caller keeps
+    the degrees of its products at most `top` and never reads a key's
+    fields.
+    """
+
+    __slots__ = ("_pack",)
+
+    def __init__(self, n: int, top: int) -> None:
+        self._pack = _codec(n, top)[0]
+
+    def keys(self, tuples) -> Iterator[int]:
+        """The key of each exponent tuple, lazily and in order."""
+        return self._pack(tuples)
+
+    def pack(self, terms: Mapping[tuple[int, ...], int]) -> dict[int, int]:
+        """A term map keyed by exponent tuples, for example a Poly's `terms`, keyed packed."""
+        return dict(zip(self._pack(terms), terms.values()))
+
+
+def packed_product(*factors: dict[int, int]) -> dict[int, int]:
+    """Product of one or more packed polynomials of one `Packing`."""
+    return reduce(_mul_packed, factors)
+
+
+def packed_sum(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Sum of two packed polynomials of one `Packing`, cancelled terms dropped."""
+    out = dict(a)
+    get = out.get
+    for k, c in b.items():
+        out[k] = get(k, 0) + c
     return {k: c for k, c in out.items() if c}
 
 
@@ -497,10 +538,12 @@ class QFactorPowers:
     as a map of polynomials, into the caller's coordinates; with no
     `carry` they stay in y1..y4.
     The factors are built on the first read, P3 once per triple and then
-    squared and cubed.  Each new entry is one product per term by P2, P3^2
-    or P4, extended from a kept chain head: column m keeps its per-triple
-    terms at its largest n, one more chain keeps them at n = 0 for the
-    largest m, and the pairings keep theirs at the largest k.  Every sum
+    squared and cubed, and P4 only once some k >= 1 is read: `second(0)`
+    is the number of pairings, carried.  Each new entry is one product per
+    term by P2, P3^2 or P4, extended from a kept chain head: column m
+    keeps its per-triple terms at its largest n, one more chain keeps them
+    at n = 0 for the largest m, and the pairings keep theirs at the
+    largest k.  Every sum
     below a head is kept, so a head is never extended past a smaller
     exponent; no other product is kept.
     """
@@ -545,11 +588,13 @@ class QFactorPowers:
 
     def second(self, k: int) -> Poly:
         if not self._second:
-            self._p4 = self._factors("p4", self._quads)
-            self._p4_powers = [Poly.constant(self._p4[0].vars, 1)] * len(self._p4)
-            self._second.append(reduce(add, self._p4_powers))
+            constant = Poly.constant(YVARS, len(self._quads))
+            self._second.append(constant if self._carry is None else self._carry(constant))
         while len(self._second) <= k:
-            self._p4_powers = [p * f for p, f in zip(self._p4_powers, self._p4)]
+            if len(self._second) == 1:
+                self._p4 = self._p4_powers = self._factors("p4", self._quads)
+            else:
+                self._p4_powers = [p * f for p, f in zip(self._p4_powers, self._p4)]
             self._second.append(reduce(add, self._p4_powers))
         return self._second[k]
 

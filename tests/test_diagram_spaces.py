@@ -101,24 +101,55 @@ def oracle_tet_dim(legs):
     )
 
 
-# family name -> (generator enumeration at a leg count, generator -> polynomial)
+def ihx_image_expanded(gen):
+    """(x1^a x5^b + x1^b x5^a) x4^c (-x2)^d in y1..y4, multiplied out as a Poly."""
+    a, b, c, d = gen
+    x = _x_from_y_map()
+    pair = x["x1"] ** a * x["x5"] ** b + x["x1"] ** b * x["x5"] ** a
+    return (pair * x["x4"] ** c * x["x2"] ** d).scale((-1) ** d)
+
+
+def subring_family_expanded(gen):
+    """(x1 x2)^n x4^a x5^b in y1..y4, multiplied out as a Poly."""
+    n, a, b = gen
+    x = _x_from_y_map()
+    return (x["x1"] * x["x2"]) ** n * x["x4"] ** a * x["x5"] ** b
+
+
+# family name -> (generator enumeration at a leg count, generator -> its two
+# packed factors, generator -> its expanded Poly, the family's slice)
 FAMILIES = {
-    "ihx_image": (diagram_spaces._ihx_image_generators, diagram_spaces._ihx_image_build),
+    "ihx_image": (
+        diagram_spaces._ihx_image_generators,
+        diagram_spaces._ihx_image_build,
+        ihx_image_expanded,
+        ihx_image_slice,
+    ),
     "subring_family": (
         diagram_spaces._subring_family_generators,
         diagram_spaces._subring_family_build,
+        subring_family_expanded,
+        subring_family_slice,
     ),
 }
 
 
-def family_images(family, legs):
-    """A family's generators in the order its slice consumes them, built from the edge images."""
-    generators, build = FAMILIES[family]
-    x = _x_from_y_map()
-    bases = {**x, "x1*x2": x["x1"] * x["x2"]}
-    order = list(generators(legs))
+def suite_order(family, legs):
+    """A family's generators in the order its slice consumes them."""
+    order = list(FAMILIES[family][0](legs))
     random.Random(_GENERATOR_SHUFFLE_SEED).shuffle(order)
-    return (build(lambda b, e: bases[b] ** e, gen) for gen in order)
+    return order
+
+
+def family_images(family, legs):
+    """A family's generators in the order its slice consumes them, expanded from the edge images."""
+    expanded = FAMILIES[family][2]
+    return (expanded(gen) for gen in suite_order(family, legs))
+
+
+def poly_row(ctx, p):
+    """`skew_row` of one Poly, packed as the slice's one factor."""
+    return ctx.skew_row(ctx.packing.pack(p.terms))
 
 
 def oracle_family_dim(family, legs, ambient):
@@ -362,7 +393,7 @@ def test_degree9_span_equals_target_basis_sympy_oracle():
     lifted = [lift(ctx, q) for q in row_lists(target.span_matrix)]
     generators = family_images("subring_family", 9)
     cols = len(target.basis)
-    for full, lifted_row in zip((ctx.skew_row(p) for p in generators), lifted):
+    for full, lifted_row in zip((poly_row(ctx, p) for p in generators), lifted):
         difference = [a - b for a, b in zip(full, lifted_row)]
         assert rank(QMatrix(e1_rows + [difference], cols)) == rank(QMatrix(e1_rows, cols)) == 2
     oracle_matrix = QMatrix(e1_rows + [strict_coefficients(delta * sigma3)], cols)
@@ -385,7 +416,7 @@ def test_early_stop_spans_match_full_construction():
             stopped = slice_of(legs)
             ctx = _SkewSliceContext(legs)
             images = family_images(family, legs)
-            rows = [ctx.quotient_row(ctx.skew_row(p)) for p in images]
+            rows = [ctx.quotient_row(poly_row(ctx, p)) for p in images]
             cols = len(ctx.standard)
             full = RowSpan(cols)
             for row in rows:
@@ -430,6 +461,79 @@ def test_span_builds_no_row_after_full_rank():
     space = ctx.span(rows())
     assert space.dim == len(ctx.standard) == odd_target_dim(2 * d + 9) == len(_lemma_triples(d))
     assert space.span_matrix.rows == space.dim
+
+
+def _family_rows_match(family, legs, order):
+    """Each generator's row from its packed factors against its expanded product's row."""
+    _, build, expanded, _ = FAMILIES[family]
+    ctx = _SkewSliceContext(legs)
+    power = diagram_spaces._edge_powers(ctx.packing)
+    for gen in order:
+        factors = build(power, gen)
+        assert len(factors) == 2
+        assert ctx.skew_row(*factors) == poly_row(ctx, expanded(gen))
+
+
+@pytest.mark.parametrize("legs", range(1, 32, 2))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_rows_equal_the_expanded_products(family, legs):
+    # every generator the slice consumes (every one of a zero slice, which
+    # consumes none), in the suite's order and in a seeded shuffle, so each
+    # power table fills in a different order
+    order = suite_order(family, legs)
+    consumed = order[: FAMILIES[family][3](legs).span_matrix.rows or len(order)]
+    _family_rows_match(family, legs, consumed)
+    random.Random(legs).shuffle(consumed)
+    _family_rows_match(family, legs, consumed)
+
+
+def test_q_rows_equal_the_expanded_products():
+    # every Q row of d <= 12 against skew_row of 24 * G+ * S multiplied out,
+    # in the lemma's order and, from a fresh table, in a seeded shuffle
+    rows = [(d, nmk) for d in range(13) for nmk in _lemma_triples(d)]
+    expected = {}
+    powers = QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS)
+    for d, (n, m, k) in rows:
+        ctx = _SkewSliceContext(2 * d + 9)
+        g = powers.first(n, m)
+        strict = Poly(YVARS, {e: c for e, c in g.terms.items() if e[0] > e[1] > e[2] > e[3]})
+        expected[(n, m, k)] = poly_row(ctx, (strict * powers.second(k)).scale(24))
+        assert any(expected[(n, m, k)])
+        assert q_alternant_row(n, m, k, ctx, powers) == expected[(n, m, k)]
+    random.Random(12).shuffle(rows)
+    shuffled = QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS)
+    for d, (n, m, k) in rows:
+        ctx = _SkewSliceContext(2 * d + 9)
+        assert q_alternant_row(n, m, k, ctx, shuffled) == expected[(n, m, k)]
+
+
+def test_ihx_image_slice_builds_no_poly_of_its_degree(monkeypatch):
+    # the generators stay packed from the edge images to their rows
+    raw, init = Poly._raw.__func__, Poly.__init__
+    degrees = set()
+
+    def recorded_raw(cls, vars, terms):
+        degrees.update(map(sum, terms))
+        return raw(cls, vars, terms)
+
+    def recorded_init(self, vars, terms=None):
+        init(self, vars, terms)
+        degrees.update(map(sum, self.terms))
+
+    monkeypatch.setattr(Poly, "_raw", classmethod(recorded_raw))
+    monkeypatch.setattr(Poly, "__init__", recorded_init)
+    _x_from_y_map.cache_clear()
+    assert ihx_image_slice(29).dim == odd_target_dim(29)
+    assert degrees and max(degrees) < 29
+
+
+def test_tet_slice_builds_no_orbit_table(monkeypatch):
+    def refused(self):
+        raise AssertionError("an orbit table was built")
+
+    monkeypatch.setattr(_SkewSliceContext, "_orbit_table", refused)
+    assert tet_slice(101).dim == odd_target_dim(101)
+    assert tet_slice(30).dim == even_closed_form(30)
 
 
 def test_image_dim_equals_ambient_through_15():
@@ -556,7 +660,7 @@ def homogeneous_integer_polys(draw, max_degree):
 def test_skew_row_expands_to_symmetrizer_image(drawn):
     degree, p = drawn
     ctx = _SkewSliceContext(degree)
-    row = ctx.skew_row(p)
+    row = poly_row(ctx, p)
     assert all(type(c) is int for c in row)
     assert expand_row(row, ctx.basis, degree) == oracle_image(p, degree)
 
@@ -575,6 +679,40 @@ def test_slice_dims_match_fraction_oracle(legs):
 
 
 # --- the e1 certificate and the quotient coordinates ---------------------------
+
+
+def sorted_slot(index, signed, exps):
+    """Basis index and sign of a monomial's orbit average, by sorting; sign 0 when it is zero."""
+    rep = tuple(sorted(exps, reverse=True))
+    if not signed:
+        return index[rep], 1
+    if len(set(exps)) < 4:
+        return 0, 0
+    inversions = sum(exps[i] < exps[j] for i in range(4) for j in range(i + 1, 4))
+    return index[rep], -1 if inversions & 1 else 1
+
+
+def sorted_e1_rows(ctx, legs):
+    """e1 times each basis vector one degree lower, each raised tuple sorted: the reference.
+
+    The tuples mu one degree lower are the slice's own (`orbit_reps_oracle`
+    checks them to degree 21); only the sorting is the reference's.
+    """
+    index = {rep: i for i, rep in enumerate(ctx.basis)}
+    rows = []
+    for mu in diagram_spaces._orbit_reps(legs - 1, ctx.signed):
+        row = {}
+        for k in range(4):
+            i, sign = sorted_slot(index, ctx.signed, mu[:k] + (mu[k] + 1,) + mu[k + 1 :])
+            row[i] = row.get(i, 0) + sign
+        rows.append([(i, c) for i, c in sorted(row.items()) if c])
+    return rows
+
+
+@pytest.mark.parametrize("legs", range(41))
+def test_closed_form_e1_rows_equal_the_sorted_reference(legs):
+    ctx = _SkewSliceContext(legs)
+    assert ctx.e1_rows == sorted_e1_rows(ctx, legs)
 
 
 @pytest.mark.parametrize("legs", range(22))

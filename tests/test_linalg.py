@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 from operator import mul
 
 import pytest
@@ -154,6 +155,40 @@ def test_rowspan_reduce_checks_its_input_once_and_its_own_rows_never(monkeypatch
     assert rank(m) == 2
     # rank hands RowSpan every row once, zero and repeated ones included
     assert checked == [[0, 0], [1, 2], [2, 4], [0, 1], [1, 2]]
+
+
+def cross_multiplied_pivot_rows(rows, cols):
+    """RowSpan's pivot rows with no content taken out between steps: the reference."""
+    pivots = []
+    for row in rows:
+        v = list(row)
+        for pcol, prow in pivots:
+            if v[pcol]:
+                v = [prow[pcol] * a - v[pcol] * b for a, b in zip(v, prow)]
+        if any(v):
+            g = gcd(*v) * (1 if next(a for a in v if a) > 0 else -1)
+            pivots.append((next(j for j, a in enumerate(v) if a), [a // g for a in v]))
+            pivots.sort(key=lambda t: t[0])
+    return pivots
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(-40, 40), min_size=c, max_size=c), min_size=1, max_size=7
+        )
+    )
+)
+def test_rowspan_reduction_stays_primitive_with_the_same_pivot_rows(rows):
+    # the content gcd between steps rescales each reduction, never its span
+    cols = len(rows[0])
+    span = RowSpan(cols)
+    for i, row in enumerate(rows):
+        reduced = span.reduce(row)
+        assert gcd(*reduced) in (0, 1)
+        span.add(row)
+        assert span.pivot_rows == cross_multiplied_pivot_rows(rows[: i + 1], cols)
 
 
 small_matrix = st.integers(1, 4).flatmap(

@@ -324,7 +324,7 @@ def test_alternant_rows_equal_skew_rows_of_q_poly():
     expected = {}
     for d, nmk in triples:
         ctx = _SkewSliceContext(2 * d + 9)
-        expected[nmk] = ctx.skew_row(q_poly(*nmk))
+        expected[nmk] = ctx.skew_row(ctx.packing.pack(q_poly(*nmk).terms))
         assert any(expected[nmk])
         assert q_alternant_row(*nmk, ctx, in_order) == expected[nmk]
     for d, nmk in reversed(triples):

@@ -83,8 +83,10 @@ def test_lemma_suite_small(monkeypatch):
     monkeypatch.setattr(multipoly, "_uvw_from_uvrs", counted)
     report = verify_lemma(3)
     assert report.all_passed
-    # membership divides only P2, P3 and P4 w-adically and multiplies them in u, v, w
-    assert len(divided) == 3
+    # membership divides only P2, P3, P4 and the constant P4^0 w-adically and
+    # multiplies them in u, v, w
+    assert len(divided) == 4
+    assert [q.terms for q in divided if not q.terms.keys() - {(0, 0, 0, 0)}] == [{(0, 0, 0, 0): 1}]
     ranks = {c.params["d"]: c.actual for c in report.checks if c.id.startswith("lemma.rank")}
     assert ranks == {"0": "1", "1": "1", "2": "2", "3": "3"}
     memberships = [c for c in report.checks if c.id.startswith("lemma.membership")]
@@ -156,16 +158,20 @@ def test_power_tables_build_their_factors_inside_a_check(monkeypatch):
 
 def test_membership_fails_for_a_factor_outside_the_subring(monkeypatch):
     # membership reads only P2, P3 and P4 in u, v, w and multiplies there, so
-    # a factor outside Z[u, v, w], here P4 times y3, fails every product
+    # a factor outside Z[u, v, w], here P4 times y3, fails every product with
+    # a P4 in it, k >= 1, and no product with k = 0, which builds no P4
     p4, y3 = multipoly.p4, Poly.variable(multipoly.YVARS, "y3")
     monkeypatch.setattr(multipoly, "p4", lambda vars, args: p4(vars, args) * y3)
     report = verify_lemma(4)
     membership = [c for c in report.checks if c.id.startswith("lemma.membership.")]
     assert len(membership) == 11
-    for check in membership:
+    failed = [c for c in membership if c.params["k"] != "0"]
+    assert len(failed) == 4
+    for check in failed:
         assert not check.passed and check.expected == "member"
         assert check.actual.startswith("error: NotInSubringError: ")
         assert "Traceback" not in check.actual
+    assert all(c.passed and c.actual == "member" for c in membership if c.params["k"] == "0")
 
 
 def test_merged_top_class_fails_its_check(monkeypatch):
