@@ -361,13 +361,11 @@ def _ihx_image_generators(legs: int):
                 yield (a, b, c, legs - a - b - c)
 
 
-def _ihx_image_build(power, gen: tuple[int, int, int, int]) -> tuple[dict, dict]:
+def _ihx_image_build(powers, gen: tuple[int, int, int, int]) -> tuple[dict, dict]:
     a, b, c, d = gen
-    pair = packed_sum(
-        packed_product(power("x1", a), power("x5", b)),
-        packed_product(power("x1", b), power("x5", a)),
-    )
-    return pair, packed_product(power("x4", c), power("-x2", d))
+    x1, x5 = powers["x1"], powers["x5"]
+    pair = packed_sum(packed_product(x1[a], x5[b]), packed_product(x1[b], x5[a]))
+    return pair, packed_product(powers["x4"][c], powers["-x2"][d])
 
 
 def _subring_family_generators(legs: int):
@@ -376,39 +374,29 @@ def _subring_family_generators(legs: int):
             yield (n, a, legs - 2 * n - a)
 
 
-def _subring_family_build(power, gen: tuple[int, int, int]) -> tuple[dict, dict]:
+def _subring_family_build(powers, gen: tuple[int, int, int]) -> tuple[dict, dict]:
     n, a, b = gen
-    return packed_product(power("x1*x2", n), power("x4", a)), power("x5", b)
+    return packed_product(powers["x1*x2"][n], powers["x4"][a]), powers["x5"][b]
 
 
-def _edge_powers(packing: Packing):
-    """`power(base, e)`: an edge image's e-th power, packed in `packing`, for one slice.
+def _edge_powers(packing: Packing) -> dict:
+    """One `Packing.powers` table per base, packed in `packing`, for one slice.
 
     The bases are the images of x1..x6 under `_x_from_y_map`, -x2 and
-    x1*x2.  Each power is one packed product of the power below it by its
-    base, built on the first read and kept for the caller's lifetime.
+    x1*x2; each power is built on its first read and kept for the
+    caller's lifetime.
     """
     x = _x_from_y_map()
     images = {**x, "-x2": -x["x2"], "x1*x2": x["x1"] * x["x2"]}
-    bases = {name: packing.pack(image.terms) for name, image in images.items()}
-    one = packing.pack({(0, 0, 0, 0): 1})
-    powers = {name: [one] for name in bases}
-
-    def power(base: str, e: int) -> dict[int, int]:
-        table = powers[base]
-        while len(table) <= e:
-            table.append(packed_product(table[-1], bases[base]))
-        return table[e]
-
-    return power
+    return {name: packing.powers(packing.pack(image.terms)) for name, image in images.items()}
 
 
 def _family_slice(name: str, legs: int, generators, build) -> SliceSpace:
     """Span of one skew-symmetrized generator family at an odd leg count.
 
-    `generators(legs)` enumerates the family, and `build(power, gen)`
-    turns one generator into its two packed factors, from the powers of
-    `_edge_powers` tabled for this call; `skew_row` projects their
+    `generators(legs)` enumerates the family, and `build(powers, gen)`
+    turns one generator into its two packed factors, from the power
+    tables of `_edge_powers` for this call; `skew_row` projects their
     product, which is never unpacked.  All generators lie in the
     signed-isotypic part of the slice, so the construction stops once
     the running span is the whole ambient slice.  The x-variables enter
@@ -416,13 +404,13 @@ def _family_slice(name: str, legs: int, generators, build) -> SliceSpace:
     generator is homogeneous of degree `legs` in them, so each row is
     4^legs times the paper's and the span is the same.
     """
-    if legs % 2 == 0:
-        raise ValueError(f"{name}_slice expects an odd leg count")
+    if legs < 0 or legs % 2 == 0:
+        raise ValueError(f"{name}_slice expects an odd, non-negative leg count")
     ctx = _SkewSliceContext(legs)
-    power = _edge_powers(ctx.packing)
+    powers = _edge_powers(ctx.packing)
     order = list(generators(legs))
     random.Random(_GENERATOR_SHUFFLE_SEED).shuffle(order)
-    return ctx.span(ctx.skew_row(*build(power, gen)) for gen in order)
+    return ctx.span(ctx.skew_row(*build(powers, gen)) for gen in order)
 
 
 def ihx_image_slice(legs: int) -> SliceSpace:

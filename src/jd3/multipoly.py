@@ -4,15 +4,16 @@ Polynomials are sparse maps from exponent tuples to nonzero `int`
 coefficients, over a fixed ordered variable set; a coefficient that is
 not an `int` raises `TypeError`, so ring operations never leave integer
 arithmetic.  A rational number appears only in `evaluate`.  Multiply,
-power and substitute pack each exponent tuple into one int, one
-byte-aligned field of 1, 2, 4 or 8 bytes per coordinate, wide enough
-for the largest exponent of the result, so adding two packed keys
-multiplies the monomials (packed exponent vectors, as in Monagan and
-Pearce, CASC 2007).  They pack once on the way in, run every
-intermediate product through the one packed kernel, and unpack once;
-the term maps of a Poly stay keyed by tuples.  A `Packing` is one such
-layout for callers that keep polynomials packed from factor to product
-(`packed_product`, `packed_sum`), as the slice rows do.  A result
+power and substitute each build one `Packing`, a layout that packs each
+exponent tuple into one int, one byte-aligned field of 1, 2, 4 or 8
+bytes per coordinate, wide enough for the largest exponent of the
+result, so adding two packed keys multiplies the monomials (packed
+exponent vectors, as in Monagan and Pearce, CASC 2007).  They pack once
+on the way in, run every intermediate product through the one packed
+kernel, read every power from one lazy table (`Packing.powers`), and
+unpack once; the term maps of a Poly stay keyed by tuples.  Callers that
+keep polynomials packed from factor to product (`packed_product`,
+`packed_sum`), as the slice rows do, use the same layout.  A result
 exponent of 2^64 or more raises OverflowError.  On top of the ring operations this
 module provides the signed permutation actions of S4 and their group
 sums, elementary symmetric polynomials, the discriminant, the
@@ -95,27 +96,6 @@ def _max_exponent(terms: dict) -> int:
     return max(itertools.chain.from_iterable(terms), default=0)
 
 
-def _codec(n: int, top: int):
-    """Pack and unpack for n exponents of at most `top`: byte-aligned fields of one int.
-
-    Each field takes 1, 2, 4 or 8 bytes, the fewest that hold `top`, so
-    adding two keys whose fields sum to at most `top` adds the exponents
-    without a carry.  `pack` maps an iterable of exponent tuples to keys
-    and `unpack` keys back to tuples, lazily and in C through `struct`.
-    A `top` of 2^64 or more raises OverflowError.
-    """
-    width = next((w for w in (1, 2, 4, 8) if top >> (8 * w) == 0), None)
-    if width is None:
-        raise OverflowError(f"exponent {top} does not fit in 64 bits")
-    fields = struct.Struct(f">{n}{'BHIQ'[width.bit_length() - 1]}")
-    from_bytes = partial(int.from_bytes, byteorder="big")
-    to_bytes = methodcaller("to_bytes", fields.size, "big")
-    return (
-        lambda tuples: map(from_bytes, itertools.starmap(fields.pack, tuples)),
-        lambda keys: map(fields.unpack, map(to_bytes, keys)),
-    )
-
-
 def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """Product of two term maps keyed by packed exponents, cancelled terms dropped."""
     if len(a) > len(b):
@@ -130,29 +110,65 @@ def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return {k: c for k, c in out.items() if c}
 
 
+class _Powers(dict):
+    """Lazy powers of one packed polynomial: e -> base^e, from {0: 1, 1: base}.
+
+    A missing power is built from the largest one below it, one
+    `_mul_packed` by the base per step, and every step is kept.
+    """
+
+    def __missing__(self, e: int) -> dict[int, int]:
+        for i in range(len(self), e + 1):
+            self[i] = _mul_packed(self[i - 1], self[1])
+        return self[e]
+
+
 class Packing:
     """One packed layout: n exponents of at most `top`, one int key per exponent tuple.
 
-    A packed polynomial is a plain dict from key to nonzero int
-    coefficient.  Adding two keys multiplies their monomials while every
-    exponent of the product stays at most `top`, so `packed_product`
-    multiplies within one layout and `packed_sum` adds; a caller keeps
-    the degrees of its products at most `top` and never reads a key's
-    fields.
+    Each exponent takes a byte-aligned field of 1, 2, 4 or 8 bytes, the
+    fewest that hold `top`, packed and unpacked lazily and in C through
+    `struct`.  A packed polynomial is a plain dict from key to nonzero
+    int coefficient.  Adding two keys multiplies their monomials while
+    every exponent of the product stays at most `top`, so `_mul_packed`
+    and `packed_product` multiply within one layout and `packed_sum`
+    adds; a caller keeps the degrees of its products at most `top` and
+    never reads a key's fields.  A negative `top` raises ValueError, one
+    of 2^64 or more OverflowError.
     """
 
-    __slots__ = ("_pack",)
+    __slots__ = ("_fields",)
 
     def __init__(self, n: int, top: int) -> None:
-        self._pack = _codec(n, top)[0]
+        if top < 0:
+            raise ValueError(f"exponent bound {top} is negative")
+        width = next((w for w in (1, 2, 4, 8) if top >> (8 * w) == 0), None)
+        if width is None:
+            raise OverflowError(f"exponent {top} does not fit in 64 bits")
+        self._fields = struct.Struct(f">{n}{'BHIQ'[width.bit_length() - 1]}")
 
     def keys(self, tuples) -> Iterator[int]:
         """The key of each exponent tuple, lazily and in order."""
-        return self._pack(tuples)
+        from_bytes = partial(int.from_bytes, byteorder="big")
+        return map(from_bytes, itertools.starmap(self._fields.pack, tuples))
 
     def pack(self, terms: Mapping[tuple[int, ...], int]) -> dict[int, int]:
         """A term map keyed by exponent tuples, for example a Poly's `terms`, keyed packed."""
-        return dict(zip(self._pack(terms), terms.values()))
+        return dict(zip(self.keys(terms), terms.values()))
+
+    def unpack(self, packed: dict[int, int]) -> dict[tuple[int, ...], int]:
+        """A packed polynomial's term map keyed by exponent tuples again."""
+        to_bytes = methodcaller("to_bytes", self._fields.size, "big")
+        return dict(zip(map(self._fields.unpack, map(to_bytes, packed)), packed.values()))
+
+    def powers(self, base: dict[int, int]) -> Mapping[int, dict[int, int]]:
+        """The powers of a packed polynomial, read as `table[e]` and each built once.
+
+        The table starts at the unit and `base`, the zero tuple's key being
+        0; a further power is built on its first read, one `_mul_packed`
+        of the power below it by `base`, and kept with the table.
+        """
+        return _Powers({0: {0: 1}, 1: base})
 
 
 def packed_product(*factors: dict[int, int]) -> dict[int, int]:
@@ -255,9 +271,8 @@ class Poly:
         _coverage.touch("multipoly.ring_ops")
         self._check_same_vars(other)
         a, b = self.terms, other.terms
-        pack, unpack = _codec(len(self.vars), _max_exponent(a) + _max_exponent(b))
-        out = _mul_packed(dict(zip(pack(a), a.values())), dict(zip(pack(b), b.values())))
-        return Poly._raw(self.vars, dict(zip(unpack(out), out.values())))
+        packing = Packing(len(self.vars), _max_exponent(a) + _max_exponent(b))
+        return Poly._raw(self.vars, packing.unpack(_mul_packed(packing.pack(a), packing.pack(b))))
 
     def scale(self, c) -> "Poly":
         _coverage.touch("multipoly.ring_ops")
@@ -266,29 +281,24 @@ class Poly:
         return Poly._raw(self.vars, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
-        """Power by repeated squaring, every intermediate kept packed."""
+        """Power by repeated multiplication, read from one `Packing.powers` table.
+
+        p ** n runs n - 1 packed products for n >= 2 and none for n <= 1.
+        """
         if type(n) is not int or n < 0:
             raise ValueError("exponent must be a non-negative integer")
         if not n:
             return Poly.constant(self.vars, 1)
-        pack, unpack = _codec(len(self.vars), n * _max_exponent(self.terms))
-        base = dict(zip(pack(self.terms), self.terms.values()))
-        result: dict[int, int] | None = None
-        while n:
-            if n & 1:
-                result = base if result is None else _mul_packed(result, base)
-            n >>= 1
-            if n:
-                base = _mul_packed(base, base)
-        return Poly._raw(self.vars, dict(zip(unpack(result), result.values())))
+        packing = Packing(len(self.vars), n * _max_exponent(self.terms))
+        return Poly._raw(self.vars, packing.unpack(packing.powers(packing.pack(self.terms))[n]))
 
     def substitute(self, mapping: dict[str, "Poly"]) -> "Poly":
         """Replace every variable by its image polynomial.
 
         All variables that actually occur must be mapped, and every image
-        must be a Poly in one common target variable set.  The powers of
-        each image are built once, one packed product by the image per
-        step; each term is multiplied out and summed packed.
+        must be a Poly in one common target variable set.  Each image's
+        powers are read from one `Packing.powers` table, so each is built
+        once; each term is multiplied out and summed packed.
         """
         _coverage.touch("multipoly.substitute")
         target: VarSet | None = None
@@ -309,24 +319,22 @@ class Poly:
             if d and img is None:
                 raise ValueError(f"variable {name} is not mapped")
         tops = [_max_exponent(img.terms) if d else 0 for img, d in zip(images, degrees)]
-        pack, unpack = _codec(len(target), max(sum(map(mul, e, tops)) for e in self.terms))
-        powers: list[list[dict[int, int]]] = []
-        for img, d in zip(images, degrees):
-            table = [dict(zip(pack(img.terms), img.terms.values()))] if d else []
-            while len(table) < d:
-                table.append(_mul_packed(table[-1], table[0]))
-            powers.append(table)
+        packing = Packing(len(target), max(sum(map(mul, e, tops)) for e in self.terms))
+        tables = [
+            packing.powers(packing.pack(img.terms)) if d else None
+            for img, d in zip(images, degrees)
+        ]
+        unit = packing.powers({})[0]  # the zeroth power, for a term that has no variable
         acc: dict[int, int] = {}
         get = acc.get
         for exps, coeff in self.terms.items():
             factor = None
-            for table, e in zip(powers, exps):
+            for table, e in zip(tables, exps):
                 if e:
-                    factor = table[e - 1] if factor is None else _mul_packed(factor, table[e - 1])
-            for k, c in ({0: 1} if factor is None else factor).items():
+                    factor = table[e] if factor is None else _mul_packed(factor, table[e])
+            for k, c in (unit if factor is None else factor).items():
                 acc[k] = get(k, 0) + coeff * c
-        terms = {k: c for k, c in acc.items() if c}
-        return Poly._raw(target, dict(zip(unpack(terms), terms.values())))
+        return Poly._raw(target, packing.unpack({k: c for k, c in acc.items() if c}))
 
     def evaluate(self, point: dict[str, int | Fraction]) -> Fraction:
         """Exact value at a point; a float value raises TypeError."""

@@ -341,6 +341,14 @@ def test_odd_target_dim_values():
 # --- spanning families -------------------------------------------------------
 
 
+@pytest.mark.parametrize("legs", [-1, -3, 8])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_slices_refuse_negative_and_even_leg_counts(family, legs):
+    # a negative count used to reach Packing(4, legs) and raise OverflowError
+    with pytest.raises(ValueError, match=f"{family}_slice expects an odd, non-negative leg count"):
+        FAMILIES[family][3](legs)
+
+
 def test_ihx_image_small_degrees():
     assert ihx_image_slice(7).dim == 0
     assert ihx_image_slice(9).dim == 1
@@ -467,9 +475,9 @@ def _family_rows_match(family, legs, order):
     """Each generator's row from its packed factors against its expanded product's row."""
     _, build, expanded, _ = FAMILIES[family]
     ctx = _SkewSliceContext(legs)
-    power = diagram_spaces._edge_powers(ctx.packing)
+    powers = diagram_spaces._edge_powers(ctx.packing)
     for gen in order:
-        factors = build(power, gen)
+        factors = build(powers, gen)
         assert len(factors) == 2
         assert ctx.skew_row(*factors) == poly_row(ctx, expanded(gen))
 

@@ -9,10 +9,12 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jd3 import multipoly
 from jd3.diagram_spaces import _SkewSliceContext, eliminate_y4, q_alternant_row
 from jd3.multipoly import (
     NotDivisibleError,
     NotInSubringError,
+    Packing,
     Poly,
     QFactorPowers,
     SignedPermAction,
@@ -657,6 +659,66 @@ def test_packed_power_matches_reference(p, n):
     assert p**n == ref_pow(p, n)
 
 
+def counted_products(monkeypatch):
+    """The list that gains one entry per `_mul_packed` call from here on."""
+    calls, mul_packed = [], multipoly._mul_packed
+
+    def counted(a, b):
+        calls.append(None)
+        return mul_packed(a, b)
+
+    monkeypatch.setattr(multipoly, "_mul_packed", counted)
+    return calls
+
+
+def table_power(packing, table, vars, e):
+    return Poly(vars, packing.unpack(table[e]))
+
+
+def test_power_table_builds_each_power_once(monkeypatch):
+    p = Poly(VARSETS[3], {(1, 0, 2): 3, (0, 1, 0): -1, (0, 0, 0): 2})
+    packing = Packing(3, 5 * 2)
+    table = packing.powers(packing.pack(p.terms))
+    expected = {e: ref_pow(p, e) for e in range(6)}
+    calls = counted_products(monkeypatch)
+    for e in (5, 3, 5):
+        assert table_power(packing, table, p.vars, e) == expected[e]
+    # p^2..p^5, each one product of the power below by p; the reads of 3 and 5 again are kept
+    assert len(calls) == 4
+    # the unit and p itself are the table's start, no product
+    assert all(table_power(packing, table, p.vars, e) == expected[e] for e in range(6))
+    assert len(calls) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(KERNEL_VARSETS).flatmap(lambda v: kernel_polys(v, max_exp=3, max_size=3)),
+    st.permutations(range(7)),
+)
+def test_power_table_matches_reference(p, order):
+    # every power 0..6, read in any order from one table, is ref_pow's
+    packing = Packing(len(p.vars), 6 * max((max(e) for e in p.terms), default=0))
+    table = packing.powers(packing.pack(p.terms))
+    for e in order:
+        assert table_power(packing, table, p.vars, e) == ref_pow(p, e)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_power_makes_n_minus_one_products(monkeypatch, n):
+    p = Y["y1"] - Y["y2"].scale(2) + Poly.constant(YVARS, 3)
+    expected = ref_pow(p, n)
+    calls = counted_products(monkeypatch)
+    assert p**n == expected
+    assert len(calls) == max(n - 1, 0)
+
+
+def test_packing_refuses_a_negative_bound():
+    # a negative bound used to raise OverflowError, as if it were too large
+    for top in (-1, -(2**70)):
+        with pytest.raises(ValueError, match="negative"):
+            Packing(4, top)
+
+
 @st.composite
 def substitutions(draw):
     source = draw(st.sampled_from(KERNEL_VARSETS))
@@ -683,6 +745,8 @@ def top_substitution(source, target, e, top):
 @example(top_substitution(VARSETS[4], VARSETS[6], 2, 256))
 @example(top_substitution(VARSETS[6], VARSETS[3], 3, 65535))
 @example(top_substitution(VARSETS[3], VARSETS[3], 4, 65536))
+@example((Poly.constant(VARSETS[3], 5), {"v0": Poly.variable(VARSETS[4], "v1")}))
+@example((Poly.constant(VARSETS[0], 5), {"v0": Poly.variable(VARSETS[4], "v1")}))  # no variable
 def test_packed_substitute_matches_reference(case):
     p, images = case
     assert p.substitute(images) == ref_substitute(p, images)
