@@ -32,7 +32,7 @@ from math import lcm
 from operator import add
 
 from . import _coverage
-from .multipoly import Poly, QFactorPowers, VarSet, YVARS, _exact
+from .multipoly import Poly, QFactorPowers, SubstitutionTable, VarSet, YVARS, _exact
 
 TVARS = VarSet(("ta", "tb", "tc"))
 
@@ -205,12 +205,24 @@ class PuiseuxPoly:
         return PuiseuxPoly(self.regime, *self.factors, *other.factors)
 
 
-def substitute_regime(p: Poly, regime: Regime) -> Poly:
-    """Exact substitution of y1..y4 by four times their regime images, a t-polynomial."""
+def regime_table(regime: Regime) -> SubstitutionTable:
+    """A substitution table of y1..y4 by four times their regime images, for a caller to hold.
+
+    The images depend on `regime.id` only.  The table keeps its image
+    powers and monomial images for as long as the caller holds it.
+    """
     _coverage.touch("asymptotics.substitute_regime")
+    return SubstitutionTable(YVARS, _shared_images(regime.id))
+
+
+def substitute_regime(p: Poly, regime: Regime) -> Poly:
+    """Exact substitution of y1..y4 by four times their regime images, a t-polynomial.
+
+    One use of one `regime_table(regime)`.
+    """
     if p.vars != YVARS:
         raise ValueError("substitute_regime expects a polynomial in exactly y1..y4")
-    return p.substitute(_shared_images(regime.id))
+    return regime_table(regime)(p)
 
 
 def leading_term(p: PuiseuxPoly) -> tuple[Fraction, ExpVector]:

@@ -4,23 +4,26 @@ Polynomials are sparse maps from exponent tuples to nonzero `int`
 coefficients, over a fixed ordered variable set; a coefficient that is
 not an `int` raises `TypeError`, so ring operations never leave integer
 arithmetic.  A rational number appears only in `evaluate`.  Multiply,
-power and substitute each build one `Packing`, a layout that packs each
-exponent tuple into one int, one byte-aligned field of 1, 2, 4 or 8
-bytes per coordinate, wide enough for the largest exponent of the
-result, so adding two packed keys multiplies the monomials (packed
-exponent vectors, as in Monagan and Pearce, CASC 2007).  They pack once
-on the way in, run every intermediate product through the one packed
-kernel, read every power from one lazy table (`Packing.powers`), and
-unpack once; the term maps of a Poly stay keyed by tuples.  Callers that
-keep polynomials packed from factor to product (`packed_product`,
-`packed_sum`), as the slice rows do, use the same layout.  A result
-exponent of 2^64 or more raises OverflowError.  On top of the ring operations this
-module provides the signed permutation actions of S4 and their group
-sums, elementary symmetric polynomials, the discriminant, the
-P2/P3/P4 building blocks and the Q^{n,m,k} family used by the
-verification suites, with `QFactorPowers`, the one table of Q's factor
-powers in a caller's coordinates, exact division, and membership in the
-subring Z[u, v, w] by w-adic division of P2, P3 and P4, closed under products.
+power and divide each build one `Packing`, and a substitution is one
+`SubstitutionTable`, which keeps its `Packing` for every polynomial it
+maps.  A `Packing` packs each exponent tuple into one int, one
+byte-aligned field of 1, 2, 4 or 8 bytes per coordinate, wide enough for
+the largest exponent of the result, so adding two packed keys multiplies
+the monomials (packed exponent vectors, as in Monagan and Pearce, CASC
+2007).  The operations pack once on the way in, run every intermediate
+product through the one packed kernel, read every power from one lazy
+table (`Packing.powers`), and unpack once; the term maps of a Poly stay
+keyed by tuples.  Callers that keep polynomials packed from factor to
+product (`packed_product`, `packed_sum`), as the slice rows do, use the
+same layout.  A result exponent of 2^64 or more raises OverflowError.
+On top of the ring operations this module provides the signed
+permutation actions of S4 and their group sums, taken once per orbit,
+elementary symmetric polynomials, the discriminant, the P2/P3/P4
+building blocks and the Q^{n,m,k} family used by the verification
+suites, with `QFactorPowers`, the one table of Q's factor powers in a
+caller's coordinates, exact division on graded packed keys, and
+membership in the subring Z[u, v, w] by w-adic division of P2, P3 and
+P4, closed under products.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
-from operator import add, itemgetter, methodcaller, mul, neg
+from operator import add, itemgetter, methodcaller, mul
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
@@ -133,11 +136,12 @@ class Packing:
     every exponent of the product stays at most `top`, so `_mul_packed`
     and `packed_product` multiply within one layout and `packed_sum`
     adds; a caller keeps the degrees of its products at most `top` and
-    never reads a key's fields.  A negative `top` raises ValueError, one
-    of 2^64 or more OverflowError.
+    never reads a key's fields.  `limit`, at least `top`, is the largest
+    exponent a field holds.  A negative `top` raises ValueError, one of
+    2^64 or more OverflowError.
     """
 
-    __slots__ = ("_fields",)
+    __slots__ = ("_fields", "limit")
 
     def __init__(self, n: int, top: int) -> None:
         if top < 0:
@@ -146,6 +150,7 @@ class Packing:
         if width is None:
             raise OverflowError(f"exponent {top} does not fit in 64 bits")
         self._fields = struct.Struct(f">{n}{'BHIQ'[width.bit_length() - 1]}")
+        self.limit = (1 << 8 * width) - 1
 
     def keys(self, tuples) -> Iterator[int]:
         """The key of each exponent tuple, lazily and in order."""
@@ -293,48 +298,12 @@ class Poly:
         return Poly._raw(self.vars, packing.unpack(packing.powers(packing.pack(self.terms))[n]))
 
     def substitute(self, mapping: dict[str, "Poly"]) -> "Poly":
-        """Replace every variable by its image polynomial.
+        """Replace every variable by its image polynomial: one use of one `SubstitutionTable`.
 
         All variables that actually occur must be mapped, and every image
-        must be a Poly in one common target variable set.  Each image's
-        powers are read from one `Packing.powers` table, so each is built
-        once; each term is multiplied out and summed packed.
+        must be a Poly in one common target variable set.
         """
-        _coverage.touch("multipoly.substitute")
-        target: VarSet | None = None
-        for img in mapping.values():
-            if not isinstance(img, Poly):
-                raise TypeError(f"substitution images are Poly, not {type(img).__name__}")
-            if target is None:
-                target = img.vars
-            elif img.vars != target:
-                raise ValueError("substitution images use different variable sets")
-        if not self.terms:
-            return Poly._raw(self.vars if target is None else target, {})
-        if target is None:
-            raise ValueError("empty substitution map")
-        images = [mapping.get(name) for name in self.vars.names]
-        degrees = [max(column) for column in zip(*self.terms)]
-        for name, img, d in zip(self.vars.names, images, degrees):
-            if d and img is None:
-                raise ValueError(f"variable {name} is not mapped")
-        tops = [_max_exponent(img.terms) if d else 0 for img, d in zip(images, degrees)]
-        packing = Packing(len(target), max(sum(map(mul, e, tops)) for e in self.terms))
-        tables = [
-            packing.powers(packing.pack(img.terms)) if d else None
-            for img, d in zip(images, degrees)
-        ]
-        unit = packing.powers({})[0]  # the zeroth power, for a term that has no variable
-        acc: dict[int, int] = {}
-        get = acc.get
-        for exps, coeff in self.terms.items():
-            factor = None
-            for table, e in zip(tables, exps):
-                if e:
-                    factor = table[e] if factor is None else _mul_packed(factor, table[e])
-            for k, c in (unit if factor is None else factor).items():
-                acc[k] = get(k, 0) + coeff * c
-        return Poly._raw(target, packing.unpack({k: c for k, c in acc.items() if c}))
+        return SubstitutionTable(self.vars, mapping)(self)
 
     def evaluate(self, point: dict[str, int | Fraction]) -> Fraction:
         """Exact value at a point; a float value raises TypeError."""
@@ -347,13 +316,6 @@ class Poly:
                     v *= x**e
             total += v
         return total
-
-    def leading(self) -> tuple[tuple[int, ...], int]:
-        """Graded-lex leading term (degree first, then lex on exponents)."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=lambda t: (sum(t), t))
-        return e, self.terms[e]
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -369,6 +331,79 @@ class Poly:
             mono = "*".join(factors) if factors else "1"
             parts.append(f"({coeff})*{mono}")
         return " + ".join(parts)
+
+
+class SubstitutionTable:
+    """One substitution, variables of `source` to image polynomials, applied to many polynomials.
+
+    Calling the table on a Poly in `source` replaces every variable by its
+    image.  All variables that occur must be mapped, and every image must
+    be a Poly in one common target variable set.  The table packs into
+    one `Packing` and keeps, for its own lifetime, each occurring image's
+    `Packing.powers` table and each monomial's packed image, each built on
+    its first use; a polynomial whose image needs wider exponent fields
+    than the layout holds moves the table to a wider layout, dropping
+    what it kept.  Each term's coefficient times its monomial's image is
+    summed packed and unpacked once.
+    """
+
+    __slots__ = (
+        "source", "target", "_images", "_tops", "_unmapped", "_packing", "_powers", "_monomials"
+    )
+
+    def __init__(self, source: VarSet, mapping: Mapping[str, Poly]) -> None:
+        _coverage.touch("multipoly.substitute")
+        target: VarSet | None = None
+        for img in mapping.values():
+            if not isinstance(img, Poly):
+                raise TypeError(f"substitution images are Poly, not {type(img).__name__}")
+            if target is None:
+                target = img.vars
+            elif img.vars != target:
+                raise ValueError("substitution images use different variable sets")
+        self.source, self.target = source, target
+        self._images = [mapping.get(name) for name in source.names]
+        self._tops = [0 if img is None else _max_exponent(img.terms) for img in self._images]
+        self._unmapped = [i for i, img in enumerate(self._images) if img is None]
+        self._packing: Packing | None = None  # set, with what it keeps, by the first call
+
+    def _monomial(self, exps: tuple[int, ...]) -> dict[int, int]:
+        """The packed image of a monomial other than 1, the product of its variables' image powers."""
+        packing, powers = self._packing, self._powers
+        factors = []
+        for i, e in enumerate(exps):
+            if e:
+                if powers[i] is None:
+                    powers[i] = packing.powers(packing.pack(self._images[i].terms))
+                factors.append(powers[i][e])
+        image = self._monomials[exps] = reduce(_mul_packed, factors)
+        return image
+
+    def __call__(self, p: Poly) -> Poly:
+        if p.vars != self.source:
+            raise ValueError(f"variable sets differ: {p.vars} vs {self.source}")
+        if not p.terms:
+            return Poly._raw(self.source if self.target is None else self.target, {})
+        if self.target is None:
+            raise ValueError("empty substitution map")
+        for i in self._unmapped:
+            if any(e[i] for e in p.terms):
+                raise ValueError(f"variable {self.source.names[i]} is not mapped")
+        top = max(sum(map(mul, e, self._tops)) for e in p.terms)
+        if self._packing is None or top > self._packing.limit:
+            self._packing = Packing(len(self.target), top)
+            self._powers: list = [None] * len(self._images)  # a variable's, once it occurs
+            self._monomials = {(0,) * len(self._images): self._packing.powers({})[0]}
+        monomials = self._monomials
+        acc: dict[int, int] = {}
+        get = acc.get
+        for exps, coeff in p.terms.items():
+            image = monomials.get(exps)
+            if image is None:
+                image = self._monomial(exps)
+            for k, c in image.items():
+                acc[k] = get(k, 0) + coeff * c
+        return Poly._raw(self.target, self._packing.unpack({k: c for k, c in acc.items() if c}))
 
 
 @dataclass(frozen=True)
@@ -423,23 +458,40 @@ def symmetrize(p: Poly, group: list[SignedPermAction]) -> Poly:
     """The signed group sum, the sum over g of chi(g) g.p.
 
     This is |G| times the projector onto the chi-isotypic part, so it stays
-    integral, and applying it twice multiplies by |G|.  The input must be
-    homogeneous: the character choice is per-degree, so mixing degrees
-    under one character would be meaningless.
+    integral, and applying it twice multiplies by |G|.  `group` must be a
+    group of signed permutations (characters multiply under composition);
+    a list without the identity with character +1 raises ValueError.  The
+    sum is taken once per orbit of p's terms (Macdonald, Symmetric
+    Functions and Hall Polynomials, ch. I): a representative e is
+    relabelled by every element, and each other term f = h.e of its orbit
+    is read from e's images, as f's group sum is chi(h) times e's (both
+    are 0 when a stabilizer element of e has character -1).  The input
+    must be homogeneous: the character choice is per-degree, so mixing
+    degrees under one character would be meaningless.
     """
     _coverage.touch("multipoly.symmetrize")
     if not group:
         raise ValueError("empty group")
     if not p.is_homogeneous():
         raise ValueError("symmetrize requires a homogeneous polynomial")
+    if any(action.vars is not p.vars and action.vars != p.vars for action in group):
+        raise ValueError("group action on a different variable set")
+    identity = tuple(range(len(p.vars)))
+    if not any(action.perm == identity and action.character == 1 for action in group):
+        raise ValueError("group without the identity")
+    relabels = [action.relabel for action in group]
+    characters = [action.character for action in group]
+    rest = dict(p.terms)
     acc: dict[tuple[int, ...], int] = {}
     get = acc.get
-    for action in group:
-        if action.vars != p.vars:
-            raise ValueError("group action on a different variable set")
-        coeffs = p.terms.values() if action.character > 0 else map(neg, p.terms.values())
-        for k, c in zip(map(action.relabel, p.terms), coeffs):
-            acc[k] = get(k, 0) + c
+    while rest:
+        e, weight = rest.popitem()
+        images = [relabel(e) for relabel in relabels]
+        for f, chi in zip(images, characters):
+            weight += chi * rest.pop(f, 0)
+        if weight:
+            for f, chi in zip(images, characters):
+                acc[f] = get(f, 0) + chi * weight
     return Poly._raw(p.vars, {k: c for k, c in acc.items() if c})
 
 
@@ -615,30 +667,49 @@ def divide_exact(p: Poly, d: Poly) -> Poly:
     coefficient its coefficient does not divide, certifies that no integer
     quotient exists.  By Gauss's lemma this agrees with division over Q
     when d is primitive (the gcd of its coefficients is 1).
+
+    The division runs on graded packed keys (Monagan and Pearce, CASC
+    2007): one `Packing` of n + 1 fields whose top field is the total
+    degree, so graded-lex order is integer order, the leading term is the
+    largest key, and each step adds keys.  Every field has a spare high
+    bit, a guard: the divisor's leading key divides a key exactly when
+    their difference plus the guards keeps every guard set.  No exponent
+    of a step exceeds the dividend's degree, so no field ever reaches its
+    guard bit.
     """
     _coverage.touch("multipoly.divide_exact")
     p._check_same_vars(d)
     if d.is_zero():
         raise ValueError("division by the zero polynomial")
-    d_exp, d_coeff = d.leading()
-    work = dict(p.terms)
-    quotient: dict[tuple[int, ...], int] = {}
+    top = max(map(sum, itertools.chain(p.terms, d.terms)))
+    packing = Packing(len(p.vars) + 1, 2 * top + 1)
+    (guards,) = packing.keys([((packing.limit + 1) // 2,) * (len(p.vars) + 1)])
+
+    def graded(terms: Mapping[tuple[int, ...], int]) -> dict[int, int]:
+        return dict(zip(packing.keys((sum(e), *e) for e in terms), terms.values()))
+
+    work, divisor = graded(p.terms), graded(d.terms)
+    d_key = max(divisor)
+    d_coeff = divisor.pop(d_key)
+    d_rest = list(divisor.items())
+    quotient: dict[int, int] = {}
+    get = work.get
     while work:
-        exps = max(work, key=lambda t: (sum(t), t))
-        q_exp = tuple(a - b for a, b in zip(exps, d_exp))
-        q_coeff, rest = divmod(work[exps], d_coeff)
-        if rest or any(e < 0 for e in q_exp):
+        lead = max(work)
+        q_key = lead - d_key
+        q_coeff, rest = divmod(work.pop(lead), d_coeff)
+        if rest or (q_key + guards) & guards != guards:
             raise NotDivisibleError("polynomial is not divisible by the given divisor")
-        quotient[q_exp] = q_coeff
-        # subtract q_coeff * x^q_exp * d; the leading term cancels exactly
-        for de, dc in d.terms.items():
-            k = tuple(a + b for a, b in zip(q_exp, de))
-            s = work.get(k, 0) - q_coeff * dc
+        quotient[q_key] = q_coeff
+        # subtract q_coeff * x^q * d; its leading term cancels `lead`, popped above
+        for k, c in d_rest:
+            k += q_key
+            s = get(k, 0) - q_coeff * c
             if s:
                 work[k] = s
-            elif k in work:
+            else:
                 del work[k]
-    return Poly._raw(p.vars, quotient)
+    return Poly._raw(p.vars, {e[1:]: c for e, c in packing.unpack(quotient).items()})
 
 
 UVWVARS = VarSet(("u", "v", "w"))

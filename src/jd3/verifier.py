@@ -18,6 +18,7 @@ from .asymptotics import (
     DEFAULT_REGIMES,
     Regime,
     expected_q_leading,
+    regime_table,
     substitute_regime,
     verify_q_asymptotics,
 )
@@ -370,10 +371,10 @@ def verify_properties(seed: int = DEFAULT_PROPERTY_SEED) -> Report:
 
     def idempotent(p: Poly) -> str:
         # symmetrize is the group sum, |G| times the projector
-        for g in (skew, plain):
+        for character, g in (("sign", skew), ("trivial", plain)):
             once = symmetrize(p, g)
             if symmetrize(once, g) != once.scale(len(g)):
-                return "not idempotent"
+                return f"not idempotent: the {character} character"
         return "idempotent"
 
     for i in range(100):
@@ -471,13 +472,17 @@ def verify_properties(seed: int = DEFAULT_PROPERTY_SEED) -> Report:
 
     checks.append(_timed_check("prop.p_builders", {}, "P2/P3/P4 structure", p_builder_facts))
 
-    regimes = (DEFAULT_REGIMES["one"], DEFAULT_REGIMES["two"])
+    # one substitution table per regime, held for this call
+    tables = {r.id: regime_table(r) for r in (DEFAULT_REGIMES["one"], DEFAULT_REGIMES["two"])}
 
     def homomorphism(p: Poly, q: Poly) -> str:
-        for r in regimes:
-            sp, sq = substitute_regime(p, r), substitute_regime(q, r)
-            if substitute_regime(p * q, r) != sp * sq or substitute_regime(p + q, r) != sp + sq:
-                return "not a homomorphism"
+        product, total = p * q, p + q
+        for regime_id, substitute in tables.items():
+            sp, sq = substitute(p), substitute(q)
+            if substitute(product) != sp * sq:
+                return f"not a homomorphism: the product law fails in regime {regime_id}"
+            if substitute(total) != sp + sq:
+                return f"not a homomorphism: the sum law fails in regime {regime_id}"
         return "homomorphism"
 
     for i in range(50):

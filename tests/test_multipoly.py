@@ -3,13 +3,14 @@
 import random
 from fractions import Fraction
 from functools import partial
+from operator import mul
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jd3 import multipoly
+from jd3 import _coverage, asymptotics, diagram_spaces, multipoly, verifier
 from jd3.diagram_spaces import _SkewSliceContext, eliminate_y4, q_alternant_row
 from jd3.multipoly import (
     NotDivisibleError,
@@ -18,10 +19,12 @@ from jd3.multipoly import (
     Poly,
     QFactorPowers,
     SignedPermAction,
+    SubstitutionTable,
     VarSet,
     XVARS,
     YVARS,
     Y3VARS,
+    Z3VARS,
     discriminant,
     divide_exact,
     elementary_symmetric,
@@ -131,9 +134,9 @@ def test_substitute_unmapped_variable_rejected():
 
 
 def test_act_swap_with_sign():
-    # one group element's action is the group sum over that element alone
+    # one element's action is the reference group sum over that element alone
     swap = SignedPermAction(YVARS, (1, 0, 2, 3), -1)
-    assert symmetrize(Y["y1"], [swap]) == -Y["y2"]
+    assert ref_symmetrize(Y["y1"], [swap]) == -Y["y2"]
 
 
 def test_act_identity():
@@ -144,7 +147,7 @@ def test_act_identity():
 
 def test_act_four_cycle():
     cyc = SignedPermAction(YVARS, (1, 2, 3, 0), -1)
-    assert symmetrize(Y["y1"] * Y["y2"], [cyc]) == -(Y["y2"] * Y["y3"])
+    assert ref_symmetrize(Y["y1"] * Y["y2"], [cyc]) == -(Y["y2"] * Y["y3"])
 
 
 def test_skew_symmetrize_linear_vanishes():
@@ -185,6 +188,15 @@ def test_symmetrize_rejects_inhomogeneous():
         symmetrize(Y["y1"] + Y["y1"] * Y["y2"], signed_s4(YVARS, "sign"))
 
 
+def test_symmetrize_rejects_a_list_without_the_identity():
+    # the orbit pass reads a group; a list without the identity is not one
+    swap = SignedPermAction(YVARS, (1, 0, 2, 3), -1)
+    negated = SignedPermAction(YVARS, (0, 1, 2, 3), -1)
+    for actions in ([swap], [negated], [swap, negated], signed_s4(YVARS, "sign")[1:]):
+        with pytest.raises(ValueError, match="identity"):
+            symmetrize(Y["y1"] * Y["y2"], actions)
+
+
 def test_projector_idempotent_seeded():
     rng = random.Random(7)
     for _ in range(25):
@@ -208,7 +220,7 @@ def test_parity_grading_of_products():
     plain_group = signed_s4(YVARS, "trivial")
 
     def is_invariant(p, group):
-        return all(symmetrize(p, [g]) == p for g in group)
+        return all(ref_symmetrize(p, [g]) == p for g in group)
 
     for _ in range(10):
         e1 = tuple(rng.sample(range(6), 4))
@@ -256,7 +268,7 @@ def test_vieta_expansion():
 def test_discriminant_skew_under_signed_transposition():
     delta = discriminant(YVARS)
     swap = SignedPermAction(YVARS, (1, 0, 2, 3), -1)
-    assert symmetrize(delta, [swap]) == delta
+    assert ref_symmetrize(delta, [swap]) == delta
 
 
 def test_discriminant_value_at_1234():
@@ -609,6 +621,57 @@ def ref_symmetrize(p, group):
     return Poly(p.vars, acc)
 
 
+def graded_lex(exps):
+    """The sort key of graded-lex order: degree first, then lex on exponents."""
+    return sum(exps), exps
+
+
+def ref_divide_exact(p, d):
+    """The tuple-keyed division loop that `divide_exact` ran before its keys were packed."""
+    d_exp = max(d.terms, key=graded_lex)
+    d_coeff = d.terms[d_exp]
+    work = dict(p.terms)
+    quotient = {}
+    while work:
+        exps = max(work, key=graded_lex)
+        q_exp = tuple(a - b for a, b in zip(exps, d_exp))
+        q_coeff, rest = divmod(work[exps], d_coeff)
+        if rest or any(e < 0 for e in q_exp):
+            raise NotDivisibleError("polynomial is not divisible by the given divisor")
+        quotient[q_exp] = q_coeff
+        for de, dc in d.terms.items():
+            k = tuple(a + b for a, b in zip(q_exp, de))
+            s = work.get(k, 0) - q_coeff * dc
+            if s:
+                work[k] = s
+            elif k in work:
+                del work[k]
+    return Poly(p.vars, quotient)
+
+
+def ref_substitute_per_call(p, mapping):
+    """The substitution `Poly.substitute` ran before its table: one packing and power tables per call."""
+    target = next(iter(mapping.values())).vars
+    if not p.terms:
+        return Poly(target)
+    images = [mapping.get(name) for name in p.vars.names]
+    degrees = [max(column) for column in zip(*p.terms)]
+    tops = [max(map(max, img.terms), default=0) if d else 0 for img, d in zip(images, degrees)]
+    packing = Packing(len(target), max(sum(map(mul, e, tops)) for e in p.terms))
+    tables = [
+        packing.powers(packing.pack(img.terms)) if d else None for img, d in zip(images, degrees)
+    ]
+    acc = {}
+    for exps, coeff in p.terms.items():
+        factor = packing.powers({})[0]
+        for table, e in zip(tables, exps):
+            if e:
+                factor = multipoly._mul_packed(factor, table[e])
+        for k, c in factor.items():
+            acc[k] = acc.get(k, 0) + coeff * c
+    return Poly(target, packing.unpack(acc))
+
+
 KERNEL_VARSETS = [VARSETS[n] for n in (3, 4, 6)]
 
 
@@ -752,28 +815,196 @@ def test_packed_substitute_matches_reference(case):
     assert p.substitute(images) == ref_substitute(p, images)
 
 
-@st.composite
-def symmetrizations(draw):
-    vars = draw(st.sampled_from(KERNEL_VARSETS))
-    n = len(vars)
-    d = draw(st.integers(0, 6))
-    exps = st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1).map(
+def generated_group(vars, generators):
+    """Every signed permutation the generators compose to, the identity included, sorted."""
+    elements = {(tuple(range(len(vars))), 1)}
+    frontier = list(elements)
+    while frontier:
+        perm, character = frontier.pop()
+        for g in generators:
+            element = (tuple(g.perm[i] for i in perm), character * g.character)
+            if element not in elements:
+                elements.add(element)
+                frontier.append(element)
+    return [SignedPermAction(vars, perm, character) for perm, character in sorted(elements)]
+
+
+def named_groups(vars):
+    """The groups the package sums over: signed S4, the four-arc reflection pair, the identity."""
+    identity = SignedPermAction(vars, tuple(range(len(vars))), 1)
+    groups = [[identity], [identity, SignedPermAction(vars, identity.perm, -1)]]
+    if len(vars) == 4:
+        groups += [signed_s4(vars, "sign"), signed_s4(vars, "trivial")]
+    return groups
+
+
+def homogeneous_polys(vars, d, max_size=5):
+    exps = st.lists(st.integers(0, d), min_size=len(vars) - 1, max_size=len(vars) - 1).map(
         lambda cuts: tuple(b - a for a, b in zip([0] + sorted(cuts), sorted(cuts) + [d]))
     )
-    p = Poly(vars, draw(st.dictionaries(exps, coefficients, max_size=5)))
-    perms = st.permutations(range(n)).map(tuple)
+    return st.dictionaries(exps, coefficients, max_size=max_size).map(lambda t: Poly(vars, t))
+
+
+@st.composite
+def symmetrizations(draw):
+    """A homogeneous polynomial, a group of signed permutations, and whether to pre-sum it.
+
+    The group is one the package uses or the one generated by up to two
+    random signed permutations, which may hold the identity permutation
+    with character -1.  Pre-summed inputs are chi-symmetric: a first
+    pass's output.
+    """
+    vars = draw(st.sampled_from(KERNEL_VARSETS))
+    p = draw(homogeneous_polys(vars, draw(st.integers(0, 6))))
+    perms = st.permutations(range(len(vars))).map(tuple)
     actions = st.builds(partial(SignedPermAction, vars), perms, st.sampled_from([1, -1]))
-    group = draw(st.lists(actions, min_size=1, max_size=6))
-    return p, group
+    group = draw(
+        st.one_of(
+            st.sampled_from(named_groups(vars)),
+            # one generator in six variables keeps the group small: a cyclic one
+            st.lists(actions, min_size=1, max_size=1 if len(vars) == 6 else 2).map(
+                partial(generated_group, vars)
+            ),
+        )
+    )
+    return (ref_symmetrize(p, group) if draw(st.booleans()) else p), group
 
 
-@settings(max_examples=80, deadline=None)
+S4_SIGN, S4_PLAIN = signed_s4(YVARS, "sign"), signed_s4(YVARS, "trivial")
+# repeated exponents: a transposition with character -1 fixes y^(2,2,1,0), so its orbit sums to 0
+REPEATED = Poly(YVARS, {(2, 2, 1, 0): 3, (1, 2, 2, 0): -5, (0, 0, 5, 0): 2, (1, 1, 1, 2): 1})
+
+
+@settings(max_examples=100, deadline=None)
 @given(symmetrizations())
+@example((REPEATED, S4_SIGN))
+@example((REPEATED, S4_PLAIN))
+@example((ref_symmetrize(REPEATED, S4_PLAIN), S4_PLAIN))
+@example((ref_symmetrize(Poly.monomial(YVARS, (4, 2, 1, 0)), S4_SIGN), S4_SIGN))
+@example((Poly.monomial(Z3VARS, (3, 1, 1)), named_groups(Z3VARS)[1]))  # the four-arc reflection pair
 def test_relabelling_matches_reference(case):
     p, group = case
     assert symmetrize(p, group) == ref_symmetrize(p, group)
+    # each element's relabelling is the reference's action of that element alone
     for action in group:
-        assert symmetrize(p, [action]) == ref_symmetrize(p, [action])
+        image = {action.relabel(e): action.character * c for e, c in p.terms.items()}
+        assert Poly(p.vars, image) == ref_symmetrize(p, [action])
+
+
+def division_outcome(divide, p, d):
+    try:
+        return divide(p, d)
+    except NotDivisibleError:
+        return NotDivisibleError
+
+
+@st.composite
+def divisions(draw):
+    """p = q*d, or that plus a remainder r, over 3, 4 or 6 variables."""
+    vars = draw(st.sampled_from(KERNEL_VARSETS))
+    q = draw(kernel_polys(vars, max_exp=3, max_size=4))
+    d = draw(kernel_polys(vars, max_exp=3, max_size=4).filter(lambda d: not d.is_zero()))
+    r = draw(kernel_polys(vars, max_exp=4, max_size=2)) if draw(st.booleans()) else Poly(vars)
+    return q * d + r, d
+
+
+def graded_pair(top):
+    """A dividend with an exponent of `top` and a divisor whose leading coefficient is 3."""
+    vars = VARSETS[4]
+    d = Poly(vars, {(1, 1, 0, 0): 3, (0, 0, 2, 0): -2, (1, 0, 0, 0): 1})
+    q = Poly(vars, {(top - 1, 0, 0, 1): -4, (0, 2, 0, 0): 7})
+    return q * d, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(divisions())
+@example(graded_pair(255))
+@example(graded_pair(256))  # an exponent of 256 needs the two-byte layout
+@example(graded_pair(40000))
+@example((graded_pair(300)[0] + Poly.monomial(VARSETS[4], (0, 0, 0, 300)), graded_pair(300)[1]))
+@example((Poly.monomial(VARSETS[3], (2, 0, 0)).scale(6), Poly.monomial(VARSETS[3], (1, 0, 0)).scale(4)))
+@example((Poly.monomial(VARSETS[3], (0, 2, 0)), Poly.monomial(VARSETS[3], (0, 0, 3))))
+@example((Poly(VARSETS[3]), Poly.monomial(VARSETS[3], (1, 0, 0)).scale(-2)))
+def test_divide_exact_matches_reference(case):
+    p, d = case
+    outcome = division_outcome(divide_exact, p, d)
+    assert outcome == division_outcome(ref_divide_exact, p, d)
+    if outcome is not NotDivisibleError:
+        assert outcome * d == p
+
+
+def test_divide_exact_on_the_reference_examples():
+    # the leading coefficient 3 does not divide 2, and 256 needs two-byte fields
+    p, d = graded_pair(256)
+    assert divide_exact(p, d) == ref_divide_exact(p, d) == Poly(
+        VARSETS[4], {(255, 0, 0, 1): -4, (0, 2, 0, 0): 7}
+    )
+    with pytest.raises(NotDivisibleError):
+        divide_exact(p + Poly.monomial(VARSETS[4], (257, 1, 0, 0)).scale(2), d)
+    with pytest.raises(NotDivisibleError):
+        ref_divide_exact(p + Poly.monomial(VARSETS[4], (257, 1, 0, 0)).scale(2), d)
+
+
+@pytest.mark.parametrize("seed, source, target", [(1, 4, 3), (2, 3, 4), (3, 6, 3)])
+def test_one_table_serves_many_polynomials(seed, source, target):
+    # 200 polynomials through one table, in a random order of sizes: some
+    # need the two-byte layout (x^100 to the third power and more), so the
+    # table moves to wider fields midway and keeps working
+    rng = random.Random(seed)
+    source, target = VARSETS[source], VARSETS[target]
+
+    def random_poly(vars, max_exp, size):
+        terms = {
+            tuple(rng.randint(0, max_exp) for _ in vars.names): rng.choice([-3, -1, 1, 2, 5])
+            for _ in range(size)
+        }
+        return Poly(vars, terms)
+
+    images = {name: random_poly(target, 2, 3) for name in source.names}
+    images[source.names[-1]] = Poly(target, {(100,) + (0,) * (len(target) - 1): 1, (0,) * len(target): -2})
+    table = SubstitutionTable(source, images)
+    for i in range(200):
+        p = random_poly(source, 3 if i % 50 > 40 else 2, rng.randint(0, 4))
+        assert table(p) == ref_substitute_per_call(p, images)
+    assert table._packing.limit == 2**16 - 1  # it moved to the two-byte layout
+    assert table(Poly.constant(source, 7)) == Poly.constant(target, 7)
+
+
+def covered(op, reference):
+    """`reference`, recording the coverage op of the function it stands in for."""
+
+    def run(*args):
+        _coverage.touch(op)
+        return reference(*args)
+
+    return run
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2301])
+def test_run_all_reports_the_same_checks_through_the_references(monkeypatch, seed):
+    # one run as is, one with the group sum, the division and every
+    # substitution (one-shot and regime tables) replaced by the references
+    def checks():
+        report = verifier.run_all(verifier.RunConfig(property_seed=seed))
+        return [(c.id, c.params, c.expected, c.actual, c.passed) for c in report.checks]
+
+    fast = checks()
+    group_sum = covered("multipoly.symmetrize", ref_symmetrize)
+    for module in (multipoly, verifier, diagram_spaces):
+        monkeypatch.setattr(module, "symmetrize", group_sum)
+    for module in (multipoly, verifier):
+        monkeypatch.setattr(module, "divide_exact", covered("multipoly.divide_exact", ref_divide_exact))
+    substitute = covered("multipoly.substitute", ref_substitute_per_call)
+    monkeypatch.setattr(Poly, "substitute", substitute)
+
+    def regime_table(regime):
+        _coverage.touch("asymptotics.substitute_regime")
+        images = asymptotics._shared_images(regime.id)
+        return lambda p: substitute(p, images)
+
+    for module in (asymptotics, verifier):
+        monkeypatch.setattr(module, "regime_table", regime_table)
+    assert checks() == fast
 
 
 def test_exponents_past_64_bits_overflow():

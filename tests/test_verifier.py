@@ -206,6 +206,47 @@ def test_property_suite_counts_and_passes():
     assert len(hom) == 50
 
 
+def _failed_actuals(report, prefix):
+    return {c.actual for c in report.checks if c.id.startswith(prefix) and not c.passed}
+
+
+@pytest.mark.parametrize(
+    "fault, law",
+    [
+        # S(p) + 1 keeps no product; S(p)^2 keeps every product and no sum
+        (lambda image: image + Poly.constant(TVARS, 1), "product"),
+        (lambda image: image * image, "sum"),
+    ],
+)
+def test_regime_hom_fail_names_the_regime_and_the_law(monkeypatch, fault, law):
+    regime_table = verifier.regime_table
+
+    def faulty_in_regime_two(regime):
+        table = regime_table(regime)
+        return table if regime.id == "one" else (lambda p: fault(table(p)))
+
+    monkeypatch.setattr(verifier, "regime_table", faulty_in_regime_two)
+    report = verify_properties()
+    assert _failed_actuals(report, "prop.regime_hom") == {
+        f"not a homomorphism: the {law} law fails in regime two"
+    }
+    assert len([c for c in report.checks if not c.passed]) == 50
+
+
+def test_projector_fail_names_the_character(monkeypatch):
+    # doubling the signed sum only: S(2S(p)) is 4|G| S(p), not 2|G| S(p), where S(p) != 0
+    symmetrize = verifier.symmetrize
+
+    def doubled_sign_sum(p, group):
+        once = symmetrize(p, group)
+        return once if all(a.character == 1 for a in group) else once.scale(2)
+
+    monkeypatch.setattr(verifier, "symmetrize", doubled_sign_sum)
+    report = verify_properties()
+    assert _failed_actuals(report, "prop.projector") == {"not idempotent: the sign character"}
+    assert report.summary["failed"] > 0
+
+
 def test_report_sorted_and_summary_consistent():
     report = verify_asymptotics(2)
     keys = [(c.id, c.params_string()) for c in report.checks]
