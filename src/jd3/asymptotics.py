@@ -105,25 +105,27 @@ REGIME_TWO = Regime("two", Fraction(2), Fraction(7, 5), Fraction(1))
 DEFAULT_REGIMES = {"one": REGIME_ONE, "two": REGIME_TWO}
 
 
+# Four times the paper's images of y1..y4, as integer coefficients of (t^a, t^b, t^c)
+_IMAGE_FORMS = {
+    "one": {"y1": (3, -1, -1), "y2": (-1, 3, -1), "y3": (-1, -1, 3), "y4": (-1, -1, -1)},
+    "two": {"y1": (2, 2, -1), "y2": (2, -2, -1), "y3": (-2, 0, 3), "y4": (-2, 0, -1)},
+}
+
+
 @lru_cache(maxsize=2)
 def _shared_images(regime_id: str) -> dict[str, Poly]:
-    """Four times the paper's y1..y4 images, integer linear forms in t^a, t^b, t^c."""
-    ta, tb, tc = (Poly.variable(TVARS, name) for name in TVARS.names)
-    if regime_id == "one":
-        return {
-            "y1": ta.scale(3) - tb - tc,
-            "y2": tb.scale(3) - ta - tc,
-            "y3": tc.scale(3) - ta - tb,
-            "y4": -(ta + tb + tc),
-        }
-    if regime_id == "two":
-        return {
-            "y1": ta.scale(2) + tb.scale(2) - tc,
-            "y2": ta.scale(2) - tb.scale(2) - tc,
-            "y3": tc.scale(3) - ta.scale(2),
-            "y4": -(ta.scale(2) + tc),
-        }
-    raise ValueError("regime id must be 'one' or 'two'")
+    """Four times the paper's y1..y4 images, integer linear forms in t^a, t^b, t^c.
+
+    They are images of y1..y4 on the hyperplane e1 = 0, so forms that do
+    not sum to 0 raise ValueError.
+    """
+    if regime_id not in _IMAGE_FORMS:
+        raise ValueError("regime id must be 'one' or 'two'")
+    forms = _IMAGE_FORMS[regime_id]
+    if any(map(sum, zip(*forms.values()))):
+        raise ValueError(f"regime {regime_id} images do not sum to 0: they leave e1 = 0")
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return {y: Poly(TVARS, dict(zip(units, form))) for y, form in forms.items()}
 
 
 class PuiseuxPoly:

@@ -14,9 +14,10 @@ with integer coordinates:
   the plain orbit average of y^l (m_l over its orbit size).
   Symmetrizing a monomial sorts its exponents.
 
-A row is read from a product of packed polynomials (`multipoly.Packing`):
-each product term's key is looked up in one table per degree, the key of
-every monomial on a basis orbit with its index and sign, so no term is
+A row is read from one or two packed polynomials (`multipoly.Packing`):
+each term pair's key is looked up in one table per degree, the key of
+every monomial on a basis orbit with its signed slot, and the pair's
+product coefficient added there, so no product is formed and no term is
 unpacked or sorted.
 
 The quotient by e1 is presented by a triangularity certificate, not by
@@ -46,7 +47,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, repeat
+from itertools import permutations
 from operator import itemgetter
 
 from . import _coverage
@@ -188,7 +189,7 @@ class _SkewSliceContext:
         self.signed = legs % 2 == 1
         self.basis = _orbit_reps(legs, self.signed)
         self.packing = Packing(4, legs)
-        self._table: dict[int, tuple[int, int]] | None = None
+        self._table: dict[int, int] | None = None
         index = {rep: i for i, rep in enumerate(self.basis)}
         self.e1_rows: list[list[tuple[int, int]]] = []
         pivots: dict[int, list[tuple[int, int]]] = {}
@@ -210,39 +211,51 @@ class _SkewSliceContext:
         self.pivots = sorted(pivots.items())
         self.standard = [i for i in range(len(self.basis)) if i not in pivots]
 
-    def _orbit_table(self) -> dict[int, tuple[int, int]]:
-        """The packed key of every monomial on every basis orbit -> (basis index, sign).
+    def _orbit_table(self) -> dict[int, int]:
+        """The packed key of every monomial on every basis orbit -> its signed slot.
 
-        A basis tuple is sorted descending, so a permutation of its
-        entries has the sign of the permutation's own inversions; in odd
-        degree the 24 permutations of a strict tuple are distinct
-        monomials, and in even degree a repeated one writes its slot again.
+        The slot is i for a member of basis orbit i with sign +1 and n + i
+        for one with sign -1, n the basis size.  A basis tuple is sorted
+        descending, so a permutation of its entries has the sign of the
+        permutation's own inversions; in odd degree the 24 permutations of
+        a strict tuple are distinct monomials, and in even degree every
+        sign is +1 and a repeated monomial writes its slot again.
         """
-        table: dict[int, tuple[int, int]] = {}
+        n = len(self.basis)
+        table: dict[int, int] = {}
         for perm in permutations(range(4)):
-            sign = perm_sign(perm) if self.signed else 1
+            offset = n if self.signed and perm_sign(perm) < 0 else 0
             keys = self.packing.keys(map(itemgetter(*perm), self.basis))
-            table.update(zip(keys, zip(range(len(self.basis)), repeat(sign))))
+            table.update(zip(keys, range(offset, offset + n)))
         return table
 
     def skew_row(self, *factors: dict[int, int]) -> list[int]:
         """Coordinates of the (signed, in odd degree) orbit average of the factors' product.
 
-        The factors are packed polynomials of `packing` whose degrees sum
-        to the slice's.  Their product's terms are read through the orbit
-        table, built on the first call: a key that is not in it, in odd
-        degree a monomial with a repeated exponent, counts 0.
+        The one or two factors are packed polynomials of `packing` whose
+        degrees sum to the slice's; any other count raises ValueError.
+        Each term pair's c1*c2 is added straight into the signed slot of
+        its key in the orbit table, built on the first call, and the row is
+        the + half minus the - half: no product is formed.  A key that is
+        not in the table, in odd degree a monomial with a repeated exponent,
+        counts 0 and its pair is not multiplied.
         """
+        if not 1 <= len(factors) <= 2:
+            raise ValueError(f"skew_row takes one or two packed factors, not {len(factors)}")
         if self._table is None:
             self._table = self._orbit_table()
         slot_of = self._table.get
-        row = [0] * len(self.basis)
-        for key, coeff in packed_product(*factors).items():
-            slot = slot_of(key)
-            if slot is not None:
-                i, sign = slot
-                row[i] += sign * coeff
-        return row
+        n = len(self.basis)
+        slots = [0] * (2 * n)
+        # one factor is its product with the unit, whose key is 0
+        a, b = sorted((*factors, {0: 1})[:2], key=len)
+        b_items = list(b.items())
+        for k1, c1 in a.items():
+            for k2, c2 in b_items:
+                slot = slot_of(k1 + k2)
+                if slot is not None:
+                    slots[slot] += c1 * c2
+        return [p - m for p, m in zip(slots, slots[n:])]
 
     def quotient_row(self, row: list[int]) -> list[int]:
         """Coordinates on the standard orbits of an odd-degree row's class modulo e1.
@@ -297,7 +310,7 @@ def q_alternant_row(
     symmetric S, so Q = A(G+ * S), and Q's coordinate, 24 times its
     coefficient at y^l, is `ctx.skew_row` of the two packed factors
     24 * G+ and S (Macdonald, Symmetric Functions and Hall Polynomials,
-    ch. I.3); their product is never unpacked.
+    ch. I.3); their product is never formed.
     """
     _coverage.touch("multipoly.q_poly")  # the suites' one reach of the Q family
     if n < 0 or m < 0 or k < 0:
@@ -397,7 +410,7 @@ def _family_slice(name: str, legs: int, generators, build) -> SliceSpace:
     `generators(legs)` enumerates the family, and `build(powers, gen)`
     turns one generator into its two packed factors, from the power
     tables of `_edge_powers` for this call; `skew_row` projects their
-    product, which is never unpacked.  All generators lie in the
+    product, which is never formed.  All generators lie in the
     signed-isotypic part of the slice, so the construction stops once
     the running span is the whole ambient slice.  The x-variables enter
     through `_x_from_y_map`, four times the paper's images: every

@@ -14,8 +14,9 @@ the monomials (packed exponent vectors, as in Monagan and Pearce, CASC
 product through the one packed kernel, read every power from one lazy
 table (`Packing.powers`), and unpack once; the term maps of a Poly stay
 keyed by tuples.  Callers that keep polynomials packed from factor to
-product (`packed_product`, `packed_sum`), as the slice rows do, use the
-same layout.  A result exponent of 2^64 or more raises OverflowError.
+product (`packed_product`, `packed_sum`), as the slice families and the
+property suite's homomorphism law do, use the same layout.  A result
+exponent of 2^64 or more raises OverflowError.
 On top of the ring operations this module provides the signed
 permutation actions of S4 and their group sums, taken once per orbit,
 elementary symmetric polynomials, the discriminant, the P2/P3/P4
@@ -344,7 +345,9 @@ class SubstitutionTable:
     its first use; a polynomial whose image needs wider exponent fields
     than the layout holds moves the table to a wider layout, dropping
     what it kept.  Each term's coefficient times its monomial's image is
-    summed packed and unpacked once.
+    summed packed; `packed_images` returns several images packed in one
+    layout, for a caller that multiplies or adds them packed, and calling
+    the table unpacks its one image once.
     """
 
     __slots__ = (
@@ -380,20 +383,41 @@ class SubstitutionTable:
         return image
 
     def __call__(self, p: Poly) -> Poly:
-        if p.vars != self.source:
-            raise ValueError(f"variable sets differ: {p.vars} vs {self.source}")
-        if not p.terms:
+        """The image of p: one use of `packed_images`, unpacked."""
+        if p.vars == self.source and not p.terms:
             return Poly._raw(self.source if self.target is None else self.target, {})
+        (image,) = self.packed_images(p)
+        return Poly._raw(self.target, self._packing.unpack(image))
+
+    def packed_images(self, *polys: Poly) -> list[dict[int, int]]:
+        """The images of polynomials in `source`, packed in one layout, the table's.
+
+        The layout holds the largest weighted degree among the inputs, the
+        exponents times their variables' image degrees, so a product of
+        images stays in it while its weighted degree does, as the image of
+        a product of inputs does.  A polynomial in another variable set,
+        or one using an unmapped variable, raises ValueError.
+        """
+        for p in polys:
+            if p.vars != self.source:
+                raise ValueError(f"variable sets differ: {p.vars} vs {self.source}")
+        terms = [e for p in polys for e in p.terms]
+        if not terms:
+            return [{} for _ in polys]
         if self.target is None:
             raise ValueError("empty substitution map")
         for i in self._unmapped:
-            if any(e[i] for e in p.terms):
+            if any(e[i] for e in terms):
                 raise ValueError(f"variable {self.source.names[i]} is not mapped")
-        top = max(sum(map(mul, e, self._tops)) for e in p.terms)
+        top = max(sum(map(mul, e, self._tops)) for e in terms)
         if self._packing is None or top > self._packing.limit:
             self._packing = Packing(len(self.target), top)
             self._powers: list = [None] * len(self._images)  # a variable's, once it occurs
             self._monomials = {(0,) * len(self._images): self._packing.powers({})[0]}
+        return [self._image(p) for p in polys]
+
+    def _image(self, p: Poly) -> dict[int, int]:
+        """p's image in the current layout: each coefficient times its monomial's image, summed."""
         monomials = self._monomials
         acc: dict[int, int] = {}
         get = acc.get
@@ -403,7 +427,7 @@ class SubstitutionTable:
                 image = self._monomial(exps)
             for k, c in image.items():
                 acc[k] = get(k, 0) + coeff * c
-        return Poly._raw(self.target, self._packing.unpack({k: c for k, c in acc.items() if c}))
+        return {k: c for k, c in acc.items() if c}
 
 
 @dataclass(frozen=True)

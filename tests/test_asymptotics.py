@@ -12,7 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jd3 import asymptotics
+from jd3 import asymptotics, cli
 from jd3.asymptotics import (
     DEFAULT_REGIMES,
     TVARS,
@@ -165,6 +165,39 @@ def test_regime_images_sum_to_zero():
         images = _shared_images(regime_id)
         total = images["y1"] + images["y2"] + images["y3"] + images["y4"]
         assert total.is_zero()
+
+
+@pytest.fixture
+def off_hyperplane(monkeypatch):
+    """Replace one regime image by a form that moves the four images off e1 = 0."""
+
+    def replace(regime_id: str, y: str, form: tuple[int, int, int]) -> None:
+        forms = {**asymptotics._IMAGE_FORMS[regime_id], y: form}
+        monkeypatch.setitem(asymptotics._IMAGE_FORMS, regime_id, forms)
+        _shared_images.cache_clear()
+
+    yield replace
+    _shared_images.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "regime_id, y, form",
+    [
+        ("one", "y2", (-1, 3, 1)),  # 3tb - ta + tc for 3tb - ta - tc
+        ("two", "y1", (2, -2, -1)),  # 2ta - 2tb - tc for 2ta + 2tb - tc
+    ],
+)
+def test_off_hyperplane_images_fail_without_a_traceback(off_hyperplane, capsys, regime_id, y, form):
+    off_hyperplane(regime_id, y, form)
+    with pytest.raises(ValueError, match="do not sum to 0"):
+        _shared_images(regime_id)
+    report = verify_asymptotics(2)
+    failed = {c.params["regime"] for c in report.checks if not c.passed}
+    assert failed == {regime_id}
+    assert all("do not sum to 0" in c.actual for c in report.checks if not c.passed)
+    assert cli.main(["all"]) == 2
+    err = capsys.readouterr().err
+    assert "do not sum to 0" in err and "Traceback" not in err
 
 
 def test_shared_regime_images_are_read_only():

@@ -12,7 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jd3 import diagram_spaces
+from jd3 import diagram_spaces, multipoly
 from jd3.diagram_spaces import (
     _GENERATOR_SHUFFLE_SEED,
     _SkewSliceContext,
@@ -533,6 +533,31 @@ def test_ihx_image_slice_builds_no_poly_of_its_degree(monkeypatch):
     _x_from_y_map.cache_clear()
     assert ihx_image_slice(29).dim == odd_target_dim(29)
     assert degrees and max(degrees) < 29
+
+
+def test_skew_row_takes_one_or_two_factors():
+    ctx = _SkewSliceContext(9)
+    factor = ctx.packing.pack((Y["y1"] ** 3 * Y["y2"]).terms)
+    for count in (0, 3, 4):
+        with pytest.raises(ValueError, match="one or two"):
+            ctx.skew_row(*[factor] * count)
+
+
+def test_two_factor_skew_row_forms_no_product(monkeypatch):
+    gen = (10, 8, 6, 5)
+    ctx = _SkewSliceContext(sum(gen))
+    factors = diagram_spaces._ihx_image_build(diagram_spaces._edge_powers(ctx.packing), gen)
+    expected = poly_row(ctx, ihx_image_expanded(gen))
+
+    def refused(*args):
+        raise AssertionError("a product was formed")
+
+    with monkeypatch.context() as patched:
+        for module in (multipoly, diagram_spaces):
+            patched.setattr(module, "packed_product", refused)
+        patched.setattr(multipoly, "_mul_packed", refused)
+        row = ctx.skew_row(*factors)
+    assert any(row) and row == expected
 
 
 def test_tet_slice_builds_no_orbit_table(monkeypatch):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import partial
+from math import factorial, prod
 from operator import mul
 
 import pytest
@@ -949,7 +950,8 @@ def test_divide_exact_on_the_reference_examples():
 def test_one_table_serves_many_polynomials(seed, source, target):
     # 200 polynomials through one table, in a random order of sizes: some
     # need the two-byte layout (x^100 to the third power and more), so the
-    # table moves to wider fields midway and keeps working
+    # table moves to wider fields midway and keeps working; calling it
+    # unpacks its packed image
     rng = random.Random(seed)
     source, target = VARSETS[source], VARSETS[target]
 
@@ -966,8 +968,47 @@ def test_one_table_serves_many_polynomials(seed, source, target):
     for i in range(200):
         p = random_poly(source, 3 if i % 50 > 40 else 2, rng.randint(0, 4))
         assert table(p) == ref_substitute_per_call(p, images)
+        (packed,) = table.packed_images(p)
+        assert table(p) == Poly(target, table._packing.unpack(packed))
     assert table._packing.limit == 2**16 - 1  # it moved to the two-byte layout
     assert table(Poly.constant(source, 7)) == Poly.constant(target, 7)
+
+
+def test_packed_images_share_one_layout():
+    # the second input needs two-byte fields (x^100 to the third power), so
+    # the first is packed in them too; a product of the two is read in it
+    source, target = VARSETS[4], VARSETS[3]
+    rng = random.Random(5)
+    images = {
+        name: Poly(target, {tuple(rng.randint(0, 2) for _ in range(3)): rng.choice([-2, 1, 3]) for _ in range(3)})
+        for name in source.names
+    }
+    images["v3"] = Poly(target, {(100, 0, 0): 1, (0, 0, 0): -2})
+    small = Poly(source, {(1, 1, 0, 0): 2, (0, 0, 2, 0): -1})
+    large = Poly(source, {(0, 1, 0, 3): 1, (2, 0, 0, 0): 5})
+    for order in ((small, large), (large, small)):
+        table = SubstitutionTable(source, images)
+        packed = table.packed_images(*order)
+        assert table._packing.limit == 2**16 - 1
+        assert [Poly(target, table._packing.unpack(image)) for image in packed] == [
+            ref_substitute_per_call(p, images) for p in order
+        ]
+        product = multipoly.packed_product(*packed)
+        assert Poly(target, table._packing.unpack(product)) == ref_substitute_per_call(small * large, images)
+    assert table.packed_images(Poly(source), small)[0] == {}
+
+
+def test_the_homomorphism_law_holds_at_degree_130():
+    # y3 and y4 go to binomials in regime two, so their degree-260 images
+    # stay small; p*q needs two-byte fields, and its layout holds sp*sq
+    def y34(terms):
+        return Poly(YVARS, {(0, 0, a, 130 - a): c for a, c in terms.items()})
+
+    p, q = y34({130: 1, 64: -3, 1: 2}), y34({129: 5, 66: 1, 0: -1})
+    table = asymptotics.regime_table(asymptotics.REGIME_TWO)
+    assert verifier._homomorphism({"two": table}, p, q) == "homomorphism"
+    assert table._packing.limit == 2**16 - 1
+    assert table(p * q) == table(p) * table(q) == ref_substitute(p * q, asymptotics._shared_images("two"))
 
 
 def covered(op, reference):
@@ -980,8 +1021,52 @@ def covered(op, reference):
     return run
 
 
+def homogeneous_y(degree):
+    """Homogeneous polynomials in y1..y4 of a degree, one to four terms."""
+    exps = st.lists(st.integers(0, degree), min_size=3, max_size=3).map(sorted).map(
+        lambda c: (c[0], c[1] - c[0], c[2] - c[1], degree - c[2])
+    )
+    nonzero = coefficients.filter(bool)
+    return st.dictionaries(exps, nonzero, min_size=1, max_size=4).map(partial(Poly, YVARS))
+
+
+slice_factor_pairs = st.tuples(st.integers(0, 7), st.integers(0, 7)).flatmap(
+    lambda degrees: st.tuples(*map(homogeneous_y, degrees))
+)
+
+
+def y(*exps):
+    return Poly.monomial(YVARS, exps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(slice_factor_pairs)
+@example((y(3, 1, 0, 0) + y(0, 0, 2, 2), (y(3, 1, 0, 0) - y(0, 0, 2, 2)) * y(1, 0, 0, 0)))  # cross pairs cancel
+@example((Y["y1"] + Y["y2"], y(2, 2, 4, 0)))  # symmetric in y1, y2: the odd row is 0
+@example((y(1, 1, 1, 0), y(2, 2, 2, 0) + y(3, 3, 0, 0).scale(2) - y(0, 0, 0, 6) + y(5, 0, 1, 0)))  # repeated exponents
+@example((Poly.constant(YVARS, 3), y(4, 2, 1, 0) - y(2, 4, 0, 1)))
+def test_skew_rows_are_the_group_sum_of_the_expanded_product(pair):
+    # the row's entry at basis tuple l is the group sum's coefficient at y^l
+    # over l's stabilizer order, and the group sum lives on the basis orbits
+    p, q = pair
+    degree = sum(next(iter(p.terms))) + sum(next(iter(q.terms)))
+    ctx = _SkewSliceContext(degree)
+    group_sum = ref_symmetrize(ref_mul(p, q), signed_s4(YVARS, "sign" if degree % 2 else "trivial"))
+    stabilizer = [prod(factorial(rep.count(e)) for e in set(rep)) for rep in ctx.basis]
+    expected = []
+    for rep, order in zip(ctx.basis, stabilizer):
+        coeff, rest = divmod(group_sum.terms.get(rep, 0), order)
+        assert rest == 0
+        expected.append(coeff)
+    orbits = set(ctx.basis)
+    assert all(tuple(sorted(e, reverse=True)) in orbits for e in group_sum.terms)
+    a, b = ctx.packing.pack(p.terms), ctx.packing.pack(q.terms)
+    assert ctx.skew_row(a, b) == ctx.skew_row(b, a) == expected
+    assert ctx.skew_row(ctx.packing.pack(ref_mul(p, q).terms)) == expected
+
+
 @pytest.mark.parametrize("seed", [1, 7, 2301])
-def test_run_all_reports_the_same_checks_through_the_references(monkeypatch, seed):
+def test_run_all_reports_the_same_checks_through_the_references(monkeypatch, function_table, seed):
     # one run as is, one with the group sum, the division and every
     # substitution (one-shot and regime tables) replaced by the references
     def checks():
@@ -1000,7 +1085,7 @@ def test_run_all_reports_the_same_checks_through_the_references(monkeypatch, see
     def regime_table(regime):
         _coverage.touch("asymptotics.substitute_regime")
         images = asymptotics._shared_images(regime.id)
-        return lambda p: substitute(p, images)
+        return function_table(lambda p: substitute(p, images))
 
     for module in (asymptotics, verifier):
         monkeypatch.setattr(module, "regime_table", regime_table)

@@ -218,12 +218,12 @@ def _failed_actuals(report, prefix):
         (lambda image: image * image, "sum"),
     ],
 )
-def test_regime_hom_fail_names_the_regime_and_the_law(monkeypatch, fault, law):
+def test_regime_hom_fail_names_the_regime_and_the_law(monkeypatch, function_table, fault, law):
     regime_table = verifier.regime_table
 
     def faulty_in_regime_two(regime):
         table = regime_table(regime)
-        return table if regime.id == "one" else (lambda p: fault(table(p)))
+        return table if regime.id == "one" else function_table(lambda p: fault(table(p)))
 
     monkeypatch.setattr(verifier, "regime_table", faulty_in_regime_two)
     report = verify_properties()
