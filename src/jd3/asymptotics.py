@@ -24,12 +24,12 @@ exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heappop, heappush
 from math import lcm
 from operator import add
+from typing import NamedTuple
 
 from . import _coverage
 from .multipoly import Poly, QFactorPowers, SubstitutionTable, VarSet, YVARS, _exact
@@ -37,8 +37,7 @@ from .multipoly import Poly, QFactorPowers, SubstitutionTable, VarSet, YVARS, _e
 TVARS = VarSet(("ta", "tb", "tc"))
 
 
-@dataclass(frozen=True, order=True)
-class ExpVector:
+class ExpVector(NamedTuple):
     """Integer coefficients of the exponent alpha*a + beta*b + gamma*c."""
 
     alpha: int
@@ -63,8 +62,9 @@ class ExpVector:
         return "".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(
+    NamedTuple("Regime", [("id", str), ("a", Fraction), ("b", Fraction), ("c", Fraction)])
+):
     """An exact rational choice of (a, b, c) for one of the two substitutions.
 
     Regime "one" requires a > b > c > 0 and a-b < b-c < 2(a-b);
@@ -75,28 +75,22 @@ class Regime:
     equality, hashing or the repr.
     """
 
-    id: str
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    weights: tuple[int, int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.id not in ("one", "two"):
+    def __new__(cls, id: str, a: Fraction, b: Fraction, c: Fraction) -> Regime:
+        if id not in ("one", "two"):
             raise ValueError("regime id must be 'one' or 'two'")
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, Fraction(_exact(getattr(self, name))))
-        a, b, c = self.a, self.b, self.c
+        a, b, c = (Fraction(_exact(x)) for x in (a, b, c))
         if not (a > b > c > 0):
             raise ValueError("regime requires a > b > c > 0")
-        if self.id == "one":
+        if id == "one":
             if not (a - b < b - c < 2 * (a - b)):
                 raise ValueError("regime one requires a-b < b-c < 2(a-b)")
         else:
             if not (b - c < a - b < 2 * (b - c)):
                 raise ValueError("regime two requires b-c < a-b < 2(b-c)")
+        self = super().__new__(cls, id, a, b, c)
         d = lcm(a.denominator, b.denominator, c.denominator)
-        object.__setattr__(self, "weights", (int(a * d), int(b * d), int(c * d)))
+        self.weights = (int(a * d), int(b * d), int(c * d))
+        return self
 
 
 REGIME_ONE = Regime("one", Fraction(2), Fraction(8, 5), Fraction(1))

@@ -45,10 +45,10 @@ Q family and the closed forms.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import _coverage
 from .linalg import QMatrix, RowSpan, _check_ints, rank
@@ -68,8 +68,7 @@ from .multipoly import (
 )
 
 
-@dataclass
-class SliceSpace:
+class SliceSpace(NamedTuple):
     """A graded slice: orbit basis, the rows it consumed on the standard orbits, rank."""
 
     basis: list[tuple[int, ...]]

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 from operator import add, itemgetter, methodcaller, mul
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from . import _coverage
 
@@ -49,24 +48,23 @@ class NotInSubringError(ArithmeticError):
     """Raised when a polynomial is not in the u, v, w subring."""
 
 
-@dataclass(frozen=True)
-class VarSet:
+class VarSet(tuple):
     """Ordered tuple of distinct variable names; the order is canonical."""
 
-    names: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
+    def __new__(cls, names: tuple[str, ...]) -> VarSet:
+        self = super().__new__(cls, names)
+        if len(set(self)) != len(self):
             raise ValueError("variable names must be unique")
+        return self
 
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(self)
 
     def __repr__(self) -> str:
-        return f"VarSet{self.names}"
+        return f"VarSet{tuple(self)}"
 
 
 # The variable sets used throughout the package.
@@ -430,28 +428,26 @@ class SubstitutionTable:
         return {k: c for k, c in acc.items() if c}
 
 
-@dataclass(frozen=True)
-class SignedPermAction:
+class SignedPermAction(
+    NamedTuple("SignedPermAction", [("vars", VarSet), ("perm", tuple), ("character", int)])
+):
     """A permutation of the variables together with a +-1 character value.
 
-    perm[i] = j means variable i is relabeled to variable j.
+    perm[i] = j means variable i is relabeled to variable j.  `relabel`
+    maps an exponent tuple to its image; it is derived, so it takes no
+    part in equality, hashing or the repr.
     """
 
-    vars: VarSet
-    perm: tuple[int, ...]
-    character: int
-    relabel: Callable[[tuple[int, ...]], tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if sorted(self.perm) != list(range(len(self.vars))):
+    def __new__(cls, vars: VarSet, perm: tuple[int, ...], character: int) -> SignedPermAction:
+        if sorted(perm) != list(range(len(vars))):
             raise ValueError("perm is not a permutation of the variable indices")
-        if self.character not in (1, -1):
+        if character not in (1, -1):
             raise ValueError("character must be +1 or -1")
+        self = super().__new__(cls, vars, perm, character)
         # an exponent tuple relabelled reads its new slot j from old slot perm^-1(j)
-        inverse = sorted(range(len(self.perm)), key=self.perm.__getitem__)
-        object.__setattr__(self, "relabel", itemgetter(*inverse) if len(inverse) > 1 else tuple)
+        inverse = sorted(range(len(perm)), key=perm.__getitem__)
+        self.relabel = itemgetter(*inverse) if len(inverse) > 1 else tuple
+        return self
 
 
 def perm_sign(perm: tuple[int, ...]) -> int:

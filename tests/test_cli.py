@@ -226,6 +226,18 @@ def test_module_entry_point_subprocess(child_env):
     assert "failed=0" in proc.stdout
 
 
+def test_import_loads_neither_dataclasses_nor_inspect(child_env):
+    # against the modules loaded before the import, so the host's site hooks do not count
+    probe = "import sys; before = set(sys.modules); import jd3; print(*set(sys.modules) - before)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=child_env
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "jd3.verifier" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
 

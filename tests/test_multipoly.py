@@ -91,6 +91,15 @@ def test_varset_mismatch_rejected():
         Y["y1"] + Poly.variable(Y3VARS, "y1")
 
 
+def test_varset_validates_and_is_read_only():
+    with pytest.raises(ValueError, match="variable names must be unique"):
+        VarSet(("y1", "y2", "y1"))
+    assert repr(YVARS) == "VarSet('y1', 'y2', 'y3', 'y4')"
+    assert (len(YVARS), YVARS.index("y3"), YVARS.names) == (4, 2, ("y1", "y2", "y3", "y4"))
+    with pytest.raises(AttributeError):
+        YVARS.names = ("y1",)
+
+
 def test_zero_degree_sentinel():
     assert degree(Poly(YVARS)) == float("-inf")
     assert degree(Poly.constant(YVARS, 5)) == 0
@@ -149,6 +158,23 @@ def test_act_identity():
 def test_act_four_cycle():
     cyc = SignedPermAction(YVARS, (1, 2, 3, 0), -1)
     assert ref_symmetrize(Y["y1"] * Y["y2"], [cyc]) == -(Y["y2"] * Y["y3"])
+
+
+def test_signed_action_validates_and_is_read_only():
+    with pytest.raises(ValueError, match="perm is not a permutation of the variable indices"):
+        SignedPermAction(YVARS, (0, 1, 2, 2), 1)
+    with pytest.raises(ValueError, match="perm is not a permutation of the variable indices"):
+        SignedPermAction(YVARS, (0, 1, 2), 1)
+    with pytest.raises(ValueError, match="character must be \\+1 or -1"):
+        SignedPermAction(YVARS, (0, 1, 2, 3), 0)
+    swap = SignedPermAction(YVARS, (1, 0, 2, 3), -1)
+    assert repr(swap) == (
+        "SignedPermAction(vars=VarSet('y1', 'y2', 'y3', 'y4'), perm=(1, 0, 2, 3), character=-1)"
+    )
+    assert swap.relabel((5, 6, 7, 8)) == (6, 5, 7, 8)
+    for field in ("vars", "perm", "character"):
+        with pytest.raises(AttributeError):
+            setattr(swap, field, getattr(swap, field))
 
 
 def test_skew_symmetrize_linear_vanishes():

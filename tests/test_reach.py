@@ -22,7 +22,7 @@ NEVER_RUN = {
     ("multipoly.py", "q_poly"): "Q expanded in y1..y4: the tests' reference; suites read Q's alternant row",
     ("multipoly.py", "Poly.__repr__"): "read in failure messages and by people, not by a passing run",
     ("multipoly.py", "VarSet.__repr__"): "read in failure messages and by people, not by a passing run",
-    ("multipoly.py", "VarSet.__post_init__"): "runs at import, when the module-level variable sets are built",
+    ("multipoly.py", "VarSet.__new__"): "runs at import, when the module-level variable sets are built",
 }
 
 COMMANDS = (
@@ -97,7 +97,7 @@ def test_every_function_runs_in_some_command(tmp_path, caps):
     assert set(NEVER_RUN) <= defined
     assert sorted(NEVER_RUN) == [
         ("multipoly.py", "Poly.__repr__"),
-        ("multipoly.py", "VarSet.__post_init__"),
+        ("multipoly.py", "VarSet.__new__"),
         ("multipoly.py", "VarSet.__repr__"),
         ("multipoly.py", "q_poly"),
     ]

@@ -1,6 +1,5 @@
 """Report structure, suite behavior, determinism, coverage."""
 
-import dataclasses
 import gc
 import json
 import sys
@@ -183,6 +182,14 @@ def test_merged_top_class_fails_its_check(monkeypatch):
     assert check.expected == "9*t^(6a+2b+c)"
     assert check.actual == "9*t^(5a+2b+3c) (merged exponent class)"
     assert not check.passed
+
+
+def test_check_records_are_read_only():
+    check = _timed_check("x", {"L": "1"}, "1", lambda: "1")
+    for field in check._fields:
+        with pytest.raises(AttributeError):
+            setattr(check, field, getattr(check, field))
+    assert check.params_string() == "L=1" and check.passed
 
 
 def test_shared_edge_images_are_read_only():
@@ -395,7 +402,7 @@ def test_run_all_small_config_passes_and_covers_everything(caps):
 def test_run_config_holds_only_the_property_seed(caps):
     # the caps are the paper's constants; a run is configured by its property seed alone
     caps(1, 0, 0, 0)
-    assert [f.name for f in dataclasses.fields(RunConfig)] == ["property_seed"]
+    assert RunConfig._fields == ("property_seed",)
     assert run_all(RunConfig(property_seed=1)).all_passed
 
 
