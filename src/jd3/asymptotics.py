@@ -72,10 +72,16 @@ class Regime(
     a, b and c are int or Fraction; a float is not exact and raises TypeError.
     `weights` is the integer triple D*(a, b, c), where D is the least common
     denominator of a, b and c; it is derived, so it takes no part in
-    equality, hashing or the repr.
+    equality, hashing or the repr.  `_replace` builds through `_make`, as
+    the constructor does, so it validates and derives `weights` too.
     """
 
     def __new__(cls, id: str, a: Fraction, b: Fraction, c: Fraction) -> Regime:
+        return cls._make((id, a, b, c))
+
+    @classmethod
+    def _make(cls, fields) -> Regime:
+        id, a, b, c = fields
         if id not in ("one", "two"):
             raise ValueError("regime id must be 'one' or 'two'")
         a, b, c = (Fraction(_exact(x)) for x in (a, b, c))
@@ -87,7 +93,7 @@ class Regime(
         else:
             if not (b - c < a - b < 2 * (b - c)):
                 raise ValueError("regime two requires b-c < a-b < 2(b-c)")
-        self = super().__new__(cls, id, a, b, c)
+        self = super()._make((id, a, b, c))
         d = lcm(a.denominator, b.denominator, c.denominator)
         self.weights = (int(a * d), int(b * d), int(c * d))
         return self

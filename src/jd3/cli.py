@@ -135,7 +135,7 @@ def _run_dims(args: argparse.Namespace) -> int:
             f"closed_form={even_closed_form(args.legs)}"
         )
     else:
-        image = ihx_image_slice(args.legs)
+        image = ihx_image_slice(space)
         print(
             f"legs={args.legs} parity=odd dim={space.dim} "
             f"target={odd_target_dim(args.legs)} image_dim={image.dim} "

@@ -45,7 +45,7 @@ Q family and the closed forms.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from operator import itemgetter
 from typing import NamedTuple
@@ -69,11 +69,15 @@ from .multipoly import (
 
 
 class SliceSpace(NamedTuple):
-    """A graded slice: orbit basis, the rows it consumed on the standard orbits, rank."""
+    """A graded slice: its degree's context, the rows it consumed on the standard orbits, rank."""
 
-    basis: list[tuple[int, ...]]
+    context: _SkewSliceContext
     span_matrix: QMatrix
     dim: int
+
+    @property
+    def basis(self) -> list[tuple[int, ...]]:
+        return self.context.basis
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +167,7 @@ def _orbit_reps(degree: int, strict: bool) -> list[tuple[int, int, int, int]]:
 
 
 class _SkewSliceContext:
-    """Per-degree orbit basis, projection and e1 certificate of one slice computation.
+    """Orbit basis, projection and e1 certificate of one degree, `legs`, for all its slices.
 
     Odd degrees use the signed orbit basis, even degrees the plain one (see
     the module docstring).  `skew_row` projects a product of packed
@@ -185,10 +189,12 @@ class _SkewSliceContext:
     """
 
     def __init__(self, legs: int) -> None:
+        if legs < 0:
+            raise ValueError("legs must be non-negative")
+        self.legs = legs
         self.signed = legs % 2 == 1
         self.basis = _orbit_reps(legs, self.signed)
         self.packing = Packing(4, legs)
-        self._table: dict[int, int] | None = None
         index = {rep: i for i, rep in enumerate(self.basis)}
         self.e1_rows: list[list[tuple[int, int]]] = []
         pivots: dict[int, list[tuple[int, int]]] = {}
@@ -210,6 +216,7 @@ class _SkewSliceContext:
         self.pivots = sorted(pivots.items())
         self.standard = [i for i in range(len(self.basis)) if i not in pivots]
 
+    @cached_property
     def _orbit_table(self) -> dict[int, int]:
         """The packed key of every monomial on every basis orbit -> its signed slot.
 
@@ -228,22 +235,31 @@ class _SkewSliceContext:
             table.update(zip(keys, range(offset, offset + n)))
         return table
 
+    @cached_property
+    def edge_powers(self) -> dict:
+        """One `Packing.powers` table per base, packed in `packing`.
+
+        The bases are the images of x1..x6 under `_x_from_y_map`, -x2 and
+        x1*x2; the tables and each power are built on first read and kept.
+        """
+        x = _x_from_y_map()
+        images = {**x, "-x2": -x["x2"], "x1*x2": x["x1"] * x["x2"]}
+        return {name: self.packing.powers(self.packing.pack(image.terms)) for name, image in images.items()}
+
     def skew_row(self, *factors: dict[int, int]) -> list[int]:
         """Coordinates of the (signed, in odd degree) orbit average of the factors' product.
 
         The one or two factors are packed polynomials of `packing` whose
         degrees sum to the slice's; any other count raises ValueError.
         Each term pair's c1*c2 is added straight into the signed slot of
-        its key in the orbit table, built on the first call, and the row is
+        its key in the orbit table, built on the first read, and the row is
         the + half minus the - half: no product is formed.  A key that is
         not in the table, in odd degree a monomial with a repeated exponent,
         counts 0 and its pair is not multiplied.
         """
         if not 1 <= len(factors) <= 2:
             raise ValueError(f"skew_row takes one or two packed factors, not {len(factors)}")
-        if self._table is None:
-            self._table = self._orbit_table()
-        slot_of = self._table.get
+        slot_of = self._orbit_table.get
         n = len(self.basis)
         slots = [0] * (2 * n)
         # one factor is its product with the unit, whose key is 0
@@ -291,7 +307,7 @@ class _SkewSliceContext:
         while span.rank < cols and (row := next(rows, None)) is not None:
             kept.append(self.quotient_row(row))
             span.add(kept[-1])
-        return SliceSpace(self.basis, QMatrix(kept, cols), span.rank)
+        return SliceSpace(self, QMatrix(kept, cols), span.rank)
 
 
 def q_alternant_row(
@@ -328,12 +344,10 @@ def tet_slice(legs: int) -> SliceSpace:
     on them and its dimension is their count.
     """
     _coverage.touch("diagram_spaces.tet_slice")
-    if legs < 0:
-        raise ValueError("legs must be non-negative")
     ctx = _SkewSliceContext(legs)
     n = len(ctx.standard)
     identity = QMatrix([[int(i == j) for j in range(n)] for i in range(n)], n)
-    return SliceSpace(ctx.basis, identity, n)
+    return SliceSpace(ctx, identity, n)
 
 
 def odd_target_dim(legs: int) -> int:
@@ -391,59 +405,46 @@ def _subring_family_build(powers, gen: tuple[int, int, int]) -> tuple[dict, dict
     return packed_product(powers["x1*x2"][n], powers["x4"][a]), powers["x5"][b]
 
 
-def _edge_powers(packing: Packing) -> dict:
-    """One `Packing.powers` table per base, packed in `packing`, for one slice.
-
-    The bases are the images of x1..x6 under `_x_from_y_map`, -x2 and
-    x1*x2; each power is built on its first read and kept for the
-    caller's lifetime.
-    """
-    x = _x_from_y_map()
-    images = {**x, "-x2": -x["x2"], "x1*x2": x["x1"] * x["x2"]}
-    return {name: packing.powers(packing.pack(image.terms)) for name, image in images.items()}
-
-
-def _family_slice(name: str, legs: int, generators, build) -> SliceSpace:
-    """Span of one skew-symmetrized generator family at an odd leg count.
+def _family_slice(ambient: SliceSpace, generators, build) -> SliceSpace:
+    """Span of one skew-symmetrized generator family in an odd ambient slice.
 
     `generators(legs)` enumerates the family, and `build(powers, gen)`
-    turns one generator into its two packed factors, from the power
-    tables of `_edge_powers` for this call; `skew_row` projects their
-    product, which is never formed.  All generators lie in the
+    turns one generator into its two packed factors, from the edge
+    powers of the context that `tet_slice` built for `ambient`; `skew_row`
+    projects their product, which is never formed.  All generators lie in the
     signed-isotypic part of the slice, so the construction stops once
     the running span is the whole ambient slice.  The x-variables enter
     through `_x_from_y_map`, four times the paper's images: every
     generator is homogeneous of degree `legs` in them, so each row is
     4^legs times the paper's and the span is the same.
     """
-    if legs < 0 or legs % 2 == 0:
-        raise ValueError(f"{name}_slice expects an odd, non-negative leg count")
-    ctx = _SkewSliceContext(legs)
-    powers = _edge_powers(ctx.packing)
-    order = list(generators(legs))
+    ctx = ambient.context
+    if not ctx.signed:
+        raise ValueError("a spanning family expects an odd ambient slice")
+    order = list(generators(ctx.legs))
     random.Random(_GENERATOR_SHUFFLE_SEED).shuffle(order)
-    return ctx.span(ctx.skew_row(*build(powers, gen)) for gen in order)
+    return ctx.span(ctx.skew_row(*build(ctx.edge_powers, gen)) for gen in order)
 
 
-def ihx_image_slice(legs: int) -> SliceSpace:
-    """Span of the skew-symmetrized IHX-image generators at odd leg count.
+def ihx_image_slice(ambient: SliceSpace) -> SliceSpace:
+    """Span of the skew-symmetrized IHX-image generators in an odd ambient slice.
 
     Generators are (x1^a x5^b + x1^b x5^a) x4^c (-x2)^d over all
     (a, b, c, d) with a+b+c+d = legs, a >= b (the generator is symmetric
     in the first two exponents, so the other half repeats rows).
     """
     _coverage.touch("diagram_spaces.ihx_image_slice")
-    return _family_slice("ihx_image", legs, _ihx_image_generators, _ihx_image_build)
+    return _family_slice(ambient, _ihx_image_generators, _ihx_image_build)
 
 
-def subring_family_slice(legs: int) -> SliceSpace:
-    """Span of skew-symmetrized (x1 x2)^n x4^a x5^b with 2n + a + b = legs.
+def subring_family_slice(ambient: SliceSpace) -> SliceSpace:
+    """Span of skew-symmetrized (x1 x2)^n x4^a x5^b with 2n + a + b = legs, in an odd ambient slice.
 
     In y-coordinates the generators generate the odd part of the subring
     in y1-y3, y2-y3 and (y1-y4)(y2-y4) (up to scale factors of 4).
     """
     _coverage.touch("diagram_spaces.subring_family_slice")
-    return _family_slice("subring_family", legs, _subring_family_generators, _subring_family_build)
+    return _family_slice(ambient, _subring_family_generators, _subring_family_build)
 
 
 def tsq_odd_dim(legs: int) -> int:

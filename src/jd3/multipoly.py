@@ -435,15 +435,21 @@ class SignedPermAction(
 
     perm[i] = j means variable i is relabeled to variable j.  `relabel`
     maps an exponent tuple to its image; it is derived, so it takes no
-    part in equality, hashing or the repr.
+    part in equality, hashing or the repr.  `_replace` builds through
+    `_make`, as the constructor does, so it validates and derives too.
     """
 
     def __new__(cls, vars: VarSet, perm: tuple[int, ...], character: int) -> SignedPermAction:
+        return cls._make((vars, perm, character))
+
+    @classmethod
+    def _make(cls, fields) -> SignedPermAction:
+        vars, perm, character = fields
         if sorted(perm) != list(range(len(vars))):
             raise ValueError("perm is not a permutation of the variable indices")
         if character not in (1, -1):
             raise ValueError("character must be +1 or -1")
-        self = super().__new__(cls, vars, perm, character)
+        self = super()._make((vars, perm, character))
         # an exponent tuple relabelled reads its new slot j from old slot perm^-1(j)
         inverse = sorted(range(len(perm)), key=perm.__getitem__)
         self.relabel = itemgetter(*inverse) if len(inverse) > 1 else tuple

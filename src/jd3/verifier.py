@@ -175,8 +175,8 @@ def verify_odd_vanishing(max_legs: int) -> Report:
     Also compares the row spaces of the two spanning families for odd
     leg counts up to 15, where the full families stay small.  Each slice
     is built once, by the check that reports its dimension, and kept for
-    the checks that read it until the next leg count; a check that reads
-    a slice whose build failed fails too.
+    the checks that read it, both families among them, until the next leg
+    count; a check that reads a slice whose build failed fails too.
     """
     if max_legs < 0:
         raise ValueError("max_legs must be non-negative")
@@ -204,7 +204,7 @@ def verify_odd_vanishing(max_legs: int) -> Report:
             f"odd.image_dim.L={legs}",
             params,
             ambient.actual,
-            lambda: keep("image", ihx_image_slice(legs)),
+            lambda: keep("image", ihx_image_slice(kept("ambient"))),
         )
         quotient = _timed_check(
             f"odd.quotient_dim.L={legs}",
@@ -220,7 +220,9 @@ def verify_odd_vanishing(max_legs: int) -> Report:
                     params,
                     "equal",
                     lambda: "equal"
-                    if row_space_equal(subring_family_slice(legs).span_matrix, kept("image").span_matrix)
+                    if row_space_equal(
+                        subring_family_slice(kept("ambient")).span_matrix, kept("image").span_matrix
+                    )
                     else "different",
                 )
             )

@@ -385,6 +385,22 @@ def test_derived_weights_leave_regime_identity_unchanged():
     assert half != REGIME_ONE
 
 
+def test_regime_replace_validates_and_derives_as_the_constructor_does():
+    # _replace builds through _make, as the constructor does: it is
+    # validated with the constructor's messages and derives weights
+    with pytest.raises(ValueError, match="regime requires a > b > c > 0"):
+        REGIME_ONE._replace(a=1)
+    with pytest.raises(ValueError, match="regime one requires a-b < b-c < 2\\(a-b\\)"):
+        REGIME_ONE._replace(c=Fraction(3, 2))
+    with pytest.raises(ValueError, match="regime id must be 'one' or 'two'"):
+        REGIME_ONE._replace(id="three")
+    with pytest.raises(TypeError):
+        REGIME_ONE._replace(b=1.6)
+    moved = REGIME_ONE._replace(c=Fraction(11, 10))
+    assert moved == Regime("one", 2, Fraction(8, 5), Fraction(11, 10))
+    assert moved.weights == (20, 16, 11)
+
+
 # --- leading terms -----------------------------------------------------------
 
 

@@ -344,25 +344,32 @@ def test_odd_target_dim_values():
 @pytest.mark.parametrize("legs", [-1, -3, 8])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_family_slices_refuse_negative_and_even_leg_counts(family, legs):
-    # a negative count used to reach Packing(4, legs) and raise OverflowError
-    with pytest.raises(ValueError, match=f"{family}_slice expects an odd, non-negative leg count"):
-        FAMILIES[family][3](legs)
+    # a negative count used to reach Packing(4, legs) and raise OverflowError;
+    # the degree's context refuses it, so no ambient slice exists to hand on
+    if legs < 0:
+        message = "legs must be non-negative"
+        with pytest.raises(ValueError, match=message):
+            _SkewSliceContext(legs)
+    else:
+        message = "a spanning family expects an odd ambient slice"
+    with pytest.raises(ValueError, match=message):
+        FAMILIES[family][3](tet_slice(legs))
 
 
 def test_ihx_image_small_degrees():
-    assert ihx_image_slice(7).dim == 0
-    assert ihx_image_slice(9).dim == 1
-    assert ihx_image_slice(11).dim == 1
+    assert ihx_image_slice(tet_slice(7)).dim == 0
+    assert ihx_image_slice(tet_slice(9)).dim == 1
+    assert ihx_image_slice(tet_slice(11)).dim == 1
 
 
 def test_ihx_image_requires_odd():
     with pytest.raises(ValueError):
-        ihx_image_slice(8)
+        ihx_image_slice(tet_slice(8))
 
 
 def test_subring_family_small_degrees():
-    assert subring_family_slice(9).dim == 1
-    assert subring_family_slice(11).dim == 1 == odd_target_dim(11)
+    assert subring_family_slice(tet_slice(9)).dim == 1
+    assert subring_family_slice(tet_slice(11)).dim == 1 == odd_target_dim(11)
 
 
 def test_degree9_span_equals_target_basis_sympy_oracle():
@@ -380,7 +387,7 @@ def test_degree9_span_equals_target_basis_sympy_oracle():
         for j in range(i + 1, 4)
         for k in range(j + 1, 4)
     )
-    target = subring_family_slice(9)
+    target = subring_family_slice(tet_slice(9))
     assert target.basis == orbit_reps_oracle(9, strict=True)
 
     def strict_coefficients(expr):
@@ -410,8 +417,9 @@ def test_degree9_span_equals_target_basis_sympy_oracle():
 
 @pytest.mark.parametrize("legs", [9, 11, 13, 15])
 def test_span_family_chain_equalities(legs):
-    image = ihx_image_slice(legs).span_matrix
-    subring = subring_family_slice(legs).span_matrix
+    ambient = tet_slice(legs)
+    image = ihx_image_slice(ambient).span_matrix
+    subring = subring_family_slice(ambient).span_matrix
     assert row_space_equal(image, subring)
 
 
@@ -421,7 +429,7 @@ def test_early_stop_spans_match_full_construction():
     families = (("ihx_image", ihx_image_slice), ("subring_family", subring_family_slice))
     for family, slice_of in families:
         for legs in (9, 11):
-            stopped = slice_of(legs)
+            stopped = slice_of(tet_slice(legs))
             ctx = _SkewSliceContext(legs)
             images = family_images(family, legs)
             rows = [ctx.quotient_row(poly_row(ctx, p)) for p in images]
@@ -475,9 +483,8 @@ def _family_rows_match(family, legs, order):
     """Each generator's row from its packed factors against its expanded product's row."""
     _, build, expanded, _ = FAMILIES[family]
     ctx = _SkewSliceContext(legs)
-    powers = diagram_spaces._edge_powers(ctx.packing)
     for gen in order:
-        factors = build(powers, gen)
+        factors = build(ctx.edge_powers, gen)
         assert len(factors) == 2
         assert ctx.skew_row(*factors) == poly_row(ctx, expanded(gen))
 
@@ -489,7 +496,7 @@ def test_family_rows_equal_the_expanded_products(family, legs):
     # consumes none), in the suite's order and in a seeded shuffle, so each
     # power table fills in a different order
     order = suite_order(family, legs)
-    consumed = order[: FAMILIES[family][3](legs).span_matrix.rows or len(order)]
+    consumed = order[: FAMILIES[family][3](tet_slice(legs)).span_matrix.rows or len(order)]
     _family_rows_match(family, legs, consumed)
     random.Random(legs).shuffle(consumed)
     _family_rows_match(family, legs, consumed)
@@ -531,7 +538,7 @@ def test_ihx_image_slice_builds_no_poly_of_its_degree(monkeypatch):
     monkeypatch.setattr(Poly, "_raw", classmethod(recorded_raw))
     monkeypatch.setattr(Poly, "__init__", recorded_init)
     _x_from_y_map.cache_clear()
-    assert ihx_image_slice(29).dim == odd_target_dim(29)
+    assert ihx_image_slice(tet_slice(29)).dim == odd_target_dim(29)
     assert degrees and max(degrees) < 29
 
 
@@ -546,7 +553,7 @@ def test_skew_row_takes_one_or_two_factors():
 def test_two_factor_skew_row_forms_no_product(monkeypatch):
     gen = (10, 8, 6, 5)
     ctx = _SkewSliceContext(sum(gen))
-    factors = diagram_spaces._ihx_image_build(diagram_spaces._edge_powers(ctx.packing), gen)
+    factors = diagram_spaces._ihx_image_build(ctx.edge_powers, gen)
     expected = poly_row(ctx, ihx_image_expanded(gen))
 
     def refused(*args):
@@ -561,17 +568,22 @@ def test_two_factor_skew_row_forms_no_product(monkeypatch):
 
 
 def test_tet_slice_builds_no_orbit_table(monkeypatch):
-    def refused(self):
-        raise AssertionError("an orbit table was built")
+    def refused(name):
+        def build(self):
+            raise AssertionError(f"{name} was built")
 
-    monkeypatch.setattr(_SkewSliceContext, "_orbit_table", refused)
+        return property(build)
+
+    monkeypatch.setattr(_SkewSliceContext, "_orbit_table", refused("an orbit table"))
+    monkeypatch.setattr(_SkewSliceContext, "edge_powers", refused("an edge-power table"))
     assert tet_slice(101).dim == odd_target_dim(101)
     assert tet_slice(30).dim == even_closed_form(30)
 
 
 def test_image_dim_equals_ambient_through_15():
     for legs in range(1, 16, 2):
-        assert ihx_image_slice(legs).dim == tet_slice(legs).dim
+        ambient = tet_slice(legs)
+        assert ihx_image_slice(ambient).dim == ambient.dim == odd_target_dim(legs)
 
 
 # --- the four-arc graph ------------------------------------------------------
@@ -702,13 +714,14 @@ def test_skew_row_expands_to_symmetrizer_image(drawn):
 @given(st.integers(0, 15))
 def test_slice_dims_match_fraction_oracle(legs):
     ambient = oracle_tet_dim(legs)
-    assert tet_slice(legs).dim == ambient
+    space = tet_slice(legs)
+    assert space.dim == ambient
     if legs % 2:
         for family, slice_of in (
             ("ihx_image", ihx_image_slice),
             ("subring_family", subring_family_slice),
         ):
-            assert slice_of(legs).dim == oracle_family_dim(family, legs, ambient)
+            assert slice_of(space).dim == oracle_family_dim(family, legs, ambient)
 
 
 # --- the e1 certificate and the quotient coordinates ---------------------------
@@ -783,7 +796,8 @@ def test_quotient_row_is_odd_only():
 
 def test_slices_past_the_paper_caps():
     for legs in range(31, 42, 2):
-        assert tet_slice(legs).dim == ihx_image_slice(legs).dim == odd_target_dim(legs)
+        ambient = tet_slice(legs)
+        assert ambient.dim == ihx_image_slice(ambient).dim == odd_target_dim(legs)
     for n in range(32, 49, 2):
         assert tet_slice(n).dim == even_closed_form(n)
 

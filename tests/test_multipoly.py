@@ -177,6 +177,19 @@ def test_signed_action_validates_and_is_read_only():
             setattr(swap, field, getattr(swap, field))
 
 
+def test_signed_action_replace_validates_and_derives():
+    # _replace builds through _make, as the constructor does: it is
+    # validated with the constructor's messages and derives relabel
+    swap = SignedPermAction(YVARS, (1, 0, 2, 3), -1)
+    with pytest.raises(ValueError, match="character must be \\+1 or -1"):
+        swap._replace(character=5)
+    with pytest.raises(ValueError, match="perm is not a permutation of the variable indices"):
+        swap._replace(perm=(0, 0, 2, 3))
+    cycle = swap._replace(perm=(1, 2, 3, 0))
+    assert cycle == SignedPermAction(YVARS, (1, 2, 3, 0), -1)
+    assert cycle.relabel((5, 6, 7, 8)) == (8, 5, 6, 7)
+
+
 def test_skew_symmetrize_linear_vanishes():
     assert symmetrize(Y["y1"], signed_s4(YVARS, "sign")).is_zero()
 

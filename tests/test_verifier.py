@@ -320,7 +320,13 @@ def test_suite_work_errors_are_charged_to_their_checks(monkeypatch):
     monkeypatch.setattr(verifier, "tet_slice", broken)
     odd = verify_odd_vanishing(1)
     failed = {c.id for c in odd.checks if not c.passed}
-    assert failed == {"odd.ambient_dim.L=1", "odd.image_dim.L=1", "odd.quotient_dim.L=1"}
+    # both families read the ambient slice, so the span check fails with it
+    assert failed == {
+        "odd.ambient_dim.L=1",
+        "odd.image_dim.L=1",
+        "odd.quotient_dim.L=1",
+        "odd.span_eq.L=1",
+    }
 
 
 def test_broken_e1_certificate_becomes_failed_record(monkeypatch):
@@ -336,6 +342,10 @@ def test_broken_e1_certificate_becomes_failed_record(monkeypatch):
     (record,) = [c for c in odd.checks if c.id == "odd.ambient_dim.L=9"]
     assert not record.passed
     assert record.actual.startswith("error: ArithmeticError: ")
+    # every check that reads the L=9 slice fails with it, and no other check does
+    failed = {c.id for c in odd.checks if not c.passed}
+    readers = ("ambient_dim", "image_dim", "quotient_dim", "span_eq")
+    assert failed == {f"odd.{check}.L=9" for check in readers}
 
 
 def test_a_failed_image_slice_fails_every_check_that_reads_it(monkeypatch):
@@ -351,13 +361,22 @@ def test_a_failed_image_slice_fails_every_check_that_reads_it(monkeypatch):
 
 def test_odd_suite_builds_each_slice_once_per_leg_count(monkeypatch):
     calls = []
+    ambient = {}  # leg count -> the slice tet_slice returned for it
+    received = []  # (leg count, the slice a family was handed)
 
     def counted(name):
         build = getattr(verifier, name)
 
-        def count(legs, *args):
+        def count(arg):
+            # tet_slice takes the leg count; a family reads it from its ambient slice
+            legs = arg if name == "tet_slice" else arg.context.legs
             calls.append((name, legs))
-            return build(legs, *args)
+            space = build(arg)
+            if name == "tet_slice":
+                ambient[legs] = space
+            else:
+                received.append((legs, arg))
+            return space
 
         return count
 
@@ -370,6 +389,40 @@ def test_odd_suite_builds_each_slice_once_per_leg_count(monkeypatch):
         + [("ihx_image_slice", legs) for legs in odd]
         + [("subring_family_slice", legs) for legs in odd if legs <= 15]
     )
+    # each family is handed the very slice that tet_slice returned for its L
+    assert len(received) == 17
+    assert all(arg is ambient[legs] for legs, arg in received)
+
+
+def test_odd_suite_builds_one_context_per_degree(monkeypatch):
+    # the families read the context of the ambient slice, whose orbit table
+    # and edge powers are each built at most once, on their first read
+    context = diagram_spaces._SkewSliceContext
+    contexts, builds = [], {"_orbit_table": [], "edge_powers": []}
+    init = context.__init__
+
+    def counted_init(self, legs):
+        contexts.append(legs)
+        init(self, legs)
+
+    def counted(name):
+        build = vars(context)[name].func
+
+        def count(self):
+            builds[name].append(self)
+            return build(self)
+
+        return count
+
+    monkeypatch.setattr(context, "__init__", counted_init)
+    for name in builds:
+        monkeypatch.setattr(vars(context)[name], "func", counted(name))
+    assert verify_odd_vanishing(29).all_passed
+    assert contexts == list(range(1, 30, 2))
+    # below L = 9 the slice is 0, so no family reads a row there
+    for built in builds.values():
+        assert len({id(ctx) for ctx in built}) == len(built) == 11
+        assert sorted(ctx.legs for ctx in built) == list(range(9, 30, 2))
 
 
 def _cached_entries() -> int:
