@@ -14,9 +14,9 @@ the monomials (packed exponent vectors, as in Monagan and Pearce, CASC
 product through the one packed kernel, read every power from one lazy
 table (`Packing.powers`), and unpack once; the term maps of a Poly stay
 keyed by tuples.  Callers that keep polynomials packed from factor to
-product (`packed_product`, `packed_sum`), as the slice families and the
-property suite's homomorphism law do, use the same layout.  A result
-exponent of 2^64 or more raises OverflowError.
+product (`packed_product`, `packed_sum`), as the slice families, the
+homomorphism law and the chains of `QFactorPowers` do, use one layout.
+A result exponent of 2^64 or more raises OverflowError.
 On top of the ring operations this module provides the signed
 permutation actions of S4 and their group sums, taken once per orbit,
 elementary symmetric polynomials, the discriminant, the P2/P3/P4
@@ -539,16 +539,15 @@ def discriminant(vars: VarSet) -> Poly:
     _coverage.touch("multipoly.discriminant")
     if len(vars) != 4:
         raise ValueError("discriminant is defined here for exactly four variables")
-    result = Poly.constant(vars, 1)
-    gens = [Poly.variable(vars, n) for n in vars.names]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            result = result * (gens[i] - gens[j])
-    return result
+    return _differences(vars, tuple(itertools.combinations(vars.names, 2)))
 
 
-def _difference(vars: VarSet, a: str, b: str) -> Poly:
-    return Poly.variable(vars, a) - Poly.variable(vars, b)
+def _differences(vars: VarSet, pairs: tuple[tuple[str, str], ...]) -> Poly:
+    """The product of a - b over the pairs (a, b), multiplied in one `Packing`."""
+    packing = Packing(len(vars), len(pairs))
+    x = {name: Poly.variable(vars, name) for name in vars.names}
+    factors = [packing.pack((x[a] - x[b]).terms) for a, b in pairs]
+    return Poly._raw(vars, packing.unpack(packed_product(*factors)))
 
 
 def p2(vars: VarSet, args: tuple[str, str, str]) -> Poly:
@@ -557,11 +556,8 @@ def p2(vars: VarSet, args: tuple[str, str, str]) -> Poly:
     if len(args) != 3:
         raise ValueError("p2 takes exactly three argument variables")
     a, b, c = args
-    return (
-        _difference(vars, a, b) ** 2
-        + _difference(vars, b, c) ** 2
-        + _difference(vars, c, a) ** 2
-    )
+    pairs = ((a, b), (b, c), (c, a))
+    return reduce(add, (_differences(vars, (pair, pair)) for pair in pairs))
 
 
 def p3(vars: VarSet, args: tuple[str, str, str]) -> Poly:
@@ -570,7 +566,7 @@ def p3(vars: VarSet, args: tuple[str, str, str]) -> Poly:
     if len(args) != 3:
         raise ValueError("p3 takes exactly three argument variables")
     a, b, c = args
-    return _difference(vars, a, b) * _difference(vars, b, c) * _difference(vars, c, a)
+    return _differences(vars, ((a, b), (b, c), (c, a)))
 
 
 def p4(vars: VarSet, args: tuple[str, str, str, str]) -> Poly:
@@ -579,17 +575,13 @@ def p4(vars: VarSet, args: tuple[str, str, str, str]) -> Poly:
     if len(args) != 4:
         raise ValueError("p4 takes exactly four argument variables")
     a, b, c, d = args
-    return (
-        _difference(vars, a, c)
-        * _difference(vars, b, c)
-        * _difference(vars, a, d)
-        * _difference(vars, b, d)
-    )
+    return _differences(vars, ((a, c), (b, c), (a, d), (b, d)))
 
 
 # Argument tuples of the four P2/P3 terms and the three P4 pairings of Q^{n,m,k}.
 _Q_TRIPLES = (("y1", "y2", "y3"), ("y4", "y3", "y2"), ("y3", "y4", "y1"), ("y2", "y1", "y4"))
 _Q_QUADS = (("y1", "y2", "y3", "y4"), ("y1", "y3", "y2", "y4"), ("y1", "y4", "y2", "y3"))
+_Arguments = tuple[tuple[str, ...], ...]
 
 
 def q_factor(which: str, args: tuple[str, ...]) -> Poly:
@@ -622,67 +614,100 @@ class QFactorPowers:
     `second(k)` the sum over `quads` of P4^k, each factor taken at its
     argument y-variables and carried by `carry`, a ring homomorphism given
     as a map of polynomials, into the caller's coordinates; with no
-    `carry` they stay in y1..y4.
-    The factors are built on the first read, P3 once per triple and then
-    squared and cubed, and P4 only once some k >= 1 is read: `second(0)`
-    is the number of pairings, carried.  Each new entry is one product per
-    term by P2, P3^2 or P4, extended from a kept chain head: column m
+    `carry` they stay in y1..y4.  A negative exponent raises ValueError.
+    The factors are built and packed once, on the first read, and P4 only
+    once some k >= 1 is read: `second(0)` is the number of pairings,
+    carried.  Each new entry is one `_mul_packed` per term by P2, P3^2 or
+    P4 and one `packed_sum`, extended from a kept chain head: column m
     keeps its per-triple terms at its largest n, one more chain keeps them
-    at n = 0 for the largest m, and the pairings keep theirs at the
-    largest k.  Every sum
-    below a head is kept, so a head is never extended past a smaller
-    exponent; no other product is kept.
+    at n = 0 for the largest m (from P3 at m = -1), and the pairings keep
+    theirs at the largest k.  Every sum below a head is kept, so no head
+    is extended past a smaller exponent; a sum is unpacked on its first
+    read.  The one `Packing` holds each factor's largest exponent times
+    its largest power read, and a read that needs wider fields first moves
+    every kept head and sum to them.
     """
 
     def __init__(
-        self,
-        triples: tuple[tuple[str, ...], ...],
-        quads: tuple[tuple[str, ...], ...],
-        carry: Callable[[Poly], Poly] | None = None,
+        self, triples: _Arguments, quads: _Arguments, carry: Callable[[Poly], Poly] | None = None
     ) -> None:
         self._triples, self._quads, self._carry = triples, quads, carry
-        self._first: dict[tuple[int, int], Poly] = {}
-        self._second: list[Poly] = []
+        self._packing: Packing | None = None  # set when the first factors are packed
+        self._tops: dict[str, int] = {}  # "p2", "p3", "p4" -> the factors' largest exponent
+        # "p2", "p3^2", "p4": the packed factors; "m", "k" and each column m: chain heads
+        self._heads: dict[str | int, tuple[int, list[dict[int, int]]]] = {}
+        # (n, m) -> first(n, m) and k -> second(k): packed until read, then the Poly
+        self._sums: dict[tuple[int, int] | int, dict[int, int] | Poly] = {}
 
-    def _factors(self, which: str, arguments: tuple[tuple[str, ...], ...]) -> list[Poly]:
+    def _factors(self, which: str, arguments: _Arguments) -> list[Poly]:
         """P2, P3 or P4 at each argument tuple, in the table's coordinates."""
         factors = [q_factor(which, args) for args in arguments]
         return factors if self._carry is None else list(map(self._carry, factors))
 
+    def _packed(self, which: str, arguments: _Arguments, power: int) -> list[dict[int, int]]:
+        """The factors, packed once in fields that hold their `power`-th powers."""
+        factors = self._factors(which, arguments)
+        self._vars = factors[0].vars
+        self._tops[which] = max(_max_exponent(f.terms) for f in factors)
+        self._fit(power * self._tops[which])
+        return [self._packing.pack(f.terms) for f in factors]
+
+    def _fit(self, top: int) -> None:
+        """Fields that hold `top`; a wider layout takes every kept head and sum, once."""
+        old = self._packing
+        if old is None or top > old.limit:
+            new = self._packing = Packing(len(self._vars), top)
+            for key, (e, terms) in self._heads.items():
+                self._heads[key] = (e, [new.pack(old.unpack(t)) for t in terms])
+            kept = self._sums.items()
+            self._sums.update([(k, new.pack(old.unpack(s))) for k, s in kept if type(s) is dict])
+
+    def _read(self, key: tuple[int, int] | int) -> Poly:
+        entry = self._sums[key]
+        if type(entry) is dict:
+            entry = self._sums[key] = Poly._raw(self._vars, self._packing.unpack(entry))
+        return entry
+
     def first(self, n: int, m: int) -> Poly:
-        if not self._first:
-            self._p2 = self._factors("p2", self._triples)
-            p3s = self._factors("p3", self._triples)
-            self._p3_squared = [p * p for p in p3s]
-            cubes = [s * p for s, p in zip(self._p3_squared, p3s)]
-            self._m_head = (0, cubes)
-            self._columns = {0: (0, cubes)}  # m -> (its largest n, the terms there)
-            self._first[(0, 0)] = reduce(add, cubes)
-        while self._m_head[0] < m:
-            top, terms = self._m_head
-            terms = [t * s for t, s in zip(terms, self._p3_squared)]
-            self._m_head = (top + 1, terms)
-            self._columns[top + 1] = (0, terms)
-            self._first[(0, top + 1)] = reduce(add, terms)
-        top, terms = self._columns[m]
+        if n < 0 or m < 0:
+            raise ValueError(f"exponents must be non-negative, not n={n}, m={m}")
+        heads = self._heads
+        if "m" not in heads:  # set last, so a factor that fails to build is built again
+            heads["p2"] = (1, self._packed("p2", self._triples, 1))
+            p3s = self._packed("p3", self._triples, 3)
+            heads.update({"p3^2": (2, [_mul_packed(p, p) for p in p3s]), "m": (-1, p3s)})
+        self._fit(n * self._tops["p2"] + (2 * m + 3) * self._tops["p3"])
+        while heads["m"][0] < m:
+            top, terms = heads["m"]
+            terms = [_mul_packed(t, s) for t, s in zip(terms, heads["p3^2"][1])]
+            heads["m"], heads[top + 1] = (top + 1, terms), (0, terms)
+            self._sums[(0, top + 1)] = reduce(packed_sum, terms)
+        top, terms = heads[m]
         while top < n:
-            terms = [t * p for t, p in zip(terms, self._p2)]
+            terms = [_mul_packed(t, p) for t, p in zip(terms, heads["p2"][1])]
             top += 1
-            self._first[(top, m)] = reduce(add, terms)
-        self._columns[m] = (top, terms)
-        return self._first[(n, m)]
+            self._sums[(top, m)] = reduce(packed_sum, terms)
+        heads[m] = (top, terms)
+        return self._read((n, m))
 
     def second(self, k: int) -> Poly:
-        if not self._second:
+        if k < 0:
+            raise ValueError(f"exponent must be non-negative, not k={k}")
+        if 0 not in self._sums:
             constant = Poly.constant(YVARS, len(self._quads))
-            self._second.append(constant if self._carry is None else self._carry(constant))
-        while len(self._second) <= k:
-            if len(self._second) == 1:
-                self._p4 = self._p4_powers = self._factors("p4", self._quads)
-            else:
-                self._p4_powers = [p * f for p, f in zip(self._p4_powers, self._p4)]
-            self._second.append(reduce(add, self._p4_powers))
-        return self._second[k]
+            self._sums[0] = constant if self._carry is None else self._carry(constant)
+        if k:
+            if "p4" not in self._heads:
+                self._heads["p4"] = self._heads["k"] = (1, self._packed("p4", self._quads, 1))
+                self._sums[1] = reduce(packed_sum, self._heads["p4"][1])
+            self._fit(k * self._tops["p4"])
+            top, terms = self._heads["k"]
+            while top < k:
+                terms = [_mul_packed(t, p) for t, p in zip(terms, self._heads["p4"][1])]
+                top += 1
+                self._sums[top] = reduce(packed_sum, terms)
+            self._heads["k"] = (top, terms)
+        return self._read(k)
 
 
 def divide_exact(p: Poly, d: Poly) -> Poly:

@@ -1251,6 +1251,66 @@ def uvw_powers() -> QFactorPowers:
     return QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS[:1], _uvw_from_y)
 
 
+def test_power_tables_refuse_negative_exponents():
+    # a negative k once read the last entry built, and a negative n or m raised KeyError
+    for filled in (False, True):
+        powers = uvw_powers()
+        if filled:
+            assert powers.second(2).terms == {(2, 2, 2): 1} and powers.first(1, 1).terms
+        for n, m, k in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+            with pytest.raises(ValueError):
+                powers.first(n, m) if k == 0 else powers.second(k)
+
+
+def test_power_table_builds_its_factors_again_after_a_failure(monkeypatch):
+    # a factor that fails to build leaves no half-built chain: the next read builds it again
+    powers, failed = uvw_powers(), []
+    original = QFactorPowers._factors
+
+    def fails_once(self, which, arguments):
+        if which == "p3" and not failed:
+            failed.append(which)
+            raise ArithmeticError(which)
+        return original(self, which, arguments)
+
+    monkeypatch.setattr(QFactorPowers, "_factors", fails_once)
+    with pytest.raises(ArithmeticError):
+        powers.first(1, 1)
+    assert failed and powers.first(1, 1) == uvw_powers().first(1, 1)
+
+
+def test_power_table_moves_its_chains_to_wider_fields():
+    # second(k) = (u v w)^k is one term, so second(300) needs two-byte fields:
+    # entries read before it, entries kept packed but not yet read, and chains
+    # extended from the moved heads all equal a table that read in reverse order
+    one_term = {k: Poly.monomial(UVWVARS, (k, k, k)) for k in range(301)}
+    order = [("first", (2, 1)), ("second", (5,)), ("first", (0, 0)), ("second", (2,))]
+    order += [("second", (300,)), ("second", (3,)), ("first", (1, 1)), ("first", (0, 1))]
+    order += [("first", (3, 1)), ("first", (1, 2)), ("second", (301,))]
+    powers, reversed_order = uvw_powers(), uvw_powers()
+    entries = {}
+    for method, args in order:
+        entries[method, args] = getattr(powers, method)(*args)
+        if method == "second" and args[0] <= 300:
+            assert entries[method, args] == one_term[args[0]]
+    for key in reversed(order):
+        assert getattr(reversed_order, key[0])(*key[1]) == entries[key], key
+    for key, entry in entries.items():
+        assert getattr(powers, key[0])(*key[1]) is entry, key
+    assert entries["second", (301,)].terms == {(301, 301, 301): 1}
+
+
+def test_power_table_sizes_its_fields_from_the_carried_factors():
+    # carrying y_i to y_i^5 makes P2^n exponents 5 times its degree; fields sized
+    # from the y-degree alone would overflow silently past n = 24
+    fifth = SubstitutionTable(YVARS, {y: Y[y] ** 5 for y in YVARS.names})
+    carried = QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS, fifth)
+    plain = QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS)
+    for n, k in ((20, 10), (30, 13)):
+        assert carried.first(n, 0) == fifth(plain.first(n, 0))
+        assert carried.second(k) == fifth(plain.second(k))
+
+
 def test_express_in_uvw_reconstructs_products():
     # every lemma triple to d=8, the first spot checks among them, read from
     # one table in suite order and from a fresh one in a shuffled order: a

@@ -155,6 +155,60 @@ def test_power_tables_build_their_factors_inside_a_check(monkeypatch):
         assert all(c.actual.startswith("error: KeyError: ") for c in report.checks)
 
 
+def _called_by_a_table(frame) -> bool:
+    """Whether the nearest function frame, past comprehensions, is a QFactorPowers method."""
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return isinstance(frame.f_locals.get("self"), multipoly.QFactorPowers)
+
+
+def test_power_tables_run_their_chains_packed(monkeypatch):
+    # every chain step and per-triple sum stays packed: a table calls no
+    # Poly.__mul__ or Poly.__add__ itself, packs each carried factor once
+    # and nothing else, and unpacks an entry at most once, on its first read
+    calls = {"mul": 0, "add": 0, "unpack": 0}
+    packed, factors, reads = [], [], set()
+
+    def counted(name, original):
+        def method(*args):
+            if _called_by_a_table(sys._getframe(1)):
+                if name == "pack":
+                    packed.append(id(args[1]))
+                else:
+                    calls[name] += 1
+            return original(*args)
+
+        return method
+
+    def built(self, which, arguments):
+        factors.extend(original_factors(self, which, arguments))
+        return factors[len(factors) - len(arguments):]
+
+    def read(name, original):
+        def method(self, *exponents):
+            reads.add((id(self), name, exponents))
+            return original(self, *exponents)
+
+        return method
+
+    table, packing = multipoly.QFactorPowers, multipoly.Packing
+    original_factors = table._factors
+    monkeypatch.setattr(Poly, "__mul__", counted("mul", Poly.__mul__))
+    monkeypatch.setattr(Poly, "__add__", counted("add", Poly.__add__))
+    monkeypatch.setattr(packing, "pack", counted("pack", packing.pack))
+    monkeypatch.setattr(packing, "unpack", counted("unpack", packing.unpack))
+    monkeypatch.setattr(table, "_factors", built)
+    monkeypatch.setattr(table, "first", read("first", table.first))
+    monkeypatch.setattr(table, "second", read("second", table.second))
+    for report in (verify_asymptotics(12), verify_lemma(8)):
+        assert report.all_passed
+    assert calls["mul"] == calls["add"] == 0
+    # two regimes of 4 + 4 + 3 factors, and the lemma's 1 + 1 + 3 and 1 + 1 + 1
+    assert len(factors) == 30
+    assert sorted(packed) == sorted(id(f.terms) for f in factors)
+    assert 0 < calls["unpack"] <= len(reads)
+
+
 def test_membership_fails_for_a_factor_outside_the_subring(monkeypatch):
     # membership reads only P2, P3 and P4 in u, v, w and multiplies there, so
     # a factor outside Z[u, v, w], here P4 times y3, fails every product with
