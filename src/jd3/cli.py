@@ -1,9 +1,10 @@
 """Command-line interface: jd3 verify {odd,even,lemma,asymptotics} | dims | all.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 on a
-usage error, a report file that cannot be written, or a `dims` slice whose
-e1 certificate fails.  Reports print as a plain-text table on stdout;
---json and --csv write machine-readable copies.
+usage error, a report file that cannot be written, a `dims` slice whose
+e1 certificate fails, or any other error outside a check, named by its
+type.  Reports print as a plain-text table on stdout; --json and --csv
+write machine-readable copies.
 """
 
 from __future__ import annotations
@@ -171,6 +172,9 @@ def main(argv: list[str] | None = None) -> int:
     # slice whose e1 certificate fails under `dims` (the suites record it as a FAIL)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"jd3: error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except Exception as exc:  # a fault outside every check, named by its type
+        print(f"jd3: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -615,99 +615,76 @@ class QFactorPowers:
     argument y-variables and carried by `carry`, a ring homomorphism given
     as a map of polynomials, into the caller's coordinates; with no
     `carry` they stay in y1..y4.  A negative exponent raises ValueError.
-    The factors are built and packed once, on the first read, and P4 only
+    The factors are built and carried once, on the first read, and P4 only
     once some k >= 1 is read: `second(0)` is the number of pairings,
-    carried.  Each new entry is one `_mul_packed` per term by P2, P3^2 or
-    P4 and one `packed_sum`, extended from a kept chain head: column m
-    keeps its per-triple terms at its largest n, one more chain keeps them
-    at n = 0 for the largest m (from P3 at m = -1), and the pairings keep
-    theirs at the largest k.  Every sum below a head is kept, so no head
-    is extended past a smaller exponent; a sum is unpacked on its first
-    read.  The one `Packing` holds each factor's largest exponent times
-    its largest power read, and a read that needs wider fields first moves
-    every kept head and sum to them.
+    carried.  Each factor is packed once per layout, with its
+    `Packing.powers` table.  Column m of `first` is a chain of per-triple
+    terms from P3^(2m+3) that steps by P2, and `second` one from 1 that
+    steps by P4; each entry a chain passes is unpacked once and kept.  The
+    layout holds n times P2's largest exponent plus 2m+3 times P3's, or k
+    times P4's; a read that needs wider fields starts the layout, its
+    tables and its chains over, and the entries kept stay.
     """
 
     def __init__(
         self, triples: _Arguments, quads: _Arguments, carry: Callable[[Poly], Poly] | None = None
     ) -> None:
-        self._triples, self._quads, self._carry = triples, quads, carry
-        self._packing: Packing | None = None  # set when the first factors are packed
-        self._tops: dict[str, int] = {}  # "p2", "p3", "p4" -> the factors' largest exponent
-        # "p2", "p3^2", "p4": the packed factors; "m", "k" and each column m: chain heads
-        self._heads: dict[str | int, tuple[int, list[dict[int, int]]]] = {}
-        # (n, m) -> first(n, m) and k -> second(k): packed until read, then the Poly
-        self._sums: dict[tuple[int, int] | int, dict[int, int] | Poly] = {}
+        self._triples, self._quads = triples, quads
+        self._carry = (lambda p: p) if carry is None else carry
+        self._built: dict[str, tuple[int, list[Poly]]] = {}  # "p2", ... -> (top, carried factors)
+        self._entries: dict[tuple, Poly] = {}  # (m, n): first(n, m), (None, k): second(k)
+        self._packing: Packing | None = None  # set, with its power tables and chains, by a read
 
     def _factors(self, which: str, arguments: _Arguments) -> list[Poly]:
         """P2, P3 or P4 at each argument tuple, in the table's coordinates."""
-        factors = [q_factor(which, args) for args in arguments]
-        return factors if self._carry is None else list(map(self._carry, factors))
+        return [self._carry(q_factor(which, args)) for args in arguments]
 
-    def _packed(self, which: str, arguments: _Arguments, power: int) -> list[dict[int, int]]:
-        """The factors, packed once in fields that hold their `power`-th powers."""
-        factors = self._factors(which, arguments)
-        self._vars = factors[0].vars
-        self._tops[which] = max(_max_exponent(f.terms) for f in factors)
-        self._fit(power * self._tops[which])
-        return [self._packing.pack(f.terms) for f in factors]
+    def _powers(self, **powers: int) -> list[list[Mapping[int, dict[int, int]]]]:
+        """The named factors' power tables, in fields that hold the product of the powers."""
+        for which in powers:
+            if which not in self._built:  # set last, so a factor that fails is built again
+                factors = self._factors(which, self._quads if which == "p4" else self._triples)
+                self._vars = factors[0].vars
+                self._built[which] = (max(_max_exponent(f.terms) for f in factors), factors)
+        top = sum(e * self._built[which][0] for which, e in powers.items())
+        if self._packing is None or top > self._packing.limit:  # start over, keeping the entries
+            self._packing, self._tables, self._chains = Packing(len(self._vars), top), {}, {}
+        packing = self._packing
+        for which in powers:
+            if which not in self._tables:
+                factors = self._built[which][1]
+                self._tables[which] = [packing.powers(packing.pack(f.terms)) for f in factors]
+        return [self._tables[which] for which in powers]
 
-    def _fit(self, top: int) -> None:
-        """Fields that hold `top`; a wider layout takes every kept head and sum, once."""
-        old = self._packing
-        if old is None or top > old.limit:
-            new = self._packing = Packing(len(self._vars), top)
-            for key, (e, terms) in self._heads.items():
-                self._heads[key] = (e, [new.pack(old.unpack(t)) for t in terms])
-            kept = self._sums.items()
-            self._sums.update([(k, new.pack(old.unpack(s))) for k, s in kept if type(s) is dict])
-
-    def _read(self, key: tuple[int, int] | int) -> Poly:
-        entry = self._sums[key]
-        if type(entry) is dict:
-            entry = self._sums[key] = Poly._raw(self._vars, self._packing.unpack(entry))
-        return entry
+    def _walk(self, chain: int | None, exponent: int, seed: list, step: list) -> None:
+        """Extend chain m of `first`, or None of `second`, to `exponent`; keep each entry passed."""
+        e, terms = self._chains.get(chain, (0, seed))
+        while True:
+            if (chain, e) not in self._entries:
+                packed = reduce(packed_sum, terms)
+                self._entries[chain, e] = Poly._raw(self._vars, self._packing.unpack(packed))
+            if e >= exponent:
+                break
+            e, terms = e + 1, list(map(_mul_packed, terms, step))
+        self._chains[chain] = (e, terms)
 
     def first(self, n: int, m: int) -> Poly:
         if n < 0 or m < 0:
             raise ValueError(f"exponents must be non-negative, not n={n}, m={m}")
-        heads = self._heads
-        if "m" not in heads:  # set last, so a factor that fails to build is built again
-            heads["p2"] = (1, self._packed("p2", self._triples, 1))
-            p3s = self._packed("p3", self._triples, 3)
-            heads.update({"p3^2": (2, [_mul_packed(p, p) for p in p3s]), "m": (-1, p3s)})
-        self._fit(n * self._tops["p2"] + (2 * m + 3) * self._tops["p3"])
-        while heads["m"][0] < m:
-            top, terms = heads["m"]
-            terms = [_mul_packed(t, s) for t, s in zip(terms, heads["p3^2"][1])]
-            heads["m"], heads[top + 1] = (top + 1, terms), (0, terms)
-            self._sums[(0, top + 1)] = reduce(packed_sum, terms)
-        top, terms = heads[m]
-        while top < n:
-            terms = [_mul_packed(t, p) for t, p in zip(terms, heads["p2"][1])]
-            top += 1
-            self._sums[(top, m)] = reduce(packed_sum, terms)
-        heads[m] = (top, terms)
-        return self._read((n, m))
+        if (m, n) not in self._entries:
+            p2s, p3s = self._powers(p2=n, p3=2 * m + 3)
+            self._walk(m, n, [p[2 * m + 3] for p in p3s], [p[1] for p in p2s])
+        return self._entries[m, n]
 
     def second(self, k: int) -> Poly:
         if k < 0:
             raise ValueError(f"exponent must be non-negative, not k={k}")
-        if 0 not in self._sums:
-            constant = Poly.constant(YVARS, len(self._quads))
-            self._sums[0] = constant if self._carry is None else self._carry(constant)
-        if k:
-            if "p4" not in self._heads:
-                self._heads["p4"] = self._heads["k"] = (1, self._packed("p4", self._quads, 1))
-                self._sums[1] = reduce(packed_sum, self._heads["p4"][1])
-            self._fit(k * self._tops["p4"])
-            top, terms = self._heads["k"]
-            while top < k:
-                terms = [_mul_packed(t, p) for t, p in zip(terms, self._heads["p4"][1])]
-                top += 1
-                self._sums[top] = reduce(packed_sum, terms)
-            self._heads["k"] = (top, terms)
-        return self._read(k)
+        if (None, 0) not in self._entries:
+            self._entries[None, 0] = self._carry(Poly.constant(YVARS, len(self._quads)))
+        if (None, k) not in self._entries:
+            (p4s,) = self._powers(p4=k)
+            self._walk(None, k, [p[0] for p in p4s], [p[1] for p in p4s])
+        return self._entries[None, k]
 
 
 def divide_exact(p: Poly, d: Poly) -> Poly:

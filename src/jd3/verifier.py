@@ -35,7 +35,6 @@ from .diagram_spaces import (
     x_from_y,
     y_from_x,
     q_alternant_row,
-    _SkewSliceContext,
 )
 from .linalg import row_space_equal
 from .multipoly import (
@@ -284,7 +283,7 @@ def verify_lemma(max_d: int) -> Report:
         params = {"d": str(d)}
 
         def q_rank() -> str:
-            ctx = _SkewSliceContext(legs)
+            ctx = tet_slice(legs).context
             rows = (q_alternant_row(n, m, k, ctx, powers) for (n, m, k) in triples)
             return str(ctx.span(rows).dim)
 

@@ -177,6 +177,24 @@ def test_all_with_a_wrong_closed_form_exits_1(capsys, wrong_closed_form, caps):
     assert main(["all"]) == 1
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [("discriminant", ["all"]), ("odd_target_dim", ["verify", "odd", "--max-legs", "3"])],
+)
+def test_a_failure_outside_every_check_exits_2(monkeypatch, capsys, caps, name, argv):
+    # a suite computes its expected values, and the property suite a few of
+    # its inputs, outside any check: a fault there is one error line, not a traceback
+    def broken(*args):
+        raise KeyError(name)
+
+    monkeypatch.setattr(verifier, name, broken)
+    caps(1, 2, 0, 0)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"jd3: error: KeyError: '{name}'\n"
+
+
 def test_all_self_test_fail_is_an_unrecognized_argument(capsys):
     assert main(["all", "--self-test-fail"]) == 2
     assert "unrecognized arguments: --self-test-fail" in capsys.readouterr().err

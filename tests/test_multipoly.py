@@ -1281,8 +1281,9 @@ def test_power_table_builds_its_factors_again_after_a_failure(monkeypatch):
 
 def test_power_table_moves_its_chains_to_wider_fields():
     # second(k) = (u v w)^k is one term, so second(300) needs two-byte fields:
-    # entries read before it, entries kept packed but not yet read, and chains
-    # extended from the moved heads all equal a table that read in reverse order
+    # the table starts its layout and chains over there, and entries read before
+    # it, entries its chains passed but not yet read, and chains run again in the
+    # wider layout all equal a table that read in reverse order
     one_term = {k: Poly.monomial(UVWVARS, (k, k, k)) for k in range(301)}
     order = [("first", (2, 1)), ("second", (5,)), ("first", (0, 0)), ("second", (2,))]
     order += [("second", (300,)), ("second", (3,)), ("first", (1, 1)), ("first", (0, 1))]
@@ -1309,6 +1310,14 @@ def test_power_table_sizes_its_fields_from_the_carried_factors():
     for n, k in ((20, 10), (30, 13)):
         assert carried.first(n, 0) == fifth(plain.first(n, 0))
         assert carried.second(k) == fifth(plain.second(k))
+
+
+def test_power_table_fields_hold_a_product_not_only_its_larger_factor():
+    # P2^100 reaches u^200 and P3^43 u^86, each in one-byte fields; their
+    # product reaches u^286, so the layout is sized by the sum, not the max
+    p2u, p3u = (_uvw_from_y(factor(YVARS, _Q_TRIPLES[0])) for factor in (p2, p3))
+    assert max(map(max, (p2u ** 100).terms)) == 200 and max(map(max, (p3u ** 43).terms)) == 86
+    assert uvw_powers().first(100, 20) == p2u ** 100 * p3u ** 43
 
 
 def test_express_in_uvw_reconstructs_products():

@@ -143,6 +143,27 @@ def test_lemma_power_tables_live_for_one_call():
     assert kept < 64 << 10
 
 
+def test_lemma_builds_each_slice_context_through_tet_slice(monkeypatch):
+    # the lemma's rank check reads its degree's context from the ambient
+    # slice, the one builder of a slice context
+    legs_read, builders = [], []
+    tet_slice, init = verifier.tet_slice, diagram_spaces._SkewSliceContext.__init__
+
+    def counted_slice(legs):
+        legs_read.append(legs)
+        return tet_slice(legs)
+
+    def counted_init(self, legs):
+        builders.append(sys._getframe(1).f_code.co_name)
+        init(self, legs)
+
+    monkeypatch.setattr(verifier, "tet_slice", counted_slice)
+    monkeypatch.setattr(diagram_spaces._SkewSliceContext, "__init__", counted_init)
+    assert verifier.verify_lemma(8).all_passed
+    assert legs_read == list(range(9, 26, 2))
+    assert builders == ["tet_slice"] * len(legs_read)
+
+
 def test_power_tables_build_their_factors_inside_a_check(monkeypatch):
     # a table's constructor does no arithmetic: its factors are built on the
     # first read, so a failure there is the reading check's FAIL record
