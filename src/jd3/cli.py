@@ -164,17 +164,14 @@ def main(argv: list[str] | None = None) -> int:
             return _emit(verify_even_dims(args.max_legs), args)
         if args.suite == "lemma":
             return _emit(verify_lemma(args.max_d), args)
-        if args.suite == "asymptotics":
-            regimes = _parse_regimes(args)
-            return _emit(verify_asymptotics(args.max_d, regimes=regimes), args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return _emit(verify_asymptotics(args.max_d, regimes=_parse_regimes(args)), args)
     # OSError: a --json/--csv path that cannot be written; ArithmeticError: a
-    # slice whose e1 certificate fails under `dims` (the suites record it as a FAIL)
-    except (ValueError, OSError, ArithmeticError) as exc:
-        print(f"jd3: error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except Exception as exc:  # a fault outside every check, named by its type
-        print(f"jd3: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    # slice whose e1 certificate fails under `dims` (the suites record it as a
+    # FAIL); any other type is a fault outside every check, so it is named
+    except Exception as exc:
+        expected = isinstance(exc, (ValueError, OSError, ArithmeticError))
+        kind = "" if expected else f"{type(exc).__name__}: "
+        print(f"jd3: error: {kind}{exc}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -328,8 +328,6 @@ def q_alternant_row(
     ch. I.3); their product is never formed.
     """
     _coverage.touch("multipoly.q_poly")  # the suites' one reach of the Q family
-    if n < 0 or m < 0 or k < 0:
-        raise ValueError("q_poly parameters must be non-negative")
     g = powers.first(n, m).terms
     strict = {e: 24 * c for e, c in g.items() if e[0] > e[1] > e[2] > e[3]}
     return ctx.skew_row(ctx.packing.pack(strict), ctx.packing.pack(powers.second(k).terms))

@@ -180,8 +180,8 @@ def packed_product(*factors: dict[int, int]) -> dict[int, int]:
     return reduce(_mul_packed, factors)
 
 
-def packed_sum(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Sum of two packed polynomials of one `Packing`, cancelled terms dropped."""
+def packed_sum(a: Mapping, b: Mapping) -> dict:
+    """Sum of two term maps keyed alike, by one `Packing` or by exponent tuples; no zero kept."""
     out = dict(a)
     get = out.get
     for k, c in b.items():
@@ -258,14 +258,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         _coverage.touch("multipoly.ring_ops")
         self._check_same_vars(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return Poly._raw(self.vars, out)
+        return Poly._raw(self.vars, packed_sum(self.terms, other.terms))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -795,6 +788,4 @@ def express_product_in_uvw(n: int, m: int, k: int, powers: QFactorPowers) -> Pol
     product's expression.  The product is therefore multiplied inside
     Z[u, v, w] and never divided w-adically itself.
     """
-    if n < 0 or m < 0 or k < 0:
-        raise ValueError("parameters must be non-negative")
     return (powers.first(n, m) * powers.second(k)).scale(12)

@@ -163,8 +163,10 @@ def test_face_sum_substitutes_to_zero():
 
 
 def test_substitute_requires_y_variables():
-    with pytest.raises(ValueError):
-        substitute_regime(Poly.variable(XVARS, "x1"), REGIME_ONE)
+    # the regime table's own check refuses a constant too
+    for p in (Poly.variable(XVARS, "x1"), Poly.constant(XVARS, 3)):
+        with pytest.raises(ValueError, match="^variable sets differ"):
+            substitute_regime(p, REGIME_ONE)
 
 
 def test_regime_images_sum_to_zero():

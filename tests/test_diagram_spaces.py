@@ -220,6 +220,15 @@ def test_y_from_x_constant():
     assert y_from_x(Poly.constant(XVARS, 1)) == Poly.constant(YVARS, 1)
 
 
+def test_change_of_variables_refuses_a_constant_in_the_wrong_variables():
+    # `Poly.substitute` tables a polynomial's own variables, so without these
+    # guards both calls would return the constant 3
+    with pytest.raises(ValueError, match="^y_from_x expects"):
+        y_from_x(Poly.constant(YVARS, 3))
+    with pytest.raises(ValueError, match="^eliminate_y4 expects"):
+        eliminate_y4(Poly.constant(XVARS, 3))
+
+
 def test_y_from_x_face_variable():
     # the paper's map followed by y -> 4y
     image = y_from_x(-X["x1"] - X["x2"] - X["x3"])

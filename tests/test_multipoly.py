@@ -1,6 +1,7 @@
 """Polynomial ring, signed S4 actions, symmetrizers, named families."""
 
 import random
+import re
 from fractions import Fraction
 from functools import partial
 from math import factorial, prod
@@ -1260,6 +1261,27 @@ def test_power_tables_refuse_negative_exponents():
         for n, m, k in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
             with pytest.raises(ValueError):
                 powers.first(n, m) if k == 0 else powers.second(k)
+
+
+def test_q_readers_leave_the_exponent_check_to_the_table():
+    # each reader reads first(n, m) and then second(k), so the table's own message names the value
+    regime = asymptotics.REGIME_ONE
+    ctx, powers, products = _SkewSliceContext(9), QFactorPowers(_Q_TRIPLES[:1], _Q_QUADS), uvw_powers()
+    images = QFactorPowers(_Q_TRIPLES, _Q_QUADS, partial(asymptotics.substitute_regime, regime=regime))
+    readers = (
+        lambda n, m, k: q_alternant_row(n, m, k, ctx, powers),
+        lambda n, m, k: express_product_in_uvw(n, m, k, products),
+        lambda n, m, k: asymptotics.verify_q_asymptotics(n, m, k, regime, images),
+    )
+    messages = {
+        (-1, 0, 0): "exponents must be non-negative, not n=-1, m=0",
+        (0, -1, 0): "exponents must be non-negative, not n=0, m=-1",
+        (0, 0, -1): "exponent must be non-negative, not k=-1",
+    }
+    for read in readers:
+        for nmk, message in messages.items():
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read(*nmk)
 
 
 def test_power_table_builds_its_factors_again_after_a_failure(monkeypatch):
