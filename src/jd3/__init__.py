@@ -7,6 +7,8 @@ supporting polynomial family is linearly independent with the expected
 leading-term asymptotics.
 """
 
+from types import ModuleType as _Module
+
 from .asymptotics import (
     DEFAULT_REGIMES,
     ExpVector,
@@ -67,60 +69,11 @@ from .verifier import (
     verify_properties,
 )
 
-__all__ = [
-    "CheckRecord",
-    "DEFAULT_REGIMES",
-    "ExpVector",
-    "NotDivisibleError",
-    "NotInSubringError",
-    "Poly",
-    "PuiseuxPoly",
-    "QFactorPowers",
-    "QMatrix",
-    "REGIME_ONE",
-    "REGIME_TWO",
-    "Regime",
-    "Report",
-    "RunConfig",
-    "SignedPermAction",
-    "SliceSpace",
-    "SubstitutionTable",
-    "VarSet",
-    "XVARS",
-    "YVARS",
-    "Y3VARS",
-    "Z3VARS",
-    "discriminant",
-    "divide_exact",
-    "eliminate_y4",
-    "elementary_symmetric",
-    "even_closed_form",
-    "hilbert_coefficients",
-    "ihx_image_slice",
-    "leading_term",
-    "odd_target_dim",
-    "p2",
-    "p3",
-    "p4",
-    "q_poly",
-    "rank",
-    "regime_table",
-    "row_space_equal",
-    "run_all",
-    "signed_s4",
-    "subring_family_slice",
-    "substitute_regime",
-    "symmetrize",
-    "tet_slice",
-    "tsq_odd_dim",
-    "verify_asymptotics",
-    "verify_even_dims",
-    "verify_lemma",
-    "verify_odd_vanishing",
-    "verify_properties",
-    "verify_q_asymptotics",
-    "x_from_y",
-    "y_from_x",
-]
+# every name imported above is public: to export a name, import it here
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _Module)
+)
 
 __version__ = "0.1.0"

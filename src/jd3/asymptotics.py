@@ -116,11 +116,9 @@ _IMAGE_FORMS = {
 def _shared_images(regime_id: str) -> dict[str, Poly]:
     """Four times the paper's y1..y4 images, integer linear forms in t^a, t^b, t^c.
 
-    They are images of y1..y4 on the hyperplane e1 = 0, so forms that do
-    not sum to 0 raise ValueError.
+    `regime_id` is the id of a `Regime`, which has validated it.  The images
+    lie on the hyperplane e1 = 0, so forms that do not sum to 0 raise ValueError.
     """
-    if regime_id not in _IMAGE_FORMS:
-        raise ValueError("regime id must be 'one' or 'two'")
     forms = _IMAGE_FORMS[regime_id]
     if any(map(sum, zip(*forms.values()))):
         raise ValueError(f"regime {regime_id} images do not sum to 0: they leave e1 = 0")

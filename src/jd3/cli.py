@@ -49,33 +49,42 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run one verification suite")
     vsub = verify.add_subparsers(dest="suite", required=True)
 
+    # each command's `run` takes the parsed arguments and returns the exit code
     odd = vsub.add_parser("odd", help="odd-degree vanishing checks")
     odd.add_argument("--max-legs", type=int, default=ODD_MAX_LEGS, metavar="N")
+    odd.set_defaults(run=lambda args: _emit(verify_odd_vanishing(args.max_legs), args))
     _add_output_flags(odd)
 
     even = vsub.add_parser("even", help="even-degree dimension checks")
     even.add_argument("--max-legs", type=int, default=EVEN_MAX_LEGS, metavar="N")
+    even.set_defaults(run=lambda args: _emit(verify_even_dims(args.max_legs), args))
     _add_output_flags(even)
 
     lemma = vsub.add_parser("lemma", help="independence and span of the Q family")
     lemma.add_argument("--max-d", type=int, default=LEMMA_MAX_D, metavar="D")
+    lemma.set_defaults(run=lambda args: _emit(verify_lemma(args.max_d), args))
     _add_output_flags(lemma)
 
     asym = vsub.add_parser("asymptotics", help="leading-term checks for the Q family")
     asym.add_argument("--max-d", type=int, default=ASYM_MAX_D, metavar="D")
-    asym.add_argument("--regime", choices=("one", "two", "both"), default="both")
+    asym.add_argument("--regime", choices=(*DEFAULT_REGIMES, "both"), default="both")
     asym.add_argument(
         "--abc",
         nargs=3,
         metavar=("A", "B", "C"),
         help="exact rational exponents, e.g. 2 8/5 1 (requires --regime one or two)",
     )
+    asym.set_defaults(
+        run=lambda args: _emit(verify_asymptotics(args.max_d, regimes=_parse_regimes(args)), args)
+    )
     _add_output_flags(asym)
 
     dims = sub.add_parser("dims", help="print the dimension of one graded slice")
     dims.add_argument("--legs", type=int, required=True, metavar="L")
+    dims.set_defaults(run=_run_dims)
 
     everything = sub.add_parser("all", help="run every suite with the default caps")
+    everything.set_defaults(run=lambda args: _emit(run_all(), args))
     _add_output_flags(everything)
 
     return parser
@@ -94,7 +103,7 @@ def _parse_regimes(args: argparse.Namespace) -> tuple[Regime, ...]:
             raise ValueError(f"--abc values must be exact rationals: {exc}") from exc
         return (Regime(args.regime, a, b, c),)
     if args.regime == "both":
-        return (DEFAULT_REGIMES["one"], DEFAULT_REGIMES["two"])
+        return tuple(DEFAULT_REGIMES.values())
     return (DEFAULT_REGIMES[args.regime],)
 
 
@@ -154,17 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         _check_report_paths(args)
-        if args.command == "dims":
-            return _run_dims(args)
-        if args.command == "all":
-            return _emit(run_all(), args)
-        if args.suite == "odd":
-            return _emit(verify_odd_vanishing(args.max_legs), args)
-        if args.suite == "even":
-            return _emit(verify_even_dims(args.max_legs), args)
-        if args.suite == "lemma":
-            return _emit(verify_lemma(args.max_d), args)
-        return _emit(verify_asymptotics(args.max_d, regimes=_parse_regimes(args)), args)
+        return args.run(args)
     # OSError: a --json/--csv path that cannot be written; ArithmeticError: a
     # slice whose e1 certificate fails under `dims` (the suites record it as a
     # FAIL); any other type is a fault outside every check, so it is named

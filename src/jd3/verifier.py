@@ -314,7 +314,7 @@ def verify_asymptotics(max_d: int, regimes: tuple[Regime, ...] | None = None) ->
     if max_d < 0:
         raise ValueError("max_d must be non-negative")
     if regimes is None:
-        regimes = (DEFAULT_REGIMES["one"], DEFAULT_REGIMES["two"])
+        regimes = tuple(DEFAULT_REGIMES.values())
     triples = [t for d in range(max_d + 1) for t in _lemma_triples(d)]
     report = Report(suite="asymptotics")
     for regime in regimes:
@@ -498,7 +498,7 @@ def verify_properties(seed: int = DEFAULT_PROPERTY_SEED) -> Report:
     tables: dict[str, SubstitutionTable] = {}
 
     def homomorphism(p: Poly, q: Poly) -> str:
-        for regime in (DEFAULT_REGIMES["one"], DEFAULT_REGIMES["two"]):
+        for regime in DEFAULT_REGIMES.values():
             if regime.id not in tables:
                 tables[regime.id] = regime_table(regime)
         return _homomorphism(tables, p, q)

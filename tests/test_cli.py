@@ -1,14 +1,17 @@
 """Command-line behavior: exit codes, outputs, report files."""
 
+import ast
 import csv
 import itertools
 import json
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import jd3
 from jd3 import diagram_spaces, verifier
 from jd3.cli import main
 
@@ -84,6 +87,17 @@ def test_abc_with_explicit_regime(capsys):
         ]
     )
     assert code == 0
+
+
+def test_regime_without_abc_runs_that_regimes_default(capsys):
+    def printed_ids(*regime):
+        assert main(["verify", "asymptotics", "--max-d", "1", *regime]) == 0
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        return [line.split()[1] for line in lines]
+
+    two = printed_ids("--regime", "two")
+    assert two and all(check_id.startswith("asym.regime2.") for check_id in two)
+    assert two == [i for i in printed_ids("--regime", "both") if i.startswith("asym.regime2.")]
 
 
 def test_abc_violating_inequalities_exits_2(capsys):
@@ -254,6 +268,23 @@ def test_import_loads_neither_dataclasses_nor_inspect(child_env):
     added = set(proc.stdout.split())
     assert "jd3.verifier" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_public_names_are_the_package_imports():
+    # jd3.__all__ is every name that jd3/__init__.py imports from its submodules
+    tree = ast.parse(Path(jd3.__file__).read_text(encoding="utf-8"))
+    aliases = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert jd3.__all__ == sorted(aliases)
+    assert not any(isinstance(getattr(jd3, name), ModuleType) for name in jd3.__all__)
+    namespace = {}
+    exec("from jd3 import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(aliases)
 
 
 def test_help_exits_zero(capsys):

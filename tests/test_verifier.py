@@ -205,9 +205,11 @@ def test_power_tables_run_their_chains_packed(monkeypatch):
         factors.extend(original_factors(self, which, arguments))
         return factors[len(factors) - len(arguments):]
 
+    # each read is keyed by its table, not by id(): holding the table keeps
+    # it alive, so a later table cannot take a freed one's address
     def read(name, original):
         def method(self, *exponents):
-            reads.add((id(self), name, exponents))
+            reads.add((self, name, exponents))
             return original(self, *exponents)
 
         return method
