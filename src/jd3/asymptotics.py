@@ -24,6 +24,7 @@ exponent.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heappop, heappush
@@ -62,6 +63,38 @@ class ExpVector(NamedTuple):
         return "".join(parts) if parts else "0"
 
 
+# What one regime id fixes: the inequality on a-b and b-c, the ValueError of a
+# choice that breaks it, four times the paper's y1..y4 images as coefficients of
+# (t^a, t^b, t^c), Q^{n,m,k}'s closed-form leading term up to eps, and the check-id tag
+_RegimeForm = namedtuple("_RegimeForm", "holds message images leading tag")
+
+
+# The one record per regime id; every other place that depends on the id reads it here
+_REGIMES = {
+    "one": _RegimeForm(
+        lambda x, y: x < y < 2 * x,
+        "regime one requires a-b < b-c < 2(a-b)",
+        {"y1": (3, -1, -1), "y2": (-1, 3, -1), "y3": (-1, -1, 3), "y4": (-1, -1, -1)},
+        lambda n, m, k: (2**n * (2 * m + 3), ExpVector(2 * (n + 2 * m + k + 3), 2 * (m + k + 1), 1)),
+        "regime1",
+    ),
+    "two": _RegimeForm(
+        lambda x, y: y < x < 2 * y,
+        "regime two requires b-c < a-b < 2(b-c)",
+        {"y1": (2, 2, -1), "y2": (2, -2, -1), "y3": (-2, 0, 3), "y4": (-2, 0, -1)},
+        lambda n, m, k: (2 ** (n + 1) * (n + 2 * m + 3), ExpVector(2 * (n + 2 * m + 2 * k) + 5, 2 * m + 3, 1)),
+        "regime2",
+    ),
+}
+
+
+def _regime_form(regime_id: str) -> _RegimeForm:
+    """The record of a regime id; an unknown id raises ValueError."""
+    if regime_id not in _REGIMES:
+        raise ValueError(f"regime id must be {' or '.join(map(repr, _REGIMES))}")
+    return _REGIMES[regime_id]
+
+
 class Regime(
     NamedTuple("Regime", [("id", str), ("a", Fraction), ("b", Fraction), ("c", Fraction)])
 ):
@@ -70,6 +103,7 @@ class Regime(
     Regime "one" requires a > b > c > 0 and a-b < b-c < 2(a-b);
     regime "two" requires a > b > c > 0 and b-c < a-b < 2(b-c).
     a, b and c are int or Fraction; a float is not exact and raises TypeError.
+    `tag` names the regime in check ids.
     `weights` is the integer triple D*(a, b, c), where D is the least common
     denominator of a, b and c; it is derived, so it takes no part in
     equality, hashing or the repr.  `_replace` builds through `_make`, as
@@ -82,20 +116,16 @@ class Regime(
     @classmethod
     def _make(cls, fields) -> Regime:
         id, a, b, c = fields
-        if id not in ("one", "two"):
-            raise ValueError("regime id must be 'one' or 'two'")
+        form = _regime_form(id)
         a, b, c = (Fraction(_exact(x)) for x in (a, b, c))
         if not (a > b > c > 0):
             raise ValueError("regime requires a > b > c > 0")
-        if id == "one":
-            if not (a - b < b - c < 2 * (a - b)):
-                raise ValueError("regime one requires a-b < b-c < 2(a-b)")
-        else:
-            if not (b - c < a - b < 2 * (b - c)):
-                raise ValueError("regime two requires b-c < a-b < 2(b-c)")
+        if not form.holds(a - b, b - c):
+            raise ValueError(form.message)
         self = super()._make((id, a, b, c))
         d = lcm(a.denominator, b.denominator, c.denominator)
         self.weights = (int(a * d), int(b * d), int(c * d))
+        self.tag = form.tag
         return self
 
 
@@ -105,12 +135,6 @@ REGIME_TWO = Regime("two", Fraction(2), Fraction(7, 5), Fraction(1))
 DEFAULT_REGIMES = {"one": REGIME_ONE, "two": REGIME_TWO}
 
 
-# Four times the paper's images of y1..y4, as integer coefficients of (t^a, t^b, t^c)
-_IMAGE_FORMS = {
-    "one": {"y1": (3, -1, -1), "y2": (-1, 3, -1), "y3": (-1, -1, 3), "y4": (-1, -1, -1)},
-    "two": {"y1": (2, 2, -1), "y2": (2, -2, -1), "y3": (-2, 0, 3), "y4": (-2, 0, -1)},
-}
-
 
 @lru_cache(maxsize=2)
 def _shared_images(regime_id: str) -> dict[str, Poly]:
@@ -119,7 +143,7 @@ def _shared_images(regime_id: str) -> dict[str, Poly]:
     `regime_id` is the id of a `Regime`, which has validated it.  The images
     lie on the hyperplane e1 = 0, so forms that do not sum to 0 raise ValueError.
     """
-    forms = _IMAGE_FORMS[regime_id]
+    forms = _REGIMES[regime_id].images
     if any(map(sum, zip(*forms.values()))):
         raise ValueError(f"regime {regime_id} images do not sum to 0: they leave e1 = 0")
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -241,16 +265,8 @@ def expected_q_leading(n: int, m: int, k: int, regime_id: str) -> tuple[Fraction
     Regime two:  eps * 2^(n+1) * (n+2m+3) at (2(n+2m+2k)+5)a + (2m+3)b + c.
     eps is 1 for k > 0 and 3 for k = 0.
     """
-    eps = 1 if k > 0 else 3
-    if regime_id == "one":
-        coeff = Fraction(eps * 2**n * (2 * m + 3))
-        vec = ExpVector(2 * (n + 2 * m + k + 3), 2 * (m + k + 1), 1)
-    elif regime_id == "two":
-        coeff = Fraction(eps * 2 ** (n + 1) * (n + 2 * m + 3))
-        vec = ExpVector(2 * (n + 2 * m + 2 * k) + 5, 2 * m + 3, 1)
-    else:
-        raise ValueError("regime id must be 'one' or 'two'")
-    return coeff, vec
+    coeff, vec = _regime_form(regime_id).leading(n, m, k)
+    return Fraction((1 if k > 0 else 3) * coeff), vec
 
 
 def substituted_q(n: int, m: int, k: int, regime: Regime, powers: QFactorPowers) -> PuiseuxPoly:

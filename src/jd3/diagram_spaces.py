@@ -14,11 +14,13 @@ with integer coordinates:
   the plain orbit average of y^l (m_l over its orbit size).
   Symmetrizing a monomial sorts its exponents.
 
-A row is read from one or two packed polynomials (`multipoly.Packing`):
-each term pair's key is looked up in one table per degree, the key of
-every monomial on a basis orbit with its signed slot, and the pair's
-product coefficient added there, so no product is formed and no term is
-unpacked or sorted.
+A row is read from one or two polynomials packed in the degree's layout
+(`multipoly.Poly.packed`): each term pair's key is looked up in one
+table per degree, the key of every monomial on a basis orbit with its
+signed slot, and the pair's product coefficient added there, so no
+product is formed and no term is unpacked or sorted.  The family
+generators are products and sums of the edge images' powers, which run
+packed in that same layout, so they reach their rows as built.
 
 The quotient by e1 is presented by a triangularity certificate, not by
 elimination.  The e1-rows, e1 times each basis vector b_mu one degree
@@ -55,14 +57,13 @@ from .linalg import QMatrix, RowSpan, _check_ints, rank
 from .multipoly import (
     Packing,
     Poly,
+    Powers,
     QFactorPowers,
     SignedPermAction,
     XVARS,
     YVARS,
     Y3VARS,
     Z3VARS,
-    packed_product,
-    packed_sum,
     perm_sign,
     symmetrize,
 )
@@ -170,8 +171,8 @@ class _SkewSliceContext:
     """Orbit basis, projection and e1 certificate of one degree, `legs`, for all its slices.
 
     Odd degrees use the signed orbit basis, even degrees the plain one (see
-    the module docstring).  `skew_row` projects a product of packed
-    y-polynomials onto the slice in that basis; `e1_rows` holds the
+    the module docstring).  `skew_row` projects a product of
+    y-polynomials, read packed in `packing`, onto the slice in that basis; `e1_rows` holds the
     e1-rows as sparse (index, coefficient) lists, `pivots`, in basis
     order, each one's leading index with the rest of the row, and
     `standard` the indices that are not pivots.
@@ -236,21 +237,21 @@ class _SkewSliceContext:
         return table
 
     @cached_property
-    def edge_powers(self) -> dict:
-        """One `Packing.powers` table per base, packed in `packing`.
+    def edge_powers(self) -> dict[str, Powers]:
+        """One `Powers` table per base, each power built on its first read and kept.
 
         The bases are the images of x1..x6 under `_x_from_y_map`, -x2 and
-        x1*x2; the tables and each power are built on first read and kept.
+        x1*x2.  A power of degree at most `legs` is packed in `packing`.
         """
         x = _x_from_y_map()
         images = {**x, "-x2": -x["x2"], "x1*x2": x["x1"] * x["x2"]}
-        return {name: self.packing.powers(self.packing.pack(image.terms)) for name, image in images.items()}
+        return {name: Powers(image) for name, image in images.items()}
 
-    def skew_row(self, *factors: dict[int, int]) -> list[int]:
+    def skew_row(self, *factors: Poly) -> list[int]:
         """Coordinates of the (signed, in odd degree) orbit average of the factors' product.
 
-        The one or two factors are packed polynomials of `packing` whose
-        degrees sum to the slice's; any other count raises ValueError.
+        The one or two factors are y-polynomials whose degrees sum to the
+        slice's, read packed in `packing`; any other count raises ValueError.
         Each term pair's c1*c2 is added straight into the signed slot of
         its key in the orbit table, built on the first read, and the row is
         the + half minus the - half: no product is formed.  A key that is
@@ -258,12 +259,12 @@ class _SkewSliceContext:
         counts 0 and its pair is not multiplied.
         """
         if not 1 <= len(factors) <= 2:
-            raise ValueError(f"skew_row takes one or two packed factors, not {len(factors)}")
+            raise ValueError(f"skew_row takes one or two factors, not {len(factors)}")
         slot_of = self._orbit_table.get
         n = len(self.basis)
         slots = [0] * (2 * n)
         # one factor is its product with the unit, whose key is 0
-        a, b = sorted((*factors, {0: 1})[:2], key=len)
+        a, b = sorted((*(f.packed(self.packing) for f in factors), {0: 1})[:2], key=len)
         b_items = list(b.items())
         for k1, c1 in a.items():
             for k2, c2 in b_items:
@@ -323,14 +324,15 @@ def q_alternant_row(
     term of F omits one variable, so at a strict tuple F's coefficient is
     G's when l4 = 0 and 0 otherwise.  A commutes with multiplying by the
     symmetric S, so Q = A(G+ * S), and Q's coordinate, 24 times its
-    coefficient at y^l, is `ctx.skew_row` of the two packed factors
-    24 * G+ and S (Macdonald, Symmetric Functions and Hall Polynomials,
-    ch. I.3); their product is never formed.
+    coefficient at y^l, is `ctx.skew_row` of the two factors 24 * G+ and
+    S (Macdonald, Symmetric Functions and Hall Polynomials, ch. I.3);
+    their product is never formed.  S reaches the row as the table
+    built it, and only G+ is packed.
     """
     _coverage.touch("multipoly.q_poly")  # the suites' one reach of the Q family
-    g = powers.first(n, m).terms
-    strict = {e: 24 * c for e, c in g.items() if e[0] > e[1] > e[2] > e[3]}
-    return ctx.skew_row(ctx.packing.pack(strict), ctx.packing.pack(powers.second(k).terms))
+    g = powers.first(n, m)
+    strict = {e: 24 * c for e, c in g.terms.items() if e[0] > e[1] > e[2] > e[3]}
+    return ctx.skew_row(Poly._raw(YVARS, strict, g.top), powers.second(k))
 
 
 def tet_slice(legs: int) -> SliceSpace:
@@ -385,11 +387,10 @@ def _ihx_image_generators(legs: int):
                 yield (a, b, c, legs - a - b - c)
 
 
-def _ihx_image_build(powers, gen: tuple[int, int, int, int]) -> tuple[dict, dict]:
+def _ihx_image_build(powers, gen: tuple[int, int, int, int]) -> tuple[Poly, Poly]:
     a, b, c, d = gen
     x1, x5 = powers["x1"], powers["x5"]
-    pair = packed_sum(packed_product(x1[a], x5[b]), packed_product(x1[b], x5[a]))
-    return pair, packed_product(powers["x4"][c], powers["-x2"][d])
+    return x1[a] * x5[b] + x1[b] * x5[a], powers["x4"][c] * powers["-x2"][d]
 
 
 def _subring_family_generators(legs: int):
@@ -398,17 +399,17 @@ def _subring_family_generators(legs: int):
             yield (n, a, legs - 2 * n - a)
 
 
-def _subring_family_build(powers, gen: tuple[int, int, int]) -> tuple[dict, dict]:
+def _subring_family_build(powers, gen: tuple[int, int, int]) -> tuple[Poly, Poly]:
     n, a, b = gen
-    return packed_product(powers["x1*x2"][n], powers["x4"][a]), powers["x5"][b]
+    return powers["x1*x2"][n] * powers["x4"][a], powers["x5"][b]
 
 
 def _family_slice(ambient: SliceSpace, generators, build) -> SliceSpace:
     """Span of one skew-symmetrized generator family in an odd ambient slice.
 
     `generators(legs)` enumerates the family, and `build(powers, gen)`
-    turns one generator into its two packed factors, from the edge
-    powers of the context that `tet_slice` built for `ambient`; `skew_row`
+    turns one generator into its two factors, from the edge powers of
+    the context that `tet_slice` built for `ambient`; `skew_row`
     projects their product, which is never formed.  All generators lie in the
     signed-isotypic part of the slice, so the construction stops once
     the running span is the whole ambient slice.  The x-variables enter

@@ -3,19 +3,18 @@
 Polynomials are sparse maps from exponent tuples to nonzero `int`
 coefficients, over a fixed ordered variable set; a coefficient that is
 not an `int` raises `TypeError`, so ring operations never leave integer
-arithmetic.  A rational number appears only in `evaluate`.  Multiply,
-power and divide each build one `Packing`, and a substitution is one
-`SubstitutionTable`, which keeps its `Packing` for every polynomial it
-maps.  A `Packing` packs each exponent tuple into one int, one
-byte-aligned field of 1, 2, 4 or 8 bytes per coordinate, wide enough for
-the largest exponent of the result, so adding two packed keys multiplies
-the monomials (packed exponent vectors, as in Monagan and Pearce, CASC
-2007).  The operations pack once on the way in, run every intermediate
-product through the one packed kernel, read every power from one lazy
-table (`Packing.powers`), and unpack once; the term maps of a Poly stay
-keyed by tuples.  Callers that keep polynomials packed from factor to
-product (`packed_product`, `packed_sum`), as the slice families, the
-homomorphism law and the chains of `QFactorPowers` do, use one layout.
+arithmetic.  A rational number appears only in `evaluate`.  A `Packing`
+packs each exponent tuple into one int, one byte-aligned field of 1, 2,
+4 or 8 bytes per coordinate, so adding two packed keys multiplies the
+monomials (packed exponent vectors, as in Monagan and Pearce, CASC
+2007).  A `Poly` is the one packed type: it keeps its terms keyed by
+tuples or packed in one `Packing`, as they were made, with `top`, a
+bound on its largest exponent.  Product, power and sum each choose the
+layout that holds the result's `top`, read each operand there
+(`Poly.packed`, packed once per layout), run the one packed kernel and
+return the result packed; `terms` unpacks on its first read.  `Powers`
+is the one lazy table of a polynomial's powers, and a substitution is
+one `SubstitutionTable`, which sums its monomial images packed.
 A result exponent of 2^64 or more raises OverflowError.
 On top of the ring operations this module provides the signed
 permutation actions of S4 and their group sums, taken once per orbit,
@@ -112,44 +111,36 @@ def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return {k: c for k, c in out.items() if c}
 
 
-class _Powers(dict):
-    """Lazy powers of one packed polynomial: e -> base^e, from {0: 1, 1: base}.
-
-    A missing power is built from the largest one below it, one
-    `_mul_packed` by the base per step, and every step is kept.
-    """
-
-    def __missing__(self, e: int) -> dict[int, int]:
-        for i in range(len(self), e + 1):
-            self[i] = _mul_packed(self[i - 1], self[1])
-        return self[e]
-
-
 class Packing:
-    """One packed layout: n exponents of at most `top`, one int key per exponent tuple.
+    """One packed layout: n exponents of at most `limit`, one int key per exponent tuple.
 
-    Each exponent takes a byte-aligned field of 1, 2, 4 or 8 bytes, the
-    fewest that hold `top`, packed and unpacked lazily and in C through
-    `struct`.  A packed polynomial is a plain dict from key to nonzero
-    int coefficient.  Adding two keys multiplies their monomials while
-    every exponent of the product stays at most `top`, so `_mul_packed`
-    and `packed_product` multiply within one layout and `packed_sum`
-    adds; a caller keeps the degrees of its products at most `top` and
-    never reads a key's fields.  `limit`, at least `top`, is the largest
-    exponent a field holds.  A negative `top` raises ValueError, one of
-    2^64 or more OverflowError.
+    `Packing(n, top)` is the layout of n byte-aligned fields of 1, 2, 4
+    or 8 bytes, the fewest that hold `top`, packed and unpacked lazily
+    and in C through `struct`.  There is one object per n and field
+    width, so two polynomials share a layout exactly when they share the
+    object.  `limit`, at least `top`, is the largest exponent a field
+    holds.  Adding two keys multiplies their monomials while every
+    exponent of the product stays at most `limit`; `Poly` sizes each
+    layout from its `top`, so no caller reads a key's fields.  A
+    negative `top` raises ValueError, one of 2^64 or more OverflowError.
     """
 
     __slots__ = ("_fields", "limit")
+    _shared: dict[tuple[int, int], Packing] = {}  # (n, top's bit length) -> its layout
 
-    def __init__(self, n: int, top: int) -> None:
+    def __new__(cls, n: int, top: int) -> Packing:
         if top < 0:
             raise ValueError(f"exponent bound {top} is negative")
-        width = next((w for w in (1, 2, 4, 8) if top >> (8 * w) == 0), None)
-        if width is None:
-            raise OverflowError(f"exponent {top} does not fit in 64 bits")
-        self._fields = struct.Struct(f">{n}{'BHIQ'[width.bit_length() - 1]}")
-        self.limit = (1 << 8 * width) - 1
+        self = cls._shared.get((n, top.bit_length()))
+        if self is None:
+            width = next((w for w in (1, 2, 4, 8) if top >> (8 * w) == 0), None)
+            if width is None:
+                raise OverflowError(f"exponent {top} does not fit in 64 bits")
+            self = cls._shared.get((n, 8 * width)) or super().__new__(cls)
+            self._fields = struct.Struct(f">{n}{'BHIQ'[width.bit_length() - 1]}")
+            self.limit = (1 << 8 * width) - 1
+            cls._shared[n, top.bit_length()] = cls._shared[n, 8 * width] = self
+        return self
 
     def keys(self, tuples) -> Iterator[int]:
         """The key of each exponent tuple, lazily and in order."""
@@ -165,20 +156,6 @@ class Packing:
         to_bytes = methodcaller("to_bytes", self._fields.size, "big")
         return dict(zip(map(self._fields.unpack, map(to_bytes, packed)), packed.values()))
 
-    def powers(self, base: dict[int, int]) -> Mapping[int, dict[int, int]]:
-        """The powers of a packed polynomial, read as `table[e]` and each built once.
-
-        The table starts at the unit and `base`, the zero tuple's key being
-        0; a further power is built on its first read, one `_mul_packed`
-        of the power below it by `base`, and kept with the table.
-        """
-        return _Powers({0: {0: 1}, 1: base})
-
-
-def packed_product(*factors: dict[int, int]) -> dict[int, int]:
-    """Product of one or more packed polynomials of one `Packing`."""
-    return reduce(_mul_packed, factors)
-
 
 def packed_sum(a: Mapping, b: Mapping) -> dict:
     """Sum of two term maps keyed alike, by one `Packing` or by exponent tuples; no zero kept."""
@@ -190,9 +167,18 @@ def packed_sum(a: Mapping, b: Mapping) -> dict:
 
 
 class Poly:
-    """Sparse polynomial: a read-only map `terms` from exponent tuple to nonzero int."""
+    """Sparse polynomial: a read-only map `terms` from exponent tuple to nonzero int.
 
-    __slots__ = ("vars", "terms")
+    The terms are kept in the form they were made in, keyed by exponent
+    tuples or packed in one `Packing`, and `top` is a bound at least as
+    large as the largest exponent.  `terms` unpacks a packed Poly on its
+    first read and keeps the tuples; `packed(packing)` packs once per
+    layout and keeps the result.  Product, power and sum run packed, in
+    the layout that holds the result's `top`, and return it packed; a sum
+    of two Polys that both hold tuples stays on tuples.
+    """
+
+    __slots__ = ("vars", "top", "_terms", "_packs")
 
     def __init__(self, vars: VarSet, terms: dict | None = None) -> None:
         self.vars = vars
@@ -210,84 +196,122 @@ class Poly:
                         raise ValueError("negative exponent")
                 if _int(coeff):
                     clean[exps] = coeff
-        self.terms = MappingProxyType(clean)
+        self.top = _max_exponent(clean)
+        self._terms = MappingProxyType(clean)
+        self._packs: dict[Packing, dict[int, int]] = {}
 
     @classmethod
-    def _raw(cls, vars: VarSet, terms: dict) -> "Poly":
-        # internal: terms already normalized (no zeros, valid tuples)
+    def _raw(cls, vars: VarSet, terms: dict, top: int | None = None, packing: Packing | None = None) -> "Poly":
+        # internal: terms already normalized (no zeros, valid keys), keyed by
+        # tuples or, with `top` given, packed in `packing`
         p = cls.__new__(cls)
         p.vars = vars
-        p.terms = MappingProxyType(terms)
+        p.top = _max_exponent(terms) if top is None else top
+        p._terms = MappingProxyType(terms) if packing is None else None
+        p._packs = {} if packing is None else {packing: terms}
         return p
 
     @classmethod
     def constant(cls, vars: VarSet, c) -> "Poly":
         if not _int(c):
             return cls._raw(vars, {})
-        return cls._raw(vars, {(0,) * len(vars): c})
+        return cls._raw(vars, {(0,) * len(vars): c}, 0)
 
     @classmethod
     def variable(cls, vars: VarSet, name: str) -> "Poly":
         i = vars.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls._raw(vars, {exps: 1})
+        return cls._raw(vars, {exps: 1}, 1)
 
     @classmethod
     def monomial(cls, vars: VarSet, exps) -> "Poly":
         return cls(vars, {tuple(exps): 1})
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], int]:
+        if self._terms is None:
+            packing, packed = self._form()
+            self._terms = MappingProxyType(packing.unpack(packed))
+        return self._terms
+
+    def packed(self, packing: Packing) -> dict[int, int]:
+        """The terms keyed in `packing`, packed on the first read in it and kept; read, never change.
+
+        A layout whose `limit` is below `top` raises OverflowError: its
+        fields would carry an exponent into the next one.
+        """
+        packed = self._packs.get(packing)
+        if packed is None:
+            if self.top > packing.limit:
+                raise OverflowError(f"exponent bound {self.top} does not fit in fields of {packing.limit}")
+            packed = self._packs[packing] = packing.pack(self.terms)
+        return packed
+
+    def _form(self) -> tuple[Packing | None, Mapping]:
+        """The layout and terms of a packed form, or None and the tuple terms if there is none."""
+        return next(iter(self._packs.items()), (None, self._terms))
 
     def _check_same_vars(self, other: "Poly") -> None:
         if self.vars != other.vars:
             raise ValueError(f"variable sets differ: {self.vars} vs {other.vars}")
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._form()[1]
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len({sum(e) for e in self.terms}) <= 1
 
     def __eq__(self, other: object) -> bool:
+        """Equal terms, compared as tuples when both sides hold them and packed otherwise."""
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        if self.vars != other.vars:
+            return False
+        if self._terms is not None and other._terms is not None:
+            return self._terms == other._terms
+        packing = Packing(len(self.vars), max(self.top, other.top))
+        return self.packed(packing) == other.packed(packing)
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.vars, {e: -c for e, c in self.terms.items()})
+        return self.scale(-1)
 
     def __add__(self, other: "Poly") -> "Poly":
         _coverage.touch("multipoly.ring_ops")
         self._check_same_vars(other)
-        return Poly._raw(self.vars, packed_sum(self.terms, other.terms))
+        top = max(self.top, other.top)
+        if self._terms is not None and other._terms is not None:
+            return Poly._raw(self.vars, packed_sum(self._terms, other._terms), top)
+        packing = Packing(len(self.vars), top)
+        return Poly._raw(self.vars, packed_sum(self.packed(packing), other.packed(packing)), top, packing)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        """Product through `_mul_packed`, packing and unpacking once."""
+        """Product through `_mul_packed`, in the layout that holds the sum of the tops."""
         _coverage.touch("multipoly.ring_ops")
         self._check_same_vars(other)
-        a, b = self.terms, other.terms
-        packing = Packing(len(self.vars), _max_exponent(a) + _max_exponent(b))
-        return Poly._raw(self.vars, packing.unpack(_mul_packed(packing.pack(a), packing.pack(b))))
+        top = self.top + other.top
+        packing = Packing(len(self.vars), top)
+        return Poly._raw(self.vars, _mul_packed(self.packed(packing), other.packed(packing)), top, packing)
 
     def scale(self, c) -> "Poly":
         _coverage.touch("multipoly.ring_ops")
         if not _int(c):
             return Poly._raw(self.vars, {})
-        return Poly._raw(self.vars, {e: c * v for e, v in self.terms.items()})
+        packing, terms = self._form()
+        return Poly._raw(self.vars, {e: c * v for e, v in terms.items()}, self.top, packing)
 
     def __pow__(self, n: int) -> "Poly":
-        """Power by repeated multiplication, read from one `Packing.powers` table.
+        """Power read from a fresh `Powers` table: n - 1 products for n >= 2, none for n <= 1.
 
-        p ** n runs n - 1 packed products for n >= 2 and none for n <= 1.
+        The result's layout is sized first, so a power whose exponents
+        could reach 2^64 raises OverflowError, p ** 1 too.
         """
         if type(n) is not int or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        if not n:
-            return Poly.constant(self.vars, 1)
-        packing = Packing(len(self.vars), n * _max_exponent(self.terms))
-        return Poly._raw(self.vars, packing.unpack(packing.powers(packing.pack(self.terms))[n]))
+        Packing(len(self.vars), n * self.top)
+        return Powers(self)[n]
 
     def substitute(self, mapping: dict[str, "Poly"]) -> "Poly":
         """Replace every variable by its image polynomial: one use of one `SubstitutionTable`.
@@ -315,14 +339,32 @@ class Poly:
         parts = []
         by_degree = sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
         for exps, coeff in by_degree:
-            factors = [
-                f"{n}^{e}" if e > 1 else n
-                for n, e in zip(self.vars.names, exps)
-                if e
-            ]
+            factors = [f"{n}^{e}" if e > 1 else n for n, e in zip(self.vars.names, exps) if e]
             mono = "*".join(factors) if factors else "1"
             parts.append(f"({coeff})*{mono}")
         return " + ".join(parts)
+
+
+class Powers(dict):
+    """The powers of one Poly, read as `table[e]`, each built on its first read and kept.
+
+    The table starts at the base, `table[1]`.  The unit `table[0]` is
+    built on its first read, and a further power as one product of the
+    largest power below it by the base, every step kept.  A negative
+    exponent raises ValueError.
+    """
+
+    def __init__(self, base: Poly) -> None:
+        super().__init__({1: base})
+
+    def __missing__(self, e: int) -> Poly:
+        if e < 0:
+            raise ValueError(f"exponent must be non-negative, not {e}")
+        if e == 0:
+            self[0] = Poly.constant(self[1].vars, 1)
+        for i in range(len(self) - (0 in self) + 1, e + 1):
+            self[i] = self[i - 1] * self[1]
+        return self[e]
 
 
 class SubstitutionTable:
@@ -330,20 +372,15 @@ class SubstitutionTable:
 
     Calling the table on a Poly in `source` replaces every variable by its
     image.  All variables that occur must be mapped, and every image must
-    be a Poly in one common target variable set.  The table packs into
-    one `Packing` and keeps, for its own lifetime, each occurring image's
-    `Packing.powers` table and each monomial's packed image, each built on
-    its first use; a polynomial whose image needs wider exponent fields
-    than the layout holds moves the table to a wider layout, dropping
-    what it kept.  Each term's coefficient times its monomial's image is
-    summed packed; `packed_images` returns several images packed in one
-    layout, for a caller that multiplies or adds them packed, and calling
-    the table unpacks its one image once.
+    be a Poly in one common target variable set.  The table keeps, for its
+    own lifetime, one `Powers` table per image and each monomial's image,
+    built on its first use as the product of its variables' image powers.
+    Each term's coefficient times its monomial's image is summed packed,
+    in the layout of the largest image, and the image of a polynomial is
+    returned packed there.
     """
 
-    __slots__ = (
-        "source", "target", "_images", "_tops", "_unmapped", "_packing", "_powers", "_monomials"
-    )
+    __slots__ = ("source", "target", "_powers", "_unmapped", "_monomials")
 
     def __init__(self, source: VarSet, mapping: Mapping[str, Poly]) -> None:
         _coverage.touch("multipoly.substitute")
@@ -356,69 +393,37 @@ class SubstitutionTable:
             elif img.vars != target:
                 raise ValueError("substitution images use different variable sets")
         self.source, self.target = source, target
-        self._images = [mapping.get(name) for name in source.names]
-        self._tops = [0 if img is None else _max_exponent(img.terms) for img in self._images]
-        self._unmapped = [i for i, img in enumerate(self._images) if img is None]
-        self._packing: Packing | None = None  # set, with what it keeps, by the first call
+        self._powers = [None if name not in mapping else Powers(mapping[name]) for name in source.names]
+        self._unmapped = [i for i, powers in enumerate(self._powers) if powers is None]
+        self._monomials: dict[tuple[int, ...], Poly] = {}
 
-    def _monomial(self, exps: tuple[int, ...]) -> dict[int, int]:
-        """The packed image of a monomial other than 1, the product of its variables' image powers."""
-        packing, powers = self._packing, self._powers
-        factors = []
-        for i, e in enumerate(exps):
-            if e:
-                if powers[i] is None:
-                    powers[i] = packing.powers(packing.pack(self._images[i].terms))
-                factors.append(powers[i][e])
-        image = self._monomials[exps] = reduce(_mul_packed, factors)
-        return image
+    def _monomial(self, exps: tuple[int, ...]) -> Poly:
+        """The image of a monomial, the product of its variables' image powers, built once."""
+        if exps not in self._monomials:
+            factors = [self._powers[i][e] for i, e in enumerate(exps) if e]
+            self._monomials[exps] = reduce(mul, factors) if factors else Poly.constant(self.target, 1)
+        return self._monomials[exps]
 
     def __call__(self, p: Poly) -> Poly:
-        """The image of p: one use of `packed_images`, unpacked."""
-        if p.vars == self.source and not p.terms:
+        """The image of p.  A polynomial in another variable set, or one using an unmapped variable, raises ValueError."""
+        if p.vars != self.source:
+            raise ValueError(f"variable sets differ: {p.vars} vs {self.source}")
+        if p.is_zero():
             return Poly._raw(self.source if self.target is None else self.target, {})
-        (image,) = self.packed_images(p)
-        return Poly._raw(self.target, self._packing.unpack(image))
-
-    def packed_images(self, *polys: Poly) -> list[dict[int, int]]:
-        """The images of polynomials in `source`, packed in one layout, the table's.
-
-        The layout holds the largest weighted degree among the inputs, the
-        exponents times their variables' image degrees, so a product of
-        images stays in it while its weighted degree does, as the image of
-        a product of inputs does.  A polynomial in another variable set,
-        or one using an unmapped variable, raises ValueError.
-        """
-        for p in polys:
-            if p.vars != self.source:
-                raise ValueError(f"variable sets differ: {p.vars} vs {self.source}")
-        terms = [e for p in polys for e in p.terms]
-        if not terms:
-            return [{} for _ in polys]
         if self.target is None:
             raise ValueError("empty substitution map")
         for i in self._unmapped:
-            if any(e[i] for e in terms):
+            if any(e[i] for e in p.terms):
                 raise ValueError(f"variable {self.source.names[i]} is not mapped")
-        top = max(sum(map(mul, e, self._tops)) for e in terms)
-        if self._packing is None or top > self._packing.limit:
-            self._packing = Packing(len(self.target), top)
-            self._powers: list = [None] * len(self._images)  # a variable's, once it occurs
-            self._monomials = {(0,) * len(self._images): self._packing.powers({})[0]}
-        return [self._image(p) for p in polys]
-
-    def _image(self, p: Poly) -> dict[int, int]:
-        """p's image in the current layout: each coefficient times its monomial's image, summed."""
-        monomials = self._monomials
+        images = [(coeff, self._monomial(exps)) for exps, coeff in p.terms.items()]
+        top = max(image.top for _, image in images)
+        packing = Packing(len(self.target), top)
         acc: dict[int, int] = {}
         get = acc.get
-        for exps, coeff in p.terms.items():
-            image = monomials.get(exps)
-            if image is None:
-                image = self._monomial(exps)
-            for k, c in image.items():
+        for coeff, image in images:
+            for k, c in image.packed(packing).items():
                 acc[k] = get(k, 0) + coeff * c
-        return {k: c for k, c in acc.items() if c}
+        return Poly._raw(self.target, {k: c for k, c in acc.items() if c}, top, packing)
 
 
 class SignedPermAction(
@@ -511,7 +516,7 @@ def symmetrize(p: Poly, group: list[SignedPermAction]) -> Poly:
         if weight:
             for f, chi in zip(images, characters):
                 acc[f] = get(f, 0) + chi * weight
-    return Poly._raw(p.vars, {k: c for k, c in acc.items() if c})
+    return Poly._raw(p.vars, {k: c for k, c in acc.items() if c}, p.top)
 
 
 def elementary_symmetric(i: int, vars: VarSet) -> Poly:
@@ -536,11 +541,9 @@ def discriminant(vars: VarSet) -> Poly:
 
 
 def _differences(vars: VarSet, pairs: tuple[tuple[str, str], ...]) -> Poly:
-    """The product of a - b over the pairs (a, b), multiplied in one `Packing`."""
-    packing = Packing(len(vars), len(pairs))
+    """The product of a - b over the pairs (a, b)."""
     x = {name: Poly.variable(vars, name) for name in vars.names}
-    factors = [packing.pack((x[a] - x[b]).terms) for a, b in pairs]
-    return Poly._raw(vars, packing.unpack(packed_product(*factors)))
+    return reduce(mul, (x[a] - x[b] for a, b in pairs))
 
 
 def p2(vars: VarSet, args: tuple[str, str, str]) -> Poly:
@@ -608,15 +611,13 @@ class QFactorPowers:
     argument y-variables and carried by `carry`, a ring homomorphism given
     as a map of polynomials, into the caller's coordinates; with no
     `carry` they stay in y1..y4.  A negative exponent raises ValueError.
-    The factors are built and carried once, on the first read, and P4 only
-    once some k >= 1 is read: `second(0)` is the number of pairings,
-    carried.  Each factor is packed once per layout, with its
-    `Packing.powers` table.  Column m of `first` is a chain of per-triple
-    terms from P3^(2m+3) that steps by P2, and `second` one from 1 that
-    steps by P4; each entry a chain passes is unpacked once and kept.  The
-    layout holds n times P2's largest exponent plus 2m+3 times P3's, or k
-    times P4's; a read that needs wider fields starts the layout, its
-    tables and its chains over, and the entries kept stay.
+    The factors are built and carried once, on the first read, each with
+    its `Powers` table, and P4 only once some k >= 1 is read: `second(0)`
+    is the number of pairings, carried.  Column m of `first` is a chain of
+    per-triple terms from P3^(2m+3) that steps by P2, and `second` one
+    from P4 that steps by P4; each entry a chain passes is summed once and
+    kept.  Every step and sum is a `Poly` product or sum, so it runs
+    packed in the layout that holds its exponents.
     """
 
     def __init__(
@@ -624,49 +625,34 @@ class QFactorPowers:
     ) -> None:
         self._triples, self._quads = triples, quads
         self._carry = (lambda p: p) if carry is None else carry
-        self._built: dict[str, tuple[int, list[Poly]]] = {}  # "p2", ... -> (top, carried factors)
+        self._tables: dict[str, list[Powers]] = {}  # "p2", ... -> one table per argument tuple
         self._entries: dict[tuple, Poly] = {}  # (m, n): first(n, m), (None, k): second(k)
-        self._packing: Packing | None = None  # set, with its power tables and chains, by a read
+        self._chains: dict[int | None, tuple[int, list[Poly]]] = {}  # chain -> its head
 
-    def _factors(self, which: str, arguments: _Arguments) -> list[Poly]:
-        """P2, P3 or P4 at each argument tuple, in the table's coordinates."""
-        return [self._carry(q_factor(which, args)) for args in arguments]
+    def _powers(self, which: str) -> list[Powers]:
+        """The power tables of P2, P3 or P4 at each argument tuple, in the table's coordinates."""
+        if which not in self._tables:  # set last, so a factor that fails is built again
+            arguments = self._quads if which == "p4" else self._triples
+            self._tables[which] = [Powers(self._carry(q_factor(which, args))) for args in arguments]
+        return self._tables[which]
 
-    def _powers(self, **powers: int) -> list[list[Mapping[int, dict[int, int]]]]:
-        """The named factors' power tables, in fields that hold the product of the powers."""
-        for which in powers:
-            if which not in self._built:  # set last, so a factor that fails is built again
-                factors = self._factors(which, self._quads if which == "p4" else self._triples)
-                self._vars = factors[0].vars
-                self._built[which] = (max(_max_exponent(f.terms) for f in factors), factors)
-        top = sum(e * self._built[which][0] for which, e in powers.items())
-        if self._packing is None or top > self._packing.limit:  # start over, keeping the entries
-            self._packing, self._tables, self._chains = Packing(len(self._vars), top), {}, {}
-        packing = self._packing
-        for which in powers:
-            if which not in self._tables:
-                factors = self._built[which][1]
-                self._tables[which] = [packing.powers(packing.pack(f.terms)) for f in factors]
-        return [self._tables[which] for which in powers]
-
-    def _walk(self, chain: int | None, exponent: int, seed: list, step: list) -> None:
+    def _walk(self, chain: int | None, exponent: int, head: tuple[int, list[Poly]], step: list[Poly]) -> None:
         """Extend chain m of `first`, or None of `second`, to `exponent`; keep each entry passed."""
-        e, terms = self._chains.get(chain, (0, seed))
+        e, terms = self._chains.get(chain, head)
         while True:
             if (chain, e) not in self._entries:
-                packed = reduce(packed_sum, terms)
-                self._entries[chain, e] = Poly._raw(self._vars, self._packing.unpack(packed))
+                self._entries[chain, e] = reduce(add, terms)
             if e >= exponent:
                 break
-            e, terms = e + 1, list(map(_mul_packed, terms, step))
+            e, terms = e + 1, list(map(mul, terms, step))
         self._chains[chain] = (e, terms)
 
     def first(self, n: int, m: int) -> Poly:
         if n < 0 or m < 0:
             raise ValueError(f"exponents must be non-negative, not n={n}, m={m}")
         if (m, n) not in self._entries:
-            p2s, p3s = self._powers(p2=n, p3=2 * m + 3)
-            self._walk(m, n, [p[2 * m + 3] for p in p3s], [p[1] for p in p2s])
+            p2s, p3s = self._powers("p2"), self._powers("p3")
+            self._walk(m, n, (0, [p[2 * m + 3] for p in p3s]), [p[1] for p in p2s])
         return self._entries[m, n]
 
     def second(self, k: int) -> Poly:
@@ -675,8 +661,8 @@ class QFactorPowers:
         if (None, 0) not in self._entries:
             self._entries[None, 0] = self._carry(Poly.constant(YVARS, len(self._quads)))
         if (None, k) not in self._entries:
-            (p4s,) = self._powers(p4=k)
-            self._walk(None, k, [p[0] for p in p4s], [p[1] for p in p4s])
+            p4s = [p[1] for p in self._powers("p4")]
+            self._walk(None, k, (1, p4s), p4s)
         return self._entries[None, k]
 
 

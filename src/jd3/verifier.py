@@ -50,8 +50,6 @@ from .multipoly import (
     p2,
     p3,
     p4,
-    packed_product,
-    packed_sum,
     signed_s4,
     symmetrize,
     _Q_QUADS,
@@ -318,14 +316,13 @@ def verify_asymptotics(max_d: int, regimes: tuple[Regime, ...] | None = None) ->
     triples = [t for d in range(max_d + 1) for t in _lemma_triples(d)]
     report = Report(suite="asymptotics")
     for regime in regimes:
-        regime_tag = "regime1" if regime.id == "one" else "regime2"
         powers = QFactorPowers(_Q_TRIPLES, _Q_QUADS, partial(substitute_regime, regime=regime))
         for (n, m, k) in triples:
             params = {"n": str(n), "m": str(m), "k": str(k), "regime": regime.id}
             coeff, exp = expected_q_leading(n, m, k, regime.id)
             report.checks.append(
                 _timed_check(
-                    f"asym.{regime_tag}.n={n}.m={m}.k={k}",
+                    f"asym.{regime.tag}.n={n}.m={m}.k={k}",
                     params,
                     f"{coeff}*t^({exp})",
                     lambda: verify_q_asymptotics(n, m, k, regime, powers),
@@ -361,15 +358,14 @@ def _random_poly(rng: random.Random, max_exponent: int) -> Poly:
 def _homomorphism(tables: dict[str, SubstitutionTable], p: Poly, q: Poly) -> str:
     """The product and sum laws of each regime's substitution table on p and q, compared packed.
 
-    The four images share one layout, and it holds sp*sq: the image of
-    p*q, one of the inputs, has the same weighted degree.
+    A table returns its images packed, and `*`, `+` and `==` keep them so.
     """
     product, total = p * q, p + q
     for regime_id, table in tables.items():
-        s_product, s_total, sp, sq = table.packed_images(product, total, p, q)
-        if s_product != packed_product(sp, sq):
+        sp, sq = table(p), table(q)
+        if table(product) != sp * sq:
             return f"not a homomorphism: the product law fails in regime {regime_id}"
-        if s_total != packed_sum(sp, sq):
+        if table(total) != sp + sq:
             return f"not a homomorphism: the sum law fails in regime {regime_id}"
     return "homomorphism"
 

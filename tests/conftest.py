@@ -40,28 +40,3 @@ def caps(monkeypatch):
             monkeypatch.setattr(verifier, name, value)
 
     return set_caps
-
-
-@pytest.fixture
-def function_table():
-    """Wrap a substitution given as a function of Polys in the interface of a `SubstitutionTable`.
-
-    Calling it applies the function; `packed_images` packs the function's
-    images in one layout of its own, with room for the product of any two.
-    """
-    from jd3.multipoly import Packing
-
-    class FunctionTable:
-        def __init__(self, substitute):
-            self.substitute = substitute
-
-        def __call__(self, p):
-            return self.substitute(p)
-
-        def packed_images(self, *polys):
-            images = [self.substitute(p) for p in polys]
-            top = 2 * max((e for image in images for exps in image.terms for e in exps), default=0)
-            packing = Packing(len(images[0].vars), top)
-            return [packing.pack(image.terms) for image in images]
-
-    return FunctionTable

@@ -181,8 +181,8 @@ def off_hyperplane(monkeypatch):
     """Replace one regime image by a form that moves the four images off e1 = 0."""
 
     def replace(regime_id: str, y: str, form: tuple[int, int, int]) -> None:
-        forms = {**asymptotics._IMAGE_FORMS[regime_id], y: form}
-        monkeypatch.setitem(asymptotics._IMAGE_FORMS, regime_id, forms)
+        record = asymptotics._REGIMES[regime_id]
+        monkeypatch.setitem(asymptotics._REGIMES, regime_id, record._replace(images={**record.images, y: form}))
         _shared_images.cache_clear()
 
     yield replace

@@ -147,11 +147,6 @@ def family_images(family, legs):
     return (expanded(gen) for gen in suite_order(family, legs))
 
 
-def poly_row(ctx, p):
-    """`skew_row` of one Poly, packed as the slice's one factor."""
-    return ctx.skew_row(ctx.packing.pack(p.terms))
-
-
 def oracle_family_dim(family, legs, ambient):
     """A spanning family built from the x-images, through the group-sum route.
 
@@ -417,7 +412,7 @@ def test_degree9_span_equals_target_basis_sympy_oracle():
     lifted = [lift(ctx, q) for q in row_lists(target.span_matrix)]
     generators = family_images("subring_family", 9)
     cols = len(target.basis)
-    for full, lifted_row in zip((poly_row(ctx, p) for p in generators), lifted):
+    for full, lifted_row in zip(map(ctx.skew_row, generators), lifted):
         difference = [a - b for a, b in zip(full, lifted_row)]
         assert rank(QMatrix(e1_rows + [difference], cols)) == rank(QMatrix(e1_rows, cols)) == 2
     oracle_matrix = QMatrix(e1_rows + [strict_coefficients(delta * sigma3)], cols)
@@ -441,7 +436,7 @@ def test_early_stop_spans_match_full_construction():
             stopped = slice_of(tet_slice(legs))
             ctx = _SkewSliceContext(legs)
             images = family_images(family, legs)
-            rows = [ctx.quotient_row(poly_row(ctx, p)) for p in images]
+            rows = [ctx.quotient_row(ctx.skew_row(p)) for p in images]
             cols = len(ctx.standard)
             full = RowSpan(cols)
             for row in rows:
@@ -495,7 +490,7 @@ def _family_rows_match(family, legs, order):
     for gen in order:
         factors = build(ctx.edge_powers, gen)
         assert len(factors) == 2
-        assert ctx.skew_row(*factors) == poly_row(ctx, expanded(gen))
+        assert ctx.skew_row(*factors) == ctx.skew_row(expanded(gen))
 
 
 @pytest.mark.parametrize("legs", range(1, 32, 2))
@@ -521,7 +516,7 @@ def test_q_rows_equal_the_expanded_products():
         ctx = _SkewSliceContext(2 * d + 9)
         g = powers.first(n, m)
         strict = Poly(YVARS, {e: c for e, c in g.terms.items() if e[0] > e[1] > e[2] > e[3]})
-        expected[(n, m, k)] = poly_row(ctx, (strict * powers.second(k)).scale(24))
+        expected[(n, m, k)] = ctx.skew_row((strict * powers.second(k)).scale(24))
         assert any(expected[(n, m, k)])
         assert q_alternant_row(n, m, k, ctx, powers) == expected[(n, m, k)]
     random.Random(12).shuffle(rows)
@@ -532,20 +527,28 @@ def test_q_rows_equal_the_expanded_products():
 
 
 def test_ihx_image_slice_builds_no_poly_of_its_degree(monkeypatch):
-    # the generators stay packed from the edge images to their rows
-    raw, init = Poly._raw.__func__, Poly.__init__
+    # the generators stay packed from the edge images to their rows: no
+    # term of the slice's degree is ever keyed by an exponent tuple
+    raw, init, unpack = Poly._raw.__func__, Poly.__init__, multipoly.Packing.unpack
     degrees = set()
 
-    def recorded_raw(cls, vars, terms):
-        degrees.update(map(sum, terms))
-        return raw(cls, vars, terms)
+    def recorded_raw(cls, vars, terms, top=None, packing=None):
+        if packing is None:
+            degrees.update(map(sum, terms))
+        return raw(cls, vars, terms, top, packing)
 
     def recorded_init(self, vars, terms=None):
         init(self, vars, terms)
         degrees.update(map(sum, self.terms))
 
+    def recorded_unpack(self, packed):
+        terms = unpack(self, packed)
+        degrees.update(map(sum, terms))
+        return terms
+
     monkeypatch.setattr(Poly, "_raw", classmethod(recorded_raw))
     monkeypatch.setattr(Poly, "__init__", recorded_init)
+    monkeypatch.setattr(multipoly.Packing, "unpack", recorded_unpack)
     _x_from_y_map.cache_clear()
     assert ihx_image_slice(tet_slice(29)).dim == odd_target_dim(29)
     assert degrees and max(degrees) < 29
@@ -553,7 +556,7 @@ def test_ihx_image_slice_builds_no_poly_of_its_degree(monkeypatch):
 
 def test_skew_row_takes_one_or_two_factors():
     ctx = _SkewSliceContext(9)
-    factor = ctx.packing.pack((Y["y1"] ** 3 * Y["y2"]).terms)
+    factor = Y["y1"] ** 3 * Y["y2"]
     for count in (0, 3, 4):
         with pytest.raises(ValueError, match="one or two"):
             ctx.skew_row(*[factor] * count)
@@ -563,14 +566,13 @@ def test_two_factor_skew_row_forms_no_product(monkeypatch):
     gen = (10, 8, 6, 5)
     ctx = _SkewSliceContext(sum(gen))
     factors = diagram_spaces._ihx_image_build(ctx.edge_powers, gen)
-    expected = poly_row(ctx, ihx_image_expanded(gen))
+    expected = ctx.skew_row(ihx_image_expanded(gen))
 
     def refused(*args):
         raise AssertionError("a product was formed")
 
     with monkeypatch.context() as patched:
-        for module in (multipoly, diagram_spaces):
-            patched.setattr(module, "packed_product", refused)
+        patched.setattr(Poly, "__mul__", refused)
         patched.setattr(multipoly, "_mul_packed", refused)
         row = ctx.skew_row(*factors)
     assert any(row) and row == expected
@@ -714,7 +716,7 @@ def homogeneous_integer_polys(draw, max_degree):
 def test_skew_row_expands_to_symmetrizer_image(drawn):
     degree, p = drawn
     ctx = _SkewSliceContext(degree)
-    row = poly_row(ctx, p)
+    row = ctx.skew_row(p)
     assert all(type(c) is int for c in row)
     assert expand_row(row, ctx.basis, degree) == oracle_image(p, degree)
 

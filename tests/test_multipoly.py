@@ -5,7 +5,6 @@ import re
 from fractions import Fraction
 from functools import partial
 from math import factorial, prod
-from operator import mul
 
 import pytest
 import sympy
@@ -19,6 +18,7 @@ from jd3.multipoly import (
     NotInSubringError,
     Packing,
     Poly,
+    Powers,
     QFactorPowers,
     SignedPermAction,
     SubstitutionTable,
@@ -379,7 +379,7 @@ def test_alternant_rows_equal_skew_rows_of_q_poly():
     expected = {}
     for d, nmk in triples:
         ctx = _SkewSliceContext(2 * d + 9)
-        expected[nmk] = ctx.skew_row(ctx.packing.pack(q_poly(*nmk).terms))
+        expected[nmk] = ctx.skew_row(q_poly(*nmk))
         assert any(expected[nmk])
         assert q_alternant_row(*nmk, ctx, in_order) == expected[nmk]
     for d, nmk in reversed(triples):
@@ -691,26 +691,17 @@ def ref_divide_exact(p, d):
 
 
 def ref_substitute_per_call(p, mapping):
-    """The substitution `Poly.substitute` ran before its table: one packing and power tables per call."""
+    """The substitution `Poly.substitute` ran before its table: power tables per call, no kept monomial."""
     target = next(iter(mapping.values())).vars
-    if not p.terms:
-        return Poly(target)
-    images = [mapping.get(name) for name in p.vars.names]
-    degrees = [max(column) for column in zip(*p.terms)]
-    tops = [max(map(max, img.terms), default=0) if d else 0 for img, d in zip(images, degrees)]
-    packing = Packing(len(target), max(sum(map(mul, e, tops)) for e in p.terms))
-    tables = [
-        packing.powers(packing.pack(img.terms)) if d else None for img, d in zip(images, degrees)
-    ]
-    acc = {}
+    tables = {name: Powers(image) for name, image in mapping.items()}
+    acc = Poly(target)
     for exps, coeff in p.terms.items():
-        factor = packing.powers({})[0]
-        for table, e in zip(tables, exps):
+        factor = Poly.constant(target, coeff)
+        for name, e in zip(p.vars.names, exps):
             if e:
-                factor = multipoly._mul_packed(factor, table[e])
-        for k, c in factor.items():
-            acc[k] = acc.get(k, 0) + coeff * c
-    return Poly(target, packing.unpack(acc))
+                factor = factor * tables[name][e]
+        acc = acc + factor
+    return acc
 
 
 KERNEL_VARSETS = [VARSETS[n] for n in (3, 4, 6)]
@@ -775,23 +766,21 @@ def counted_products(monkeypatch):
     return calls
 
 
-def table_power(packing, table, vars, e):
-    return Poly(vars, packing.unpack(table[e]))
-
-
 def test_power_table_builds_each_power_once(monkeypatch):
     p = Poly(VARSETS[3], {(1, 0, 2): 3, (0, 1, 0): -1, (0, 0, 0): 2})
-    packing = Packing(3, 5 * 2)
-    table = packing.powers(packing.pack(p.terms))
+    table = Powers(p)
     expected = {e: ref_pow(p, e) for e in range(6)}
     calls = counted_products(monkeypatch)
     for e in (5, 3, 5):
-        assert table_power(packing, table, p.vars, e) == expected[e]
+        assert table[e] == expected[e]
     # p^2..p^5, each one product of the power below by p; the reads of 3 and 5 again are kept
     assert len(calls) == 4
     # the unit and p itself are the table's start, no product
-    assert all(table_power(packing, table, p.vars, e) == expected[e] for e in range(6))
+    assert all(table[e] == expected[e] for e in range(6))
     assert len(calls) == 4
+    assert table[1] is p
+    with pytest.raises(ValueError, match="not -1"):
+        table[-1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -801,10 +790,19 @@ def test_power_table_builds_each_power_once(monkeypatch):
 )
 def test_power_table_matches_reference(p, order):
     # every power 0..6, read in any order from one table, is ref_pow's
-    packing = Packing(len(p.vars), 6 * max((max(e) for e in p.terms), default=0))
-    table = packing.powers(packing.pack(p.terms))
+    table = Powers(p)
     for e in order:
-        assert table_power(packing, table, p.vars, e) == ref_pow(p, e)
+        assert table[e] == ref_pow(p, e)
+
+
+def test_power_table_widens_past_255():
+    # p^e reaches y1^(100 e): p^2 is in one-byte fields, p^3 in two-byte
+    # ones, and the table keeps going in them
+    p = Poly(VARSETS[3], {(100, 0, 0): 1, (0, 1, 0): -2})
+    table = Powers(p)
+    assert [table[e].top for e in (2, 3, 5)] == [200, 300, 500]
+    for e in range(6):
+        assert table[e] == ref_pow(p, e)
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -821,6 +819,32 @@ def test_packing_refuses_a_negative_bound():
     for top in (-1, -(2**70)):
         with pytest.raises(ValueError, match="negative"):
             Packing(4, top)
+
+
+def test_packing_is_one_object_per_field_width():
+    # so "the same layout" is an identity test
+    assert Packing(4, 0) is Packing(4, 255) and Packing(4, 255).limit == 255
+    assert Packing(4, 256) is Packing(4, 65535) is not Packing(4, 255)
+    assert Packing(3, 255) is not Packing(4, 255)
+    assert Packing(4, 2**64 - 1).limit == 2**64 - 1
+    with pytest.raises(OverflowError):
+        Packing(4, 2**64)
+
+
+def test_packed_refuses_a_layout_below_its_top():
+    # one-byte fields would carry y1^256 into y2's field; a layout that holds
+    # the top packs once and keeps the result
+    p = Poly.monomial(YVARS, (256, 0, 0, 1))
+    with pytest.raises(OverflowError, match="256"):
+        p.packed(Packing(4, 255))
+    wide = Packing(4, 256)
+    assert p.packed(wide) is p.packed(wide)
+    assert wide.unpack(p.packed(wide)) == {(256, 0, 0, 1): 1}
+    # a product's top is its factors' sum, a bound on its exponents
+    q = Y["y1"] * Y["y2"] ** 200
+    assert (q * q).top == 402
+    with pytest.raises(OverflowError):
+        (q * q).packed(Packing(4, 255))
 
 
 @st.composite
@@ -989,9 +1013,8 @@ def test_divide_exact_on_the_reference_examples():
 @pytest.mark.parametrize("seed, source, target", [(1, 4, 3), (2, 3, 4), (3, 6, 3)])
 def test_one_table_serves_many_polynomials(seed, source, target):
     # 200 polynomials through one table, in a random order of sizes: some
-    # need the two-byte layout (x^100 to the third power and more), so the
-    # table moves to wider fields midway and keeps working; calling it
-    # unpacks its packed image
+    # images need the two-byte layout (x^100 to the third power and more),
+    # and the one-byte images after them are still right
     rng = random.Random(seed)
     source, target = VARSETS[source], VARSETS[target]
 
@@ -1005,18 +1028,21 @@ def test_one_table_serves_many_polynomials(seed, source, target):
     images = {name: random_poly(target, 2, 3) for name in source.names}
     images[source.names[-1]] = Poly(target, {(100,) + (0,) * (len(target) - 1): 1, (0,) * len(target): -2})
     table = SubstitutionTable(source, images)
+    tops = []
     for i in range(200):
         p = random_poly(source, 3 if i % 50 > 40 else 2, rng.randint(0, 4))
-        assert table(p) == ref_substitute_per_call(p, images)
-        (packed,) = table.packed_images(p)
-        assert table(p) == Poly(target, table._packing.unpack(packed))
-    assert table._packing.limit == 2**16 - 1  # it moved to the two-byte layout
+        image = table(p)
+        assert image == ref_substitute_per_call(p, images)
+        assert image.terms == ref_substitute_per_call(p, images).terms
+        tops.append(image.top)
+    assert max(tops[:41]) <= 255 < max(tops[41:50]) and max(tops[50:91]) <= 255
     assert table(Poly.constant(source, 7)) == Poly.constant(target, 7)
 
 
 def test_packed_images_share_one_layout():
-    # the second input needs two-byte fields (x^100 to the third power), so
-    # the first is packed in them too; a product of the two is read in it
+    # the image of `large` needs two-byte fields (x^100 to the third power),
+    # the image of `small` one-byte ones; their product and sum pack the
+    # small one into the wider layout too, once
     source, target = VARSETS[4], VARSETS[3]
     rng = random.Random(5)
     images = {
@@ -1026,16 +1052,14 @@ def test_packed_images_share_one_layout():
     images["v3"] = Poly(target, {(100, 0, 0): 1, (0, 0, 0): -2})
     small = Poly(source, {(1, 1, 0, 0): 2, (0, 0, 2, 0): -1})
     large = Poly(source, {(0, 1, 0, 3): 1, (2, 0, 0, 0): 5})
-    for order in ((small, large), (large, small)):
-        table = SubstitutionTable(source, images)
-        packed = table.packed_images(*order)
-        assert table._packing.limit == 2**16 - 1
-        assert [Poly(target, table._packing.unpack(image)) for image in packed] == [
-            ref_substitute_per_call(p, images) for p in order
-        ]
-        product = multipoly.packed_product(*packed)
-        assert Poly(target, table._packing.unpack(product)) == ref_substitute_per_call(small * large, images)
-    assert table.packed_images(Poly(source), small)[0] == {}
+    table = SubstitutionTable(source, images)
+    s, l = table(small), table(large)
+    assert s.top <= 255 < l.top
+    for a, b in ((s, l), (l, s)):
+        assert a * b == ref_substitute_per_call(small * large, images)
+        assert a + b == ref_substitute_per_call(small + large, images)
+    assert s.packed(Packing(3, l.top)) is s.packed(Packing(3, 256))
+    assert table(Poly(source)).is_zero()
 
 
 def test_the_homomorphism_law_holds_at_degree_130():
@@ -1047,7 +1071,7 @@ def test_the_homomorphism_law_holds_at_degree_130():
     p, q = y34({130: 1, 64: -3, 1: 2}), y34({129: 5, 66: 1, 0: -1})
     table = asymptotics.regime_table(asymptotics.REGIME_TWO)
     assert verifier._homomorphism({"two": table}, p, q) == "homomorphism"
-    assert table._packing.limit == 2**16 - 1
+    assert table(p * q).top == 260
     assert table(p * q) == table(p) * table(q) == ref_substitute(p * q, asymptotics._shared_images("two"))
 
 
@@ -1100,13 +1124,12 @@ def test_skew_rows_are_the_group_sum_of_the_expanded_product(pair):
         expected.append(coeff)
     orbits = set(ctx.basis)
     assert all(tuple(sorted(e, reverse=True)) in orbits for e in group_sum.terms)
-    a, b = ctx.packing.pack(p.terms), ctx.packing.pack(q.terms)
-    assert ctx.skew_row(a, b) == ctx.skew_row(b, a) == expected
-    assert ctx.skew_row(ctx.packing.pack(ref_mul(p, q).terms)) == expected
+    assert ctx.skew_row(p, q) == ctx.skew_row(q, p) == expected
+    assert ctx.skew_row(ref_mul(p, q)) == expected
 
 
 @pytest.mark.parametrize("seed", [1, 7, 2301])
-def test_run_all_reports_the_same_checks_through_the_references(monkeypatch, function_table, seed):
+def test_run_all_reports_the_same_checks_through_the_references(monkeypatch, seed):
     # one run as is, one with the group sum, the division and every
     # substitution (one-shot and regime tables) replaced by the references
     def checks():
@@ -1125,7 +1148,7 @@ def test_run_all_reports_the_same_checks_through_the_references(monkeypatch, fun
     def regime_table(regime):
         _coverage.touch("asymptotics.substitute_regime")
         images = asymptotics._shared_images(regime.id)
-        return function_table(lambda p: substitute(p, images))
+        return lambda p: substitute(p, images)
 
     for module in (asymptotics, verifier):
         monkeypatch.setattr(module, "regime_table", regime_table)
@@ -1287,15 +1310,15 @@ def test_q_readers_leave_the_exponent_check_to_the_table():
 def test_power_table_builds_its_factors_again_after_a_failure(monkeypatch):
     # a factor that fails to build leaves no half-built chain: the next read builds it again
     powers, failed = uvw_powers(), []
-    original = QFactorPowers._factors
+    original = multipoly.q_factor
 
-    def fails_once(self, which, arguments):
+    def fails_once(which, args):
         if which == "p3" and not failed:
             failed.append(which)
             raise ArithmeticError(which)
-        return original(self, which, arguments)
+        return original(which, args)
 
-    monkeypatch.setattr(QFactorPowers, "_factors", fails_once)
+    monkeypatch.setattr(multipoly, "q_factor", fails_once)
     with pytest.raises(ArithmeticError):
         powers.first(1, 1)
     assert failed and powers.first(1, 1) == uvw_powers().first(1, 1)
@@ -1303,9 +1326,9 @@ def test_power_table_builds_its_factors_again_after_a_failure(monkeypatch):
 
 def test_power_table_moves_its_chains_to_wider_fields():
     # second(k) = (u v w)^k is one term, so second(300) needs two-byte fields:
-    # the table starts its layout and chains over there, and entries read before
-    # it, entries its chains passed but not yet read, and chains run again in the
-    # wider layout all equal a table that read in reverse order
+    # the chain's products move to them there, and entries read before it,
+    # entries the chains passed but not yet read, and chain steps in the wider
+    # layout all equal a table that read in reverse order
     one_term = {k: Poly.monomial(UVWVARS, (k, k, k)) for k in range(301)}
     order = [("first", (2, 1)), ("second", (5,)), ("first", (0, 0)), ("second", (2,))]
     order += [("second", (300,)), ("second", (3,)), ("first", (1, 1)), ("first", (0, 1))]

@@ -167,69 +167,121 @@ def test_lemma_builds_each_slice_context_through_tet_slice(monkeypatch):
 def test_power_tables_build_their_factors_inside_a_check(monkeypatch):
     # a table's constructor does no arithmetic: its factors are built on the
     # first read, so a failure there is the reading check's FAIL record
-    def broken(self, which, arguments):
+    def broken(which, args):
         raise KeyError(which)
 
-    monkeypatch.setattr(multipoly.QFactorPowers, "_factors", broken)
+    monkeypatch.setattr(multipoly, "q_factor", broken)
     for report in (verify_asymptotics(0), verify_lemma(0)):
         assert report.summary["total"] == report.summary["failed"] > 0
         assert all(c.actual.startswith("error: KeyError: ") for c in report.checks)
 
 
-def _called_by_a_table(frame) -> bool:
-    """Whether the nearest function frame, past comprehensions, is a QFactorPowers method."""
-    while frame.f_code.co_name.startswith("<"):
-        frame = frame.f_back
-    return isinstance(frame.f_locals.get("self"), multipoly.QFactorPowers)
-
-
 def test_power_tables_run_their_chains_packed(monkeypatch):
-    # every chain step and per-triple sum stays packed: a table calls no
-    # Poly.__mul__ or Poly.__add__ itself, packs each carried factor once
-    # and nothing else, and unpacks an entry at most once, on its first read
-    calls = {"mul": 0, "add": 0, "unpack": 0}
-    packed, factors, reads = [], [], set()
+    # every chain step and per-triple sum is a Poly product or sum, which runs
+    # packed: outside building and carrying its factors, a table packs only
+    # the carried factors, each once per layout, and unpacks nothing; a
+    # reader that reads an entry's terms unpacks it once, however often
+    depth = {"table": 0, "build": 0}
+    packed, unpacked, factors, reads, entries = [], [], [], {}, set()
 
-    def counted(name, original):
-        def method(*args):
-            if _called_by_a_table(sys._getframe(1)):
-                if name == "pack":
-                    packed.append(id(args[1]))
-                else:
-                    calls[name] += 1
-            return original(*args)
+    def inside(key, original):
+        def method(*args, **kwargs):
+            depth[key] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                depth[key] -= 1
 
         return method
 
-    def built(self, which, arguments):
-        factors.extend(original_factors(self, which, arguments))
-        return factors[len(factors) - len(arguments):]
+    def table_only() -> bool:
+        return depth["table"] > 0 and depth["build"] == 0
 
-    # each read is keyed by its table, not by id(): holding the table keeps
-    # it alive, so a later table cannot take a freed one's address
+    def counted_pack(self, terms):
+        if table_only():
+            packed.append((id(terms), self))
+        return pack(self, terms)
+
+    def counted_unpack(self, terms):
+        unpacked.append((table_only(), id(terms) in entries and id(terms)))
+        return unpack(self, terms)
+
+    def recorded_powers(self, base):
+        if table_only():
+            factors.append(base)
+        powers(self, base)
+
+    # each read is keyed by its table: holding the table and its entry keeps
+    # both alive, so a later object cannot take a freed one's address
     def read(name, original):
         def method(self, *exponents):
-            reads.add((self, name, exponents))
-            return original(self, *exponents)
+            entry = inside("table", original)(self, *exponents)
+            reads[self, name, exponents] = entry
+            entries.add(id(entry._form()[1]))
+            return entry
 
         return method
 
     table, packing = multipoly.QFactorPowers, multipoly.Packing
-    original_factors = table._factors
-    monkeypatch.setattr(Poly, "__mul__", counted("mul", Poly.__mul__))
-    monkeypatch.setattr(Poly, "__add__", counted("add", Poly.__add__))
-    monkeypatch.setattr(packing, "pack", counted("pack", packing.pack))
-    monkeypatch.setattr(packing, "unpack", counted("unpack", packing.unpack))
-    monkeypatch.setattr(table, "_factors", built)
+    pack, unpack, powers = packing.pack, packing.unpack, multipoly.Powers.__init__
+    monkeypatch.setattr(packing, "pack", counted_pack)
+    monkeypatch.setattr(packing, "unpack", counted_unpack)
+    monkeypatch.setattr(multipoly.Powers, "__init__", recorded_powers)
     monkeypatch.setattr(table, "first", read("first", table.first))
     monkeypatch.setattr(table, "second", read("second", table.second))
+    monkeypatch.setattr(multipoly, "q_factor", inside("build", multipoly.q_factor))
+    for carry in ("substitute_regime", "_uvw_from_y"):
+        monkeypatch.setattr(verifier, carry, inside("build", getattr(verifier, carry)))
     for report in (verify_asymptotics(12), verify_lemma(8)):
         assert report.all_passed
-    assert calls["mul"] == calls["add"] == 0
     # two regimes of 4 + 4 + 3 factors, and the lemma's 1 + 1 + 3 and 1 + 1 + 1
     assert len(factors) == 30
-    assert sorted(packed) == sorted(id(f.terms) for f in factors)
-    assert 0 < calls["unpack"] <= len(reads)
+    assert {terms for terms, _ in packed} <= {id(f.terms) for f in factors}
+    assert len(set(packed)) == len(packed)
+    assert not any(in_table for in_table, _ in unpacked)
+    read_unpacks = [entry for _, entry in unpacked if entry]
+    assert 0 < len(read_unpacks) == len(set(read_unpacks)) <= len(reads)
+
+
+def test_lemma_rows_pack_only_their_strict_part(monkeypatch):
+    # apart from building the table's factors, each rank row packs one
+    # polynomial, 24 G+, and reads S = second(k) as its table built it: no
+    # second(k) with k >= 1 is packed for its row or ever unpacked, and the
+    # constant second(0) is packed once for every row that reads it
+    depth = {"row": 0, "build": 0}
+    packed, seconds = [], []
+    pack, second = multipoly.Packing.pack, multipoly.QFactorPowers.second
+
+    def inside(key, original):
+        def method(*args):
+            depth[key] += 1
+            try:
+                return original(*args)
+            finally:
+                depth[key] -= 1
+
+        return method
+
+    def counted_pack(self, terms):
+        if depth["row"] and not depth["build"]:
+            packed.append(dict(terms))
+        return pack(self, terms)
+
+    def kept_second(self, k):
+        if depth["row"]:
+            seconds.append((k, second(self, k)))
+        return second(self, k)
+
+    monkeypatch.setattr(verifier, "q_alternant_row", inside("row", verifier.q_alternant_row))
+    monkeypatch.setattr(multipoly, "q_factor", inside("build", multipoly.q_factor))
+    monkeypatch.setattr(multipoly.Packing, "pack", counted_pack)
+    monkeypatch.setattr(multipoly.QFactorPowers, "second", kept_second)
+    assert verify_lemma(12).all_passed
+    assert packed.count({(0, 0, 0, 0): 3}) == 1
+    strict = [terms for terms in packed if terms != {(0, 0, 0, 0): 3}]
+    assert len(strict) == sum(len(verifier._lemma_triples(d)) for d in range(13)) == 102
+    assert all(e[0] > e[1] > e[2] > e[3] == 0 for terms in strict for e in terms)
+    assert len(seconds) == 102 and [k for k, s in seconds if k and s._terms is not None] == []
 
 
 def test_membership_fails_for_a_factor_outside_the_subring(monkeypatch):
@@ -302,12 +354,12 @@ def _failed_actuals(report, prefix):
         (lambda image: image * image, "sum"),
     ],
 )
-def test_regime_hom_fail_names_the_regime_and_the_law(monkeypatch, function_table, fault, law):
+def test_regime_hom_fail_names_the_regime_and_the_law(monkeypatch, fault, law):
     regime_table = verifier.regime_table
 
     def faulty_in_regime_two(regime):
         table = regime_table(regime)
-        return table if regime.id == "one" else function_table(lambda p: fault(table(p)))
+        return table if regime.id == "one" else lambda p: fault(table(p))
 
     monkeypatch.setattr(verifier, "regime_table", faulty_in_regime_two)
     report = verify_properties()
@@ -546,8 +598,8 @@ def test_every_poly_a_run_builds_holds_int_coefficients(monkeypatch, caps):
     poly_mul = Poly.__mul__
     built, products, muls = [], [], []
 
-    def kept_raw(cls, vars, terms):
-        built.append(raw(cls, vars, terms))
+    def kept_raw(cls, vars, terms, *layout):
+        built.append(raw(cls, vars, terms, *layout))
         return built[-1]
 
     def kept_mul_packed(a, b):
