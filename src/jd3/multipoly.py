@@ -7,15 +7,16 @@ arithmetic.  A rational number appears only in `evaluate`.  A `Packing`
 packs each exponent tuple into one int, one byte-aligned field of 1, 2,
 4 or 8 bytes per coordinate, so adding two packed keys multiplies the
 monomials (packed exponent vectors, as in Monagan and Pearce, CASC
-2007).  A `Poly` is the one packed type: it keeps its terms keyed by
-tuples or packed in one `Packing`, as they were made, with `top`, a
-bound on its largest exponent.  Product, power and sum each choose the
-layout that holds the result's `top`, read each operand there
-(`Poly.packed`, packed once per layout), run the one packed kernel and
-return the result packed; `terms` unpacks on its first read.  `Powers`
-is the one lazy table of a polynomial's powers, and a substitution is
-one `SubstitutionTable`, which sums its monomial images packed.
-A result exponent of 2^64 or more raises OverflowError.
+2007).  A `Poly` is the one packed type: it holds its terms once,
+keyed by tuples or packed in one `Packing`, with `top`, a bound on its
+largest exponent.  Product and power choose the layout that holds the
+result's `top`, re-key each operand into it in place (`Poly.packed`),
+run the one packed kernel and return the result packed; a sum stays in
+the layout its operands share, else in the one that holds both tops.
+Reading `terms` re-keys a Poly to tuples in place.  `Powers` is the one
+lazy table of a polynomial's powers, and a substitution is one
+`SubstitutionTable`, which sums its monomial images packed.  A result
+exponent of 2^64 or more raises OverflowError.
 On top of the ring operations this module provides the signed
 permutation actions of S4 and their group sums, taken once per orbit,
 elementary symmetric polynomials, the discriminant, the P2/P3/P4
@@ -169,16 +170,16 @@ def packed_sum(a: Mapping, b: Mapping) -> dict:
 class Poly:
     """Sparse polynomial: a read-only map `terms` from exponent tuple to nonzero int.
 
-    The terms are kept in the form they were made in, keyed by exponent
-    tuples or packed in one `Packing`, and `top` is a bound at least as
-    large as the largest exponent.  `terms` unpacks a packed Poly on its
-    first read and keeps the tuples; `packed(packing)` packs once per
-    layout and keeps the result.  Product, power and sum run packed, in
-    the layout that holds the result's `top`, and return it packed; a sum
-    of two Polys that both hold tuples stays on tuples.
+    A Poly holds its terms once: keyed by exponent tuples, or packed in
+    one `Packing`, its layout, with `top`, a bound on its largest
+    exponent.  Reading `terms` re-keys it to tuples and `packed(packing)`
+    into `packing`, each in place of the map it held; no map is changed,
+    so a map or view read earlier stays valid.  Product, power and sum
+    run packed in the layout that holds the result's `top`; a sum of two
+    Polys in one layout stays there, on tuples with the top of its terms.
     """
 
-    __slots__ = ("vars", "top", "_terms", "_packs")
+    __slots__ = ("vars", "top", "_terms", "_layout")
 
     def __init__(self, vars: VarSet, terms: dict | None = None) -> None:
         self.vars = vars
@@ -197,8 +198,7 @@ class Poly:
                 if _int(coeff):
                     clean[exps] = coeff
         self.top = _max_exponent(clean)
-        self._terms = MappingProxyType(clean)
-        self._packs: dict[Packing, dict[int, int]] = {}
+        self._terms, self._layout = clean, None
 
     @classmethod
     def _raw(cls, vars: VarSet, terms: dict, top: int | None = None, packing: Packing | None = None) -> "Poly":
@@ -207,15 +207,12 @@ class Poly:
         p = cls.__new__(cls)
         p.vars = vars
         p.top = _max_exponent(terms) if top is None else top
-        p._terms = MappingProxyType(terms) if packing is None else None
-        p._packs = {} if packing is None else {packing: terms}
+        p._terms, p._layout = terms, packing
         return p
 
     @classmethod
     def constant(cls, vars: VarSet, c) -> "Poly":
-        if not _int(c):
-            return cls._raw(vars, {})
-        return cls._raw(vars, {(0,) * len(vars): c}, 0)
+        return cls._raw(vars, {(0,) * len(vars): c} if _int(c) else {}, 0)
 
     @classmethod
     def variable(cls, vars: VarSet, name: str) -> "Poly":
@@ -229,48 +226,50 @@ class Poly:
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], int]:
-        if self._terms is None:
-            packing, packed = self._form()
-            self._terms = MappingProxyType(packing.unpack(packed))
-        return self._terms
+        if self._layout is not None:
+            self._terms, self._layout = self._layout.unpack(self._terms), None
+        return MappingProxyType(self._terms)
 
     def packed(self, packing: Packing) -> dict[int, int]:
-        """The terms keyed in `packing`, packed on the first read in it and kept; read, never change.
+        """The terms keyed in `packing`, held from now on in place of the old map; read, never change.
 
         A layout whose `limit` is below `top` raises OverflowError: its
         fields would carry an exponent into the next one.
         """
-        packed = self._packs.get(packing)
-        if packed is None:
+        if self._layout is not packing:
             if self.top > packing.limit:
                 raise OverflowError(f"exponent bound {self.top} does not fit in fields of {packing.limit}")
-            packed = self._packs[packing] = packing.pack(self.terms)
-        return packed
-
-    def _form(self) -> tuple[Packing | None, Mapping]:
-        """The layout and terms of a packed form, or None and the tuple terms if there is none."""
-        return next(iter(self._packs.items()), (None, self._terms))
+            self._terms, self._layout = packing.pack(self.terms), packing
+        return self._terms
 
     def _check_same_vars(self, other: "Poly") -> None:
         if self.vars != other.vars:
             raise ValueError(f"variable sets differ: {self.vars} vs {other.vars}")
 
     def is_zero(self) -> bool:
-        return not self._form()[1]
+        return not self._terms
 
     def is_homogeneous(self) -> bool:
         return len({sum(e) for e in self.terms}) <= 1
 
+    def _alike(self, other: "Poly") -> tuple[Packing | None, Mapping, Mapping]:
+        """The layout both hold, else the one that holds both tops, else tuples, and both term maps in it."""
+        if self._layout is other._layout:
+            return self._layout, self._terms, other._terms
+        try:
+            packing = Packing(len(self.vars), max(self.top, other.top))
+        except OverflowError:
+            return None, self.terms, other.terms
+        return packing, self.packed(packing), other.packed(packing)
+
     def __eq__(self, other: object) -> bool:
-        """Equal terms, compared as tuples when both sides hold them and packed otherwise."""
+        """Equal terms, compared keyed alike by `_alike`."""
         if not isinstance(other, Poly):
             return NotImplemented
         if self.vars != other.vars:
             return False
-        if self._terms is not None and other._terms is not None:
-            return self._terms == other._terms
-        packing = Packing(len(self.vars), max(self.top, other.top))
-        return self.packed(packing) == other.packed(packing)
+        _, a, b = self._alike(other)
+        return a == b
 
     def __neg__(self) -> "Poly":
         return self.scale(-1)
@@ -278,11 +277,9 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         _coverage.touch("multipoly.ring_ops")
         self._check_same_vars(other)
-        top = max(self.top, other.top)
-        if self._terms is not None and other._terms is not None:
-            return Poly._raw(self.vars, packed_sum(self._terms, other._terms), top)
-        packing = Packing(len(self.vars), top)
-        return Poly._raw(self.vars, packed_sum(self.packed(packing), other.packed(packing)), top, packing)
+        layout, a, b = self._alike(other)
+        top = None if layout is None else max(self.top, other.top)
+        return Poly._raw(self.vars, packed_sum(a, b), top, layout)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -299,8 +296,7 @@ class Poly:
         _coverage.touch("multipoly.ring_ops")
         if not _int(c):
             return Poly._raw(self.vars, {})
-        packing, terms = self._form()
-        return Poly._raw(self.vars, {e: c * v for e, v in terms.items()}, self.top, packing)
+        return Poly._raw(self.vars, {e: c * v for e, v in self._terms.items()}, self.top, self._layout)
 
     def __pow__(self, n: int) -> "Poly":
         """Power read from a fresh `Powers` table: n - 1 products for n >= 2, none for n <= 1.
@@ -641,7 +637,10 @@ class QFactorPowers:
         e, terms = self._chains.get(chain, head)
         while True:
             if (chain, e) not in self._entries:
-                self._entries[chain, e] = reduce(add, terms)
+                # each entry is its own Poly on the sum's map, since a one-term sum is the
+                # chain's term itself: a reader that re-keys the entry leaves the term packed
+                entry = reduce(add, terms)
+                self._entries[chain, e] = Poly._raw(entry.vars, entry._terms, entry.top, entry._layout)
             if e >= exponent:
                 break
             e, terms = e + 1, list(map(mul, terms, step))

@@ -1173,6 +1173,18 @@ def test_exponents_past_64_bits_overflow():
         big**1
 
 
+def test_a_sum_on_tuples_reads_its_top_from_its_terms():
+    # a cancelled exponent leaves no bound behind, so a product with the
+    # zero, or with what is left, packs in the layout of what is left; a
+    # packed operand meets one past 64 bits on tuples, so a product that
+    # packed `a` changes no later sum or comparison
+    big, a = Poly.monomial(VARSETS[3], (2**70, 0, 0)), Poly.variable(VARSETS[3], "v0")
+    assert (big - big).top == 0 and ((big + a) - big).top == 1
+    assert ((big - big) * a).is_zero()
+    assert ((big + a) - big) * a == a * a
+    assert big != a and (big + a - big) == a and (big + a).terms == {(2**70, 0, 0): 1, (1, 0, 0): 1}
+
+
 def test_power_rejects_bool_and_float():
     for bad in (True, False, 1.0, -1):
         with pytest.raises(ValueError):
